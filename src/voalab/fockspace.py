@@ -129,12 +129,6 @@ class State:
             raise ValueError("state is not weight homogeneous: %s" % sorted(map(Fraction, ws)))
         return ws.pop()
 
-    def weight_pieces(self):
-        out = {}
-        for m, c in self.terms.items():
-            out.setdefault(mono_weight(m), {})[m] = c
-        return {w: State(t) for w, t in sorted(out.items(), key=lambda kv: Fraction(kv[0]))}
-
     def key(self):
         """A hashable fingerprint, usable as a cache key."""
         return frozenset(self.terms.items())
@@ -164,10 +158,6 @@ class State:
 VACUUM = State.basis(())
 
 
-def weight(v):
-    return v.weight()
-
-
 def theta(v):
     """The lift of the (-1)-isometry: h -> -h, e^{qb} -> e^{-qb}."""
     return State({(degs, -q8): c if len(degs) % 2 == 0 else -c
@@ -192,20 +182,6 @@ def lattice_component(v, q):
     """The part of v supported on charges +q and -q (q >= 0)."""
     q8 = abs(to_q8(q))
     return State({m: c for m, c in v.terms.items() if abs(m[1]) == q8})
-
-
-def sector(v):
-    """A coarse label for the charge support of a state."""
-    res = {q8 % 8 for (_, q8) in v.terms}
-    if not res or res == {0}:
-        return "V_Zb"
-    if len(res) == 1:
-        return "V_Zb+%d/8" % res.pop()
-    if res <= {0, 4}:
-        return "V_L2"
-    if res <= {2, 6}:
-        return "V_L2+a/2"
-    return "mixed"
 
 
 def partitions(n, max_part=None, min_part=1):

@@ -82,15 +82,6 @@ def rank_of(vectors):
     return ech.rank
 
 
-def independent_subset(vectors):
-    ech = Echelon()
-    out = []
-    for v in vectors:
-        if ech.insert(v) is None:
-            out.append(v)
-    return out
-
-
 def express_in_span(vectors, target):
     """Coefficients x with target = sum x_i vectors[i], or None."""
     ech = Echelon()
@@ -229,33 +220,3 @@ def solve_square(mat, rhs_cols):
             x[i] = acc / aug[i][i]
         sols.append(x)
     return sols
-
-
-def rational_rank(mat):
-    """Rank of a rational matrix, by fraction-free elimination."""
-    rows = []
-    for r in mat:
-        introw, _ = _clear_row([Fraction(x) for x in r])
-        rows.append(introw)
-    n = len(rows)
-    if n == 0:
-        return 0
-    w = len(rows[0])
-    rank = 0
-    prev = 1
-    for c in range(w):
-        piv = next((i for i in range(rank, n) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pk = rows[rank][c]
-        for i in range(rank + 1, n):
-            f = rows[i][c]
-            for j in range(c + 1, w):
-                rows[i][j] = (rows[i][j] * pk - f * rows[rank][j]) // prev
-            rows[i][c] = 0
-        prev = pk
-        rank += 1
-        if rank == n:
-            break
-    return rank

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import ONE, ZERO, sc, sqrt2_power
+from .exactfield import I, ONE, ZERO, sc, sqrt2_power
 from .fockspace import (
     State, graded_states, named_vector, theta, theta_even_states,
 )
@@ -20,7 +20,7 @@ from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
 from .vertexengine import (
     mode_apply, twisted_mode_apply, virasoro_mode, zero_mode_decompose,
-    zero_mode_eigenspaces, zero_mode_exp,
+    zero_mode_eigenspaces,
 )
 
 # --------------------------------------------------------------------------
@@ -251,7 +251,6 @@ def primary_space_basis(n):
         return out
     out = []
     v = State.basis((), Fraction(n, 2))
-    steps = 0
     for j in range(n + 1):
         if j == n:
             sign = ONE if n % 2 == 0 else -ONE
@@ -263,7 +262,6 @@ def primary_space_basis(n):
             out.append(v + theta(v))
         if j < n:
             v = _lower(v)
-            steps += 1
     for st in out:
         if st.weight() != n * n or not is_primary(st):
             raise ArithmeticError("multiplet member is not primary of weight %d" % (n * n))
@@ -276,9 +274,57 @@ def primary_multiplicity(n):
     return n // 2 + (1 if n % 2 == 0 else 0)
 
 
+# sigma = exp(2 pi i h'(0)) in closed form.
+#
+# h' lies in the weight-one sl2 spanned by h and e^{+-a} (a = b/2).  With
+# H = sqrt2 h(0), e = e^{a}(0) and f = e^{-a}(0), which satisfy
+# [H, e] = 2e, [H, f] = -2f, [e, f] = H on these modules,
+#
+#     h'(0) = (sqrt3/18) (H + (1-i) e + (1+i) f).
+#
+# In the 2-dimensional representation M = [[1, 1-i], [1+i, -1]] has
+# M^2 = 3, so exp(2 pi i h'(0)) = exp(i (pi/3) M/sqrt3) = (1 + iM)/2
+# = [[(1+i)/2, (1+i)/2], [(i-1)/2, (1-i)/2]], which factors as
+# exp(x e) exp(y f) exp(z e) with x = 1, y = (i-1)/2, z = i.  Each weight
+# space of V_L2 + V_L2+a/2 is a finite-dimensional sl2 module, where an
+# identity in SL2 holds as well, so the three factors give sigma there.
+# Each factor is a finite sum because e and f move the charge by +-a at
+# fixed weight.
+_EPLUS_ALPHA = State.basis((), Fraction(1, 2))
+_SIGMA_FACTORS = (  # rightmost factor first
+    (_EPLUS_ALPHA, I),
+    (_EMINUS_ALPHA, (I - ONE) * sc(Fraction(1, 2))),
+    (_EPLUS_ALPHA, ONE),
+)
+
+
+def _nilpotent_exp(u, x, v):
+    """exp(x u(0)) v, for a zero mode u(0) that is nilpotent on v."""
+    acc = term = v
+    k = 0
+    while term:
+        k += 1
+        term = mode_apply(u, 0, term) * (x * sc(Fraction(1, k)))
+        acc = acc + term
+    return acc
+
+
 def sigma(v):
-    """The order-3 symmetry: the exponential of the distinguished zero mode."""
-    return zero_mode_exp(named_vector("hprime"), v)
+    """The order-3 symmetry exp(2 pi i h'(0)) of the lattice algebra.
+
+    Defined on charges in (1/4)Z b, that is on V_L2 + V_L2+a/2; raises
+    ValueError on any term of charge k/8 b with k odd.  It is computed as
+    exp(e) exp(((i-1)/2) f) exp(i e) with e, f the zero modes of e^{+-a}
+    (the sl2 derivation is above), and is checked in the tests against
+    the Krylov route zero_mode_exp(named_vector("hprime"), v).
+    """
+    odd = sorted({Fraction(q8, 8) for (_, q8) in v.terms if q8 % 2})
+    if odd:
+        raise ValueError("sigma needs charges in (1/4)Z b; got charge %s"
+                         % ", ".join("%sb" % q for q in odd))
+    for u, x in _SIGMA_FACTORS:
+        v = _nilpotent_exp(u, x, v)
+    return v
 
 
 def sigma_eigendims(states):
@@ -499,7 +545,6 @@ def _module_weights(i, w_max):
 
 def _lambda_bound(i, w):
     """Largest possible magnitude of a zero-mode eigenvalue at weight w."""
-    hi = 0
     q8 = 0 if i == 1 else 2
     best = Fraction(0)
     while Fraction(q8 * q8, 16) <= w:

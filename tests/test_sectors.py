@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from voalab.exactfield import sc, sixth_root
-from voalab.fockspace import named_vector, partitions
+from voalab.fockspace import State, graded_states, named_vector, partitions
 from voalab.sectors import (
     QSeries, brute_fixed_dims, char_L1, char_series,
     decompose_quarter_module, dim_full_lattice, eigenspace_char, graded_dim,
@@ -16,6 +16,7 @@ from voalab.sectors import (
     sigma_multiplet_dims, sigma_trace, sigma_trace_brute, theta_trace,
     top_level_eigenvalue, twisted_sector,
 )
+from voalab.vertexengine import zero_mode_exp
 
 
 def test_partition_counts():
@@ -95,6 +96,24 @@ def test_sigma_eigendims_small():
     assert sigma(named_vector("X1")) == named_vector("X1") * sixth_root(2)
     assert sigma(named_vector("X2")) == named_vector("X2") * sixth_root(4)
     assert sigma(named_vector("omega")) == named_vector("omega")
+
+
+def test_sigma_matches_krylov_route():
+    # the closed-form exponentials against the Krylov split of h'(0)
+    hprime = named_vector("hprime")
+    states = [b for w in range(6) for b in graded_states("V_L2", w)]
+    for w in (Fraction(1, 4), Fraction(5, 4), Fraction(9, 4), Fraction(13, 4)):
+        states += graded_states("V_L2+a/2", w)
+    states += [named_vector(n) for n in ("J", "E", "X1", "X2", "w1", "w2", "u9")]
+    for v in states:
+        assert sigma(v) == zero_mode_exp(hprime, v), v
+
+
+def test_sigma_rejects_odd_eighth_charges():
+    odd = State.basis((), Fraction(1, 8))
+    for v in (odd, State.basis((1, 1)) + odd, State.basis((2,), Fraction(-3, 8))):
+        with pytest.raises(ValueError, match="charge"):
+            sigma(v)
 
 
 def test_primary_multiplets():
