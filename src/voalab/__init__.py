@@ -11,8 +11,8 @@ from .exactfield import ONE, ZERO, Scalar, as_rational, rat, sc, sixth_root, sqr
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import State, graded_states, named_vector, theta, theta_even_states
 from .structure import (
-    VirasoroWord, build_u16, c_functional, decompose_over, fixed_subspace,
-    gram_rational, is_primary, pair, vacuum_words, word_states,
+    VirasoroWord, build_u16, c_functional, decompose_over, gram_rational,
+    is_primary, pair, vacuum_words, word_states,
 )
 from .vertexengine import (
     ModeLegalityError, RationalPowerSeries, delta_apply, mode_apply,
@@ -37,10 +37,10 @@ __all__ = [
     "sqrt2_power", "parse_scalar_expr", "parse_state_expr", "State",
     "graded_states", "named_vector", "theta", "theta_even_states",
     "VirasoroWord", "build_u16", "c_functional", "decompose_over",
-    "fixed_subspace", "gram_rational", "is_primary", "pair", "vacuum_words",
-    "word_states", "ModeLegalityError", "RationalPowerSeries", "delta_apply",
-    "mode_apply", "mode_apply_theta_even", "twisted_mode_apply",
-    "twisted_weight", "virasoro_mode", "zero_mode_decompose", "zero_mode_exp",
+    "gram_rational", "is_primary", "pair", "vacuum_words", "word_states",
+    "ModeLegalityError", "RationalPowerSeries", "delta_apply", "mode_apply",
+    "mode_apply_theta_even", "twisted_mode_apply", "twisted_weight",
+    "virasoro_mode", "zero_mode_decompose", "zero_mode_exp",
     "QSeries", "char_L1", "char_series", "decompose_quarter_module",
     "graded_dim", "module_catalog", "multiplet_spectrum_table", "sector_top",
     "sigma", "top_level_eigenvalue", "twisted_sector", "CheckResult",

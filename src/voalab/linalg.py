@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactfield import ONE, Scalar, ZERO, sc
+from .exactfield import ONE, ZERO
 from .fockspace import State
 
 

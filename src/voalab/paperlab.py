@@ -25,24 +25,23 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .exactfield import ONE, ZERO, as_rational, sc, sixth_root, sqrt2_power
+from .exactfield import ZERO, as_rational, sc, sixth_root, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import (
     State, graded_states, lattice_component, named_vector, partitions,
     tau1, theta, theta_even_states,
 )
-from .linalg import express_in_span, rank_of
+from .linalg import express_in_span, fixed_vectors, rank_of
 from .structure import (
-    VirasoroWord, c_functional, decompose_over, fixed_subspace,
-    gram_rational, is_primary, pair, vacuum_words, word_states,
+    VirasoroWord, c_functional, decompose_over, gram_rational, is_primary,
+    pair, vacuum_words, word_states,
 )
 from .vertexengine import (
     ModeLegalityError, RationalPowerSeries, delta_apply, mode_apply,
-    mode_apply_theta_even, twisted_mode_apply, twisted_weight,
-    virasoro_mode,
+    mode_apply_theta_even, twisted_weight, virasoro_mode,
 )
 from .sectors import (
-    brute_fixed_dims, char_L1, char_series, decompose_quarter_module,
+    brute_fixed_dims, char_L1, decompose_quarter_module,
     eigenspace_char, graded_dim, klein_fixed_dim, module_catalog,
     multiplet_spectrum_table, partition_count, partition_count_even_length,
     quarter_cube_is_minus_one, sector_top, sigma, sigma_trace,
@@ -1372,7 +1371,7 @@ def _chk_l31_character(cfg):
         "lemma-3.1", tags=("criterion-9",))
 def _chk_l31_weight4(cfg):
     one = named_vector("one")
-    basis = fixed_subspace(graded_states("V_L2", 4), [theta, tau1])
+    basis = fixed_vectors(graded_states("V_L2", 4), [theta, tau1])
     span = [virasoro_mode(-2, virasoro_mode(-2, one)),
             virasoro_mode(-4, one), named_vector("J"), named_vector("E")]
     inside = all(express_in_span(basis, v) is not None for v in span)

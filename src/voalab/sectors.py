@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import I, ONE, ZERO, sc, sqrt2_power
+from .exactfield import HALF, I, ONE, ZERO, sc, sqrt2_power
 from .fockspace import (
     State, graded_states, named_vector, theta, theta_even_states,
 )
@@ -284,18 +284,16 @@ def primary_multiplicity(n):
 #
 # In the 2-dimensional representation M = [[1, 1-i], [1+i, -1]] has
 # M^2 = 3, so exp(2 pi i h'(0)) = exp(i (pi/3) M/sqrt3) = (1 + iM)/2
-# = [[(1+i)/2, (1+i)/2], [(i-1)/2, (1-i)/2]], which factors as
-# exp(x e) exp(y f) exp(z e) with x = 1, y = (i-1)/2, z = i.  Each weight
-# space of V_L2 + V_L2+a/2 is a finite-dimensional sl2 module, where an
-# identity in SL2 holds as well, so the three factors give sigma there.
-# Each factor is a finite sum because e and f move the charge by +-a at
+# = [[(1+i)/2, (1+i)/2], [(i-1)/2, (1-i)/2]], whose Gauss (LDU) factors
+# [[1, 0], [i, 1]] diag(t, 1/t) [[1, 1], [0, 1]] with t = (1+i)/2 are
+# exp(i f) t^H exp(e).  Each weight space of V_L2 + V_L2+a/2 is a
+# finite-dimensional sl2 module, where an identity in SL2 holds as well,
+# so the product gives sigma there.  H is the integer q8/2 on a term of
+# charge (q8/8) b, so t^H scales it by t^(q8/2), and 1/t = 1-i.  Each
+# exponential is a finite sum because e and f move the charge by +-a at
 # fixed weight.
 _EPLUS_ALPHA = State.basis((), Fraction(1, 2))
-_SIGMA_FACTORS = (  # rightmost factor first
-    (_EPLUS_ALPHA, I),
-    (_EMINUS_ALPHA, (I - ONE) * sc(Fraction(1, 2))),
-    (_EPLUS_ALPHA, ONE),
-)
+_T = (ONE + I) * HALF
 
 
 def _nilpotent_exp(u, x, v):
@@ -314,17 +312,20 @@ def sigma(v):
 
     Defined on charges in (1/4)Z b, that is on V_L2 + V_L2+a/2; raises
     ValueError on any term of charge k/8 b with k odd.  It is computed as
-    exp(e) exp(((i-1)/2) f) exp(i e) with e, f the zero modes of e^{+-a}
-    (the sl2 derivation is above), and is checked in the tests against
-    the Krylov route zero_mode_exp(named_vector("hprime"), v).
+    exp(i f) t^H exp(e), two exponentials of the zero modes e, f of
+    e^{+-a} and a charge-diagonal factor, t = (1+i)/2 (the sl2 derivation
+    is above), and is checked in the tests against the Krylov route
+    zero_mode_exp(named_vector("hprime"), v).
     """
     odd = sorted({Fraction(q8, 8) for (_, q8) in v.terms if q8 % 2})
     if odd:
         raise ValueError("sigma needs charges in (1/4)Z b; got charge %s"
                          % ", ".join("%sb" % q for q in odd))
-    for u, x in _SIGMA_FACTORS:
-        v = _nilpotent_exp(u, x, v)
-    return v
+    v = _nilpotent_exp(_EPLUS_ALPHA, ONE, v)
+    t = {k: _T ** k if k >= 0 else (ONE - I) ** -k
+         for k in {q8 // 2 for (_, q8) in v.terms}}
+    v = State({m: c * t[m[1] // 2] for m, c in v.terms.items()})
+    return _nilpotent_exp(_EMINUS_ALPHA, I, v)
 
 
 def sigma_eigendims(states):

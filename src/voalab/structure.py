@@ -7,11 +7,9 @@ partition factor prod_d d^{m_d} m_d!.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactfield import ONE, Scalar, ZERO, sc
+from .exactfield import ZERO, sc
 from .fockspace import State, named_vector, lattice_component, partitions
-from .linalg import SingularMatrixError, express_in_span, fixed_vectors, solve_square
+from .linalg import SingularMatrixError, express_in_span, solve_square
 from .vertexengine import apply_word, mode_apply, mode_apply_theta_even, virasoro_mode
 
 
@@ -241,8 +239,3 @@ def c_functional(v, weight=None):
         return ZERO
     w = int(w)
     return v.coefficient((1,) * w)
-
-
-def fixed_subspace(states, ops):
-    """A basis of the joint fixed space of the given operators."""
-    return fixed_vectors(states, ops)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from voalab.exactfield import sc, sixth_root
+from voalab.exactfield import I, ONE, ZERO, sc, sixth_root
 from voalab.fockspace import State, graded_states, named_vector, partitions
 from voalab.sectors import (
     QSeries, brute_fixed_dims, char_L1, char_series,
@@ -107,6 +107,24 @@ def test_sigma_matches_krylov_route():
     states += [named_vector(n) for n in ("J", "E", "X1", "X2", "w1", "w2", "u9")]
     for v in states:
         assert sigma(v) == zero_mode_exp(hprime, v), v
+
+
+def test_sigma_gauss_factorization():
+    # exp(i f) t^H exp(e) in the 2-dimensional representation is
+    # [[1, 0], [i, 1]] diag(t, 1/t) [[1, 1], [0, 1]] = (1 + iM)/2
+    def mul(a, b):
+        return [[a[r][0] * b[0][c] + a[r][1] * b[1][c] for c in range(2)]
+                for r in range(2)]
+    half = sc(Fraction(1, 2))
+    t = (ONE + I) * half
+    assert t * (ONE - I) == ONE
+    m = [[ONE, ONE - I], [ONE + I, -ONE]]
+    assert mul(m, m) == [[sc(3), ZERO], [ZERO, sc(3)]]
+    ldu = mul(mul([[ONE, ZERO], [I, ONE]], [[t, ZERO], [ZERO, ONE - I]]),
+              [[ONE, ONE], [ZERO, ONE]])
+    identity = [[ONE, ZERO], [ZERO, ONE]]
+    assert ldu == [[(identity[r][c] + I * m[r][c]) * half for c in range(2)]
+                   for r in range(2)]
 
 
 def test_sigma_rejects_odd_eighth_charges():

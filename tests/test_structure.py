@@ -7,9 +7,10 @@ import pytest
 
 from voalab.exactfield import ONE, ZERO, as_rational, sc
 from voalab.fockspace import State, graded_states, named_vector, theta, tau1
+from voalab.linalg import fixed_vectors
 from voalab.structure import (
-    VirasoroWord, build_u16, c_functional, decompose_over, fixed_subspace,
-    gram_rational, is_primary, pair, vacuum_words, word_states, zlam,
+    VirasoroWord, build_u16, c_functional, decompose_over, gram_rational,
+    is_primary, pair, vacuum_words, word_states, zlam,
 )
 from voalab.vertexengine import virasoro_mode
 
@@ -135,7 +136,7 @@ def test_c_functional():
 def test_fixed_subspace_weight4():
     states = graded_states("V_L2", 4)
     assert len(states) == 13
-    fixed = fixed_subspace(states, [theta, tau1])
+    fixed = fixed_vectors(states, [theta, tau1])
     assert len(fixed) == 4
     for st in fixed:
         assert theta(st) == st
