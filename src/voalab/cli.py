@@ -33,7 +33,7 @@ def _cmd_verify(args):
     if args.max_weight is not None:
         config["characters"] = args.max_weight
     try:
-        report = paperlab.run_checks(selection=selection, jobs=args.jobs,
+        report = paperlab.run_checks(selection=selection,
                                      config=config or None)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -147,8 +147,6 @@ def build_parser():
                    help="run every check (the default)")
     p.add_argument("--check", nargs="+", metavar="ID",
                    help="run only these check ids or tags")
-    p.add_argument("--jobs", type=int, default=1, metavar="K",
-                   help="worker threads (default 1)")
     p.add_argument("--max-weight", type=int, default=None, metavar="N",
                    help="character truncation override")
     p.add_argument("--report", metavar="PATH",

@@ -265,10 +265,6 @@ class Scalar:
             raise ValueError("not a rational number: %s" % self)
         return Fraction(self.num[0], self.den)
 
-    def is_real(self):
-        a = self.num
-        return not (a[4] or a[5] or a[6] or a[7])
-
     # -- rendering --------------------------------------------------------
 
     def __str__(self):

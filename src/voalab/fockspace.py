@@ -65,19 +65,6 @@ class State:
             return cls()
         return cls({mono(degs, to_q8(q)): coeff})
 
-    @classmethod
-    def from_items(cls, items):
-        terms = {}
-        for m, c in items:
-            c = sc(c) if not isinstance(c, Scalar) else c
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[m] = acc
-            elif m in terms:
-                del terms[m]
-        return cls(terms)
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -20,9 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .exactfield import ZERO, as_rational, sc, sixth_root, sqrt2_power
@@ -61,35 +59,18 @@ _SEED = 97531
 
 
 # --------------------------------------------------------------------------
-# Shared lazily-built artifacts (safe under concurrent check execution).
+# Shared lazily-built artifacts, built once per process.
+
+_ARTIFACTS = {}
 
 
-class _Artifacts:
-    """A once-per-process cache with a per-key build gate."""
+def _artifact(name, build):
+    """The artifact stored under name, built on the first request; a
+    build that raises stores nothing."""
+    if name not in _ARTIFACTS:
+        _ARTIFACTS[name] = build()
+    return _ARTIFACTS[name]
 
-    def __init__(self):
-        self._master = threading.Lock()
-        self._vals = {}
-        self._gates = {}
-
-    def get(self, name, build):
-        with self._master:
-            if name in self._vals:
-                return self._vals[name]
-            gate = self._gates.get(name)
-            if gate is None:
-                gate = self._gates[name] = threading.Lock()
-        with gate:
-            with self._master:
-                if name in self._vals:
-                    return self._vals[name]
-            val = build()
-            with self._master:
-                self._vals[name] = val
-            return val
-
-
-_ART = _Artifacts()
 
 _W_MODE = {16: 1, 20: -3, 22: -5}
 
@@ -99,7 +80,7 @@ def _w_state(n):
     def build():
         u9 = named_vector("u9")
         return mode_apply_theta_even(u9, _W_MODE[n], u9)
-    return _ART.get("w%d" % n, build)
+    return _artifact("w%d" % n, build)
 
 
 def _u16_words(deg):
@@ -124,16 +105,17 @@ def _dec(n):
         if not dec.exact:
             raise ArithmeticError("weight %d decomposition left a residual" % n)
         return {"vac_words": vw, "gen_words": uw, "dec": dec}
-    return _ART.get("dec%d" % n, build)
+    return _artifact("dec%d" % n, build)
 
 
 def _c_of_w(n):
-    return _ART.get("c%d" % n, lambda: as_rational(c_functional(_w_state(n))))
+    return _artifact("c%d" % n,
+                     lambda: as_rational(c_functional(_w_state(n))))
 
 
 def _cx16():
-    return _ART.get("cx16",
-                    lambda: as_rational(c_functional(named_vector("u16"))))
+    return _artifact("cx16",
+                     lambda: as_rational(c_functional(named_vector("u16"))))
 
 
 def _vac_coeff(info, parts):
@@ -153,11 +135,11 @@ def _twisted(i, j, cfg):
     lowest = Fraction(1, 36) if i == 1 else Fraction(1, 9)
     bound = lowest + Fraction(cfg["twisted"])
     key = "twisted-%d-%d-%s" % (i, j, bound)
-    return _ART.get(key, lambda: twisted_sector(i, j, bound=bound))
+    return _artifact(key, lambda: twisted_sector(i, j, bound=bound))
 
 
 def _quarter():
-    return _ART.get("quarter", decompose_quarter_module)
+    return _artifact("quarter", decompose_quarter_module)
 
 
 # --------------------------------------------------------------------------
@@ -386,24 +368,18 @@ def _select(selection):
     return list(chosen.values())
 
 
-def run_checks(selection=None, jobs=1, config=None):
-    """Run the selected checks (ids or tags; None means everything) and
-    return a Report.  Heavy checks are scheduled first."""
+def run_checks(selection=None, config=None):
+    """Run the selected checks (ids or tags; None means everything) one at
+    a time and return a Report sorted by id.  Heavy checks run first, so a
+    shared artifact is built, and its cost timed, in the heavy check that
+    needs it."""
     cfg = dict(DEFAULT_CONFIG)
     if config:
         cfg.update(config)
     specs = _select(selection)
     ordered = sorted(specs, key=lambda s: (s.cost != "heavy", s.id))
-    results = {}
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(s, pool.submit(_run_one, s, cfg)) for s in ordered]
-            for spec, fut in futures:
-                results[spec.id] = fut.result()
-    else:
-        for spec in ordered:
-            results[spec.id] = _run_one(spec, cfg)
-    checks = [results[k] for k in sorted(results)]
+    checks = sorted((_run_one(spec, cfg) for spec in ordered),
+                    key=lambda r: r.id)
     summary = {
         "total": len(checks),
         "pass": sum(1 for r in checks if r.status == "pass"),

@@ -28,7 +28,6 @@ from .vertexengine import (
 
 _P = [1]
 _PE = [1]   # partitions with an even number of parts
-_PARTS_GE2 = [1]
 
 
 def _extend_partitions(n):
@@ -236,19 +235,11 @@ def _lower(v):
     return mode_apply(_EMINUS_ALPHA, 0, v)
 
 
-_PRIMARY_BASIS = {}
-
-
 def primary_space_basis(n):
     """A basis of the primary vectors of weight n^2 in the theta-fixed
     lattice algebra, built by lowering the extremal charge vector."""
-    hit = _PRIMARY_BASIS.get(n)
-    if hit is not None:
-        return hit
     if n == 0:
-        out = [State.basis(())]
-        _PRIMARY_BASIS[0] = out
-        return out
+        return [State.basis(())]
     out = []
     v = State.basis((), Fraction(n, 2))
     for j in range(n + 1):
@@ -265,7 +256,6 @@ def primary_space_basis(n):
     for st in out:
         if st.weight() != n * n or not is_primary(st):
             raise ArithmeticError("multiplet member is not primary of weight %d" % (n * n))
-    _PRIMARY_BASIS[n] = out
     return out
 
 
@@ -359,20 +349,13 @@ def sigma_eigendims(states):
     return dims
 
 
-_SIGMA_DIMS = {}
-
-
 def sigma_multiplet_dims(n):
     """Eigenspace dimensions of the order-3 symmetry on the weight n^2
     primary space."""
-    hit = _SIGMA_DIMS.get(n)
-    if hit is None:
-        basis = primary_space_basis(n)
-        if len(basis) != primary_multiplicity(n):
-            raise ArithmeticError("wrong multiplet size at n=%d" % n)
-        hit = sigma_eigendims(basis)
-        _SIGMA_DIMS[n] = hit
-    return hit
+    basis = primary_space_basis(n)
+    if len(basis) != primary_multiplicity(n):
+        raise ArithmeticError("wrong multiplet size at n=%d" % n)
+    return sigma_eigendims(basis)
 
 
 def eigenspace_char(j, n_max):
@@ -530,18 +513,6 @@ def top_level_eigenvalue(u, sector_name):
 
 # --------------------------------------------------------------------------
 # Shifted (twisted) sectors for the order-3 symmetry.
-
-
-def _module_weights(i, w_max):
-    if i == 1:
-        w = Fraction(0)
-    else:
-        w = Fraction(1, 4)
-    out = []
-    while w <= w_max:
-        out.append(w)
-        w += 1
-    return out
 
 
 def _lambda_bound(i, w):

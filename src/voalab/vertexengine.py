@@ -291,19 +291,10 @@ def mode_apply_theta_even(u, n, v):
 # --------------------------------------------------------------------------
 # Virasoro modes.
 
-_OMEGA = None
-
-
-def _omega():
-    global _OMEGA
-    if _OMEGA is None:
-        _OMEGA = named_vector("omega")
-    return _OMEGA
-
 
 def virasoro_mode(n, v):
     """L(n) v for the rank-one free-boson Virasoro vector (c = 1)."""
-    return mode_apply(_omega(), n + 1, v)
+    return mode_apply(named_vector("omega"), n + 1, v)
 
 
 def apply_word(word, v):
@@ -471,9 +462,6 @@ class RationalPowerSeries:
                 return st
         return State()
 
-    def support(self):
-        return [e for e, _ in self.terms]
-
     def __iter__(self):
         return iter(self.terms)
 
@@ -582,4 +570,4 @@ def twisted_mode_apply(u, n, v, hvec):
 
 def twisted_weight(v, hvec):
     """Apply the twisted L(0) for the hvec twist."""
-    return twisted_mode_apply(_omega(), 1, v, hvec)
+    return twisted_mode_apply(named_vector("omega"), 1, v, hvec)

@@ -108,11 +108,28 @@ def test_fail_path_and_error_capture():
     assert "exploded" in res2.computed
 
 
-def test_parallel_matches_serial():
-    serial = run_checks(selection=["criterion-1"], jobs=1)
-    parallel = run_checks(selection=["criterion-1"], jobs=4)
-    assert [(c.id, c.status, c.computed) for c in serial.checks] == \
-        [(c.id, c.status, c.computed) for c in parallel.checks]
+def test_artifact_builds_once():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return len(calls)
+
+    def boom():
+        raise RuntimeError("exploded")
+
+    try:
+        assert paperlab._artifact("tmp-counted", build) == 1
+        assert paperlab._artifact("tmp-counted", build) == 1
+        assert len(calls) == 1
+        with pytest.raises(RuntimeError):
+            paperlab._artifact("tmp-raises", boom)
+        assert "tmp-raises" not in paperlab._ARTIFACTS
+        assert paperlab._artifact("tmp-raises", build) == 2
+        assert len(calls) == 2
+    finally:
+        paperlab._ARTIFACTS.pop("tmp-counted", None)
+        paperlab._ARTIFACTS.pop("tmp-raises", None)
 
 
 def test_config_defaults_and_copy():

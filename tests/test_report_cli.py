@@ -61,9 +61,8 @@ def test_verify_report_file(tmp_path, capsys):
     assert doc["summary"]["pass"] == 1
 
 
-def test_verify_jobs_flag(capsys):
-    code, out, _ = run_cli(
-        ["verify", "--check", "criterion-1", "--jobs", "3"], capsys)
+def test_verify_tagged_group(capsys):
+    code, out, _ = run_cli(["verify", "--check", "criterion-1"], capsys)
     assert code == 0
     assert out.count("pass") >= 12
 
