@@ -318,6 +318,20 @@ ZETA6 = _raw((1, 0, 0, 0, 0, 0, 1, 0), 2)
 _SIXTH = (ONE, ZETA6, ZETA3, -ONE, -ZETA6, -ZETA3)
 
 
+def from_basis_products(terms, den):
+    """The Scalar sum(s * e_p * e_q) / den over the (p, q, s) in terms.
+
+    e_0..e_7 is the coordinate basis, each s an integer and den a
+    positive integer: the form kernel sums plain-int products of
+    coordinates and brings them into the field here, once.
+    """
+    out = [0] * 8
+    for p, q, s in terms:
+        m, f = _MUL[p][q]
+        out[m] += f * s
+    return _norm(tuple(out), den)
+
+
 def sixth_root(k):
     """zeta6**k for the principal sixth root of unity zeta6 = e^{pi i/3}."""
     return _SIXTH[k % 6]

@@ -10,6 +10,7 @@ clearing denominators up front keeps the arithmetic in integers.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exactfield import ONE, ZERO
 from .fockspace import State
@@ -163,22 +164,9 @@ def fixed_vectors(basis, ops):
 
 
 def _clear_row(row):
-    # Normalize to plain python ints so later Fraction arithmetic never
-    # sees a foreign integer type.
-    nums = [int(x.numerator) for x in row]
-    dens = [int(x.denominator) for x in row]
-    lcm = 1
-    for d in dens:
-        if d != 1:
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-    return [n * (lcm // d) for n, d in zip(nums, dens)], lcm
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    """A row of Fractions as integers over their least common denominator."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def solve_square(mat, rhs_cols):
@@ -193,8 +181,7 @@ def solve_square(mat, rhs_cols):
     aug = []
     for i in range(n):
         row = [Fraction(x) for x in mat[i]] + [Fraction(col[i]) for col in rhs_cols]
-        introw, _ = _clear_row(row)
-        aug.append(introw)
+        aug.append(_clear_row(row))
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if aug[i][k]), None)

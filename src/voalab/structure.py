@@ -2,33 +2,111 @@
 
 The invariant bilinear form is normalized by (1, 1) = 1 and pairs a
 monomial h(-n_1)...h(-n_s) e^{qb} with h(-n_1)...h(-n_s) e^{-qb} to the
-partition factor prod_d d^{m_d} m_d!.
+partition factor prod_d d^{m_d} m_d!, up to sign.  Since it is diagonal
+in the Fock basis, every use of it (`pair`, `gram_rational`, the
+right-hand side of `decompose_over`, the orthogonality check in
+`build_u16`) runs on integer Fock coordinates: a state is converted once
+to integer rows, one per field coordinate, over one common denominator
+(the dual side at the conjugate monomials, times the signed zlam), a
+pairing is a plain-int dot product, and each value becomes one field
+element at the end.
 """
 
 from __future__ import annotations
 
-from .exactfield import ZERO, sc
+from math import lcm
+from operator import mul
+
+from .exactfield import ZERO, from_basis_products, sc
 from .fockspace import State, named_vector, lattice_component, partitions
 from .linalg import SingularMatrixError, express_in_span, solve_square
 from .vertexengine import apply_word, mode_apply, mode_apply_theta_even, virasoro_mode
 
 
 def zlam(degs):
-    """The partition normalization prod_d d^{mult_d} mult_d!."""
+    """The partition normalization prod_d d^{mult_d} mult_d!.
+
+    degs is sorted, so the k-th repeat of a part d contributes d * k.
+    """
     out = 1
     run = 0
     prev = None
-    for d in tuple(degs) + (0,):
-        if d == prev:
-            run += 1
-        else:
-            if prev is not None and prev != 0:
-                f = 1
-                for j in range(1, run + 1):
-                    f *= prev * j
-                out *= f
-            prev, run = d, 1
+    for d in degs:
+        run = run + 1 if d == prev else 1
+        prev = d
+        out *= d * run
     return out
+
+
+# --------------------------------------------------------------------------
+# The form on integer Fock coordinates: (degs, q8) meets only (degs, -q8),
+# with weight (-1)^(len(degs) + q8/4) zlam(degs).
+
+
+def _index(vectors):
+    """Positions of the monomials of the vectors, and the signed weight of
+    each position (None where q8 % 4 != 0 and the form is undefined)."""
+    positions, weights = {}, []
+    for v in vectors:
+        for m in v.terms:
+            if m not in positions:
+                positions[m] = len(weights)
+                degs, q8 = m
+                if q8 % 4:
+                    weights.append(None)
+                else:
+                    w = zlam(degs)
+                    weights.append(-w if (len(degs) + q8 // 4) % 2 else w)
+    return positions, weights
+
+
+def _rows(v, index, dual):
+    """(den, {coordinate: integer row over the index}) with v = row / den.
+
+    The primal side places each term at its own monomial, which must be
+    in the index.  The dual side places each term at its conjugate
+    monomial, skips terms whose conjugate is not indexed, and raises
+    ValueError where a q8 % 4 != 0 term meets its conjugate.
+    """
+    positions, weights = index
+    den = lcm(*[c.den for c in v.terms.values()])
+    n = len(weights)
+    rows = {}
+    for (degs, q8), c in v.terms.items():
+        if dual:
+            pos = positions.get((degs, -q8))
+            if pos is None:
+                continue
+            f = weights[pos]
+            if f is None:
+                raise ValueError("form undefined between charge-%s/8 sectors" % -q8)
+            f *= den // c.den
+        else:
+            pos = positions[degs, q8]
+            f = den // c.den
+        for p, x in enumerate(c.num):
+            if x:
+                row = rows.get(p)
+                if row is None:
+                    row = rows[p] = [0] * n
+                row[pos] = x * f
+    return den, rows
+
+
+def _form(pu, dv):
+    """The form of a primal and a dual conversion over one index."""
+    du, ru = pu
+    dd, rd = dv
+    return from_basis_products(
+        [(p, q, sum(map(mul, a, b))) for p, a in ru.items() for q, b in rd.items()],
+        du * dd)
+
+
+def _pairings(u, vectors):
+    """[pair(u, v) for v in vectors], with u converted once."""
+    index = _index([u])
+    pu = _rows(u, index, False)
+    return [_form(pu, _rows(v, index, True)) for v in vectors]
 
 
 def pair(u, v):
@@ -36,41 +114,27 @@ def pair(u, v):
 
     The adjoint of h(n) is -h(-n), so a matched pair of length-l
     monomials contributes (-1)^l zlam; a charge exponential pairs with
-    its opposite and contributes the parity of its weight.
+    its opposite and contributes the parity of its weight.  Computed on
+    integer Fock coordinates; the value may be irrational, and ValueError
+    is raised only when a term with q8 % 4 != 0 meets its conjugate.
     """
-    acc = ZERO
-    for (degs, q8), cu in u.terms.items():
-        cv = v.terms.get((degs, -q8))
-        if cv is None:
-            continue
-        if q8 % 4:
-            raise ValueError("form undefined between charge-%s/8 sectors" % q8)
-        sign = -1 if (len(degs) + q8 // 4) % 2 else 1
-        acc = acc + cu * cv * (sign * zlam(degs))
-    return acc
-
-
-def gram(vectors):
-    n = len(vectors)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            g = pair(vectors[i], vectors[j])
-            out[i][j] = g
-            out[j][i] = g
-    return out
+    return _pairings(u, [v])[0]
 
 
 def gram_rational(vectors):
-    """The Gram matrix as Fractions; raises if any entry is irrational."""
-    out = []
-    for row in gram(vectors):
-        orow = []
-        for g in row:
+    """The Gram matrix as Fractions; raises ArithmeticError if any entry
+    is irrational.  Each vector is converted to integer coordinates once."""
+    index = _index(vectors)
+    prim = [_rows(v, index, False) for v in vectors]
+    dual = [_rows(v, index, True) for v in vectors]
+    n = len(vectors)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g = _form(prim[i], dual[j])
             if not g.is_rational():
                 raise ArithmeticError("Gram entry %s is not rational" % g)
-            orow.append(g.as_rational())
-        out.append(orow)
+            out[i][j] = out[j][i] = g.as_rational()
     return out
 
 
@@ -172,7 +236,11 @@ def decompose_over(target, vectors, blocks=None):
 
     blocks is a list of index lists whose spans are mutually orthogonal
     (default: one block).  Within each block the component is found by
-    solving the Gram system exactly; the returned residual is target
+    solving the Gram system exactly: `gram_rational` gives the matrix,
+    and the right-hand side pairs the target, converted to integer Fock
+    coordinates once, with each vector.  A block whose Gram entries or
+    right-hand side are irrational, or whose Gram matrix is singular,
+    falls back to `express_in_span`.  The returned residual is target
     minus the full combination, so a zero residual certifies the answer
     independently of the orthogonality assumption.
     """
@@ -183,13 +251,10 @@ def decompose_over(target, vectors, blocks=None):
         vs = [vectors[i] for i in block]
         try:
             g = gram_rational(vs)
-            rhs = []
-            for v in vs:
-                p = pair(target, v)
-                if not p.is_rational():
-                    raise ArithmeticError
-                rhs.append(p.as_rational())
-            sol = solve_square(g, [rhs])[0]
+            rhs = _pairings(target, vs)
+            if not all(p.is_rational() for p in rhs):
+                raise ArithmeticError("right-hand side is not rational")
+            sol = solve_square(g, [[p.as_rational() for p in rhs]])[0]
             for i, c in zip(block, sol):
                 coeffs[i] = sc(c)
         except (ArithmeticError, SingularMatrixError):
@@ -226,9 +291,8 @@ def build_u16():
         raise ArithmeticError("stripped vector is not primary")
     if lattice_component(u16, 2) != E2 * 27:
         raise ArithmeticError("unexpected charge-2 tail")
-    for st in states:
-        if pair(u16, st):
-            raise ArithmeticError("stripped vector is not orthogonal to the vacuum module")
+    if any(_pairings(u16, states)):
+        raise ArithmeticError("stripped vector is not orthogonal to the vacuum module")
     return u16
 
 

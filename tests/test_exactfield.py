@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from voalab.exactfield import (
-    I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, exp_two_pi_i, invert,
-    is_rational, rat, sc, sixth_root, sqrt2_power,
+    I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, exp_two_pi_i,
+    from_basis_products, invert, is_rational, rat, sc, sixth_root, sqrt2_power,
 )
 
 BASIS = (ONE, SQRT2, SQRT3, SQRT6, I, SQRT2 * I, SQRT3 * I, SQRT6 * I)
@@ -29,6 +29,15 @@ def assert_normalised_coords(x):
     assert all(c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
                for c in co)
     assert sum((sc(c) * b for c, b in zip(co, BASIS)), ZERO) == x
+
+
+def test_from_basis_products_matches_field_products():
+    for p, a in enumerate(BASIS):
+        for q, b in enumerate(BASIS):
+            assert from_basis_products([(p, q, 3)], 2) == a * b * sc(Fraction(3, 2))
+    # sqrt2 * sqrt2 cancels the rational term; the result is normalised
+    assert from_basis_products([(1, 1, 1), (0, 0, -2), (4, 0, 6)], 4) == I * sc(Fraction(3, 2))
+    assert from_basis_products([], 1) == ZERO
 
 
 def test_basic_constants():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from voalab.exactfield import ONE, ZERO, as_rational, sc
+from voalab import structure
+from voalab.exactfield import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, sc
 from voalab.fockspace import State, graded_states, named_vector, theta, tau1
 from voalab.linalg import fixed_vectors
 from voalab.structure import (
@@ -55,6 +56,79 @@ def test_pair_rejects_illegal_charge():
         pair(u, v)
     # same-sign charges never meet, so this stays defined
     assert pair(u, u) == ZERO
+
+
+def _pair_per_term(u, v):
+    """The form term by term in Scalar arithmetic: the reference route
+    for the integer-coordinate `pair`."""
+    acc = ZERO
+    for (degs, q8), cu in u.terms.items():
+        cv = v.terms.get((degs, -q8))
+        if cv is None:
+            continue
+        if q8 % 4:
+            raise ValueError("form undefined between charge-%s/8 sectors" % q8)
+        sign = -1 if (len(degs) + q8 // 4) % 2 else 1
+        acc = acc + cu * cv * (sign * zlam(degs))
+    return acc
+
+
+def test_pair_matches_per_term_route():
+    states = [named_vector(n) for n in ("hprime", "y1", "y2", "x1", "W", "u9", "E2")]
+    # mixtures, so that every product of two field coordinates occurs
+    full = (ONE + SQRT2 + SQRT3 * 2 + SQRT6 * 3) * (ONE + I * 2)
+    states += [states[1] + states[0] * I, states[5] * SQRT3 + states[4] * I,
+               states[3] * full]
+    values = []
+    for u in states:
+        for v in states:
+            g = pair(u, v)
+            assert g == _pair_per_term(u, v)
+            values.append(g)
+    assert any(g and not g.is_rational() for g in values)
+
+
+def test_pair_matches_per_term_route_on_quarter_charges():
+    basis = graded_states("V_L2+a/2", Fraction(9, 4))
+    assert len(basis) == 6
+    for u in basis:
+        for v in basis:
+            try:
+                expected = _pair_per_term(u, v)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    pair(u, v)
+            else:
+                assert pair(u, v) == expected
+    lo = State.basis((), Fraction(-3, 4))
+    hi = State.basis((), Fraction(3, 4))
+    with pytest.raises(ValueError):
+        pair(lo, hi)
+    assert pair(lo, lo) == ZERO
+
+
+def test_gram_rational_matches_per_term_route():
+    states = word_states(vacuum_words(12), ONE_V)
+    expected = [[_pair_per_term(u, v).as_rational() for v in states] for u in states]
+    assert gram_rational(states) == expected
+
+
+def test_decompose_over_irrational_gram_falls_back(monkeypatch):
+    calls = []
+    express = structure.express_in_span
+
+    def spy(vectors, target):
+        calls.append(len(vectors))
+        return express(vectors, target)
+
+    monkeypatch.setattr(structure, "express_in_span", spy)
+    vectors = [J + E * SQRT2, E]
+    with pytest.raises(ArithmeticError):
+        gram_rational(vectors)
+    dec = decompose_over(J, vectors)
+    assert calls == [2]
+    assert dec.exact
+    assert dec.coefficients == [ONE, -SQRT2]
 
 
 def test_is_primary():
