@@ -11,16 +11,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import HALF, I, ONE, ZERO, sc, sqrt2_power
+from .exactfield import HALF, I, ONE, SQRT3, ZERO, sc, sqrt2_power
 from .fockspace import (
-    State, graded_states, named_vector, theta, theta_even_states,
+    State, graded_monomials, graded_states, named_vector, theta,
+    theta_even_states,
 )
 from .exprparse import parse_scalar_expr
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
 from .vertexengine import (
     mode_apply, twisted_mode_apply, virasoro_mode, zero_mode_decompose,
-    zero_mode_eigenspaces,
 )
 
 # --------------------------------------------------------------------------
@@ -100,7 +100,6 @@ def graded_dim(name, w):
         if name == "V_Zb+":
             return partition_count_even_length(n) + charged
         return partition_count(n) - partition_count_even_length(n) + charged
-    from .fockspace import graded_monomials
     return len(graded_monomials(name, w))
 
 
@@ -282,8 +281,15 @@ def primary_multiplicity(n):
 # charge (q8/8) b, so t^H scales it by t^(q8/2), and 1/t = 1-i.  Each
 # exponential is a finite sum because e and f move the charge by +-a at
 # fixed weight.
+#
+# The same sl2 gives the spectrum of h'(0).  g = exp(c f) exp(u e) with
+# u = -(1-i) sqrt3/6 and c = (sqrt3-1)(1+i)/2 is [[1, u], [c, 1+cu]] in
+# the 2-dimensional representation, where g^-1 M g = sqrt3 H, so
+# g^-1 h'(0) g = H/6 on every weight space.
 _EPLUS_ALPHA = State.basis((), Fraction(1, 2))
 _T = (ONE + I) * HALF
+_U = (I - ONE) * SQRT3 * sc(Fraction(1, 6))
+_C = (SQRT3 - ONE) * (ONE + I) * HALF
 
 
 def _nilpotent_exp(u, x, v):
@@ -316,6 +322,21 @@ def sigma(v):
          for k in {q8 // 2 for (_, q8) in v.terms}}
     v = State({m: c * t[m[1] // 2] for m, c in v.terms.items()})
     return _nilpotent_exp(_EMINUS_ALPHA, I, v)
+
+
+def _hprime_eigenspaces(basis):
+    """{lam: [g b]}: h'(0) eigenspaces on the span of a monomial basis.
+    g b has eigenvalue q8/12 for b of charge (q8/8) b (see above), and g
+    is invertible; each g b is certified exactly, ArithmeticError if not.
+    """
+    out = {}
+    for b in basis:
+        lam = Fraction(next(iter(b.terms))[1], 12)
+        gb = _nilpotent_exp(_EMINUS_ALPHA, _C, _nilpotent_exp(_EPLUS_ALPHA, _U, b))
+        if mode_apply(named_vector("hprime"), 0, gb) != gb * sc(lam):
+            raise ArithmeticError("g b is not an h'(0) eigenvector for %s" % lam)
+        out.setdefault(lam, []).append(gb)
+    return out
 
 
 def sigma_eigendims(states):
@@ -531,13 +552,14 @@ def twisted_sector(i, j, bound=None):
 
     Returns a dict with the shift vector, the grading as a map
     grade -> list of states, and the lowest grade.  Grades run up to
-    bound (default: enough to see the first four graded pieces).
+    bound (default: enough to see the first four graded pieces).  The
+    states of grade w + d q8/12 + 1/36 are the h'(0) eigenvectors g b
+    (`_hprime_eigenspaces`) of the weight-w monomials b of charge q8/8 b.
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError("sector labels must be 1 or 2")
-    hprime = named_vector("hprime")
     d = 1 if j == 1 else -1
-    hvec = hprime if j == 1 else -hprime
+    hvec = named_vector("hprime") * sc(d)
     if bound is None:
         bound = Fraction(1, 36) + Fraction(5, 3) if i == 1 else Fraction(1, 9) + Fraction(5, 3)
     bound = Fraction(bound)
@@ -545,12 +567,10 @@ def twisted_sector(i, j, bound=None):
     graded = {}
     w = Fraction(0) if i == 1 else Fraction(1, 4)
     while w + Fraction(1, 36) - _lambda_bound(i, w) <= bound:
-        basis = graded_states(module, w)
-        if basis:
-            for lam, sts in zero_mode_eigenspaces(hprime, basis).items():
-                g = w + d * lam + Fraction(1, 36)
-                if g <= bound and sts:
-                    graded.setdefault(g, []).extend(sts)
+        basis = [State({m: ONE}) for m in graded_monomials(module, w)
+                 if w + d * Fraction(m[1], 12) + Fraction(1, 36) <= bound]
+        for lam, sts in _hprime_eigenspaces(basis).items():
+            graded.setdefault(w + d * lam + Fraction(1, 36), []).extend(sts)
         w += 1
     grades = sorted(graded)
     return {
@@ -600,10 +620,10 @@ def decompose_quarter_module():
 
     Returns the weight 1/4 generator, the two weight 9/4 generators
     normalized on their h(-2) component, the extremal coefficients, and
-    the layer spectra of the symmetry generator on the doubled grid.
+    the layer spectra of the symmetry generator h'(0) on the doubled
+    grid at weights 1/4 and 9/4, both from `_hprime_eigenspaces`.
     """
     sqrt2 = sqrt2_power(1)
-    hprime = named_vector("hprime")
     w14 = theta_even_states("V_Zb+2/8", Fraction(1, 4))
     if len(w14) != 1:
         raise ArithmeticError("weight 1/4 reflection-even space is not a line")
@@ -615,14 +635,14 @@ def decompose_quarter_module():
     # Layer spectra of the symmetry generator on the doubled grid.  The
     # exponentiated eigenvalues are sixth roots of unity: the symmetry
     # cubes to -1 on this coset.
-    eig14 = zero_mode_eigenspaces(hprime, graded_states("V_L2+a/2", Fraction(1, 4)))
-    spectrum14 = {lam: len(sts) for lam, sts in eig14.items()}
+    spectrum14 = {lam: len(sts) for lam, sts in _hprime_eigenspaces(
+        graded_states("V_L2+a/2", Fraction(1, 4))).items()}
     if spectrum14 != {Fraction(1, 6): 1, Fraction(-1, 6): 1}:
         raise ArithmeticError("unexpected bottom spectrum %r" % spectrum14)
     basis = graded_states("V_L2+a/2", Fraction(9, 4))
     if len(basis) != 6:
         raise ArithmeticError("weight 9/4 space has unexpected dimension")
-    eig = zero_mode_eigenspaces(hprime, basis)
+    eig = _hprime_eigenspaces(basis)
     spectrum = {lam: len(sts) for lam, sts in eig.items()}
     expected = {Fraction(1, 6): 2, Fraction(-1, 6): 2,
                 Fraction(1, 2): 1, Fraction(-1, 2): 1}

@@ -121,9 +121,8 @@ def pair(u, v):
     return _pairings(u, [v])[0]
 
 
-def gram_rational(vectors):
-    """The Gram matrix as Fractions; raises ArithmeticError if any entry
-    is irrational.  Each vector is converted to integer coordinates once."""
+def _gram(vectors):
+    """(index, primal rows, gram_rational matrix) of the vectors."""
     index = _index(vectors)
     prim = [_rows(v, index, False) for v in vectors]
     dual = [_rows(v, index, True) for v in vectors]
@@ -135,7 +134,13 @@ def gram_rational(vectors):
             if not g.is_rational():
                 raise ArithmeticError("Gram entry %s is not rational" % g)
             out[i][j] = out[j][i] = g.as_rational()
-    return out
+    return index, prim, out
+
+
+def gram_rational(vectors):
+    """The Gram matrix as Fractions; raises ArithmeticError if any entry
+    is irrational.  Each vector is converted to integer coordinates once."""
+    return _gram(vectors)[2]
 
 
 def is_primary(v):
@@ -236,9 +241,9 @@ def decompose_over(target, vectors, blocks=None):
 
     blocks is a list of index lists whose spans are mutually orthogonal
     (default: one block).  Within each block the component is found by
-    solving the Gram system exactly: `gram_rational` gives the matrix,
-    and the right-hand side pairs the target, converted to integer Fock
-    coordinates once, with each vector.  A block whose Gram entries or
+    solving the Gram system exactly: `_gram` gives the matrix and the
+    block's primal rows, which the form's symmetry pairs with the target
+    for the right-hand side.  A block whose Gram entries or
     right-hand side are irrational, or whose Gram matrix is singular,
     falls back to `express_in_span`.  The returned residual is target
     minus the full combination, so a zero residual certifies the answer
@@ -250,8 +255,9 @@ def decompose_over(target, vectors, blocks=None):
     for block in blocks:
         vs = [vectors[i] for i in block]
         try:
-            g = gram_rational(vs)
-            rhs = _pairings(target, vs)
+            index, prim, g = _gram(vs)
+            dt = _rows(target, index, True)
+            rhs = [_form(p, dt) for p in prim]
             if not all(p.is_rational() for p in rhs):
                 raise ArithmeticError("right-hand side is not rational")
             sol = solve_square(g, [[p.as_rational() for p in rhs]])[0]

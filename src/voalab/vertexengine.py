@@ -311,7 +311,9 @@ def apply_word(word, v):
 
 
 # --------------------------------------------------------------------------
-# Zero-mode spectral decomposition (Krylov based, exact).
+# Zero-mode spectral decomposition (Krylov based, exact).  Callers:
+# `delta_apply`, `zero_mode_exp` (the test oracle for sigma) and
+# `sectors.sigma_eigendims`.
 
 
 def _rational_roots(coeffs):
@@ -393,34 +395,6 @@ def zero_mode_decompose(hvec, v):
                 piece = piece + seq[i] * sc(c / denom)
         if piece:
             out[lam] = piece
-    return out
-
-
-def zero_mode_eigenspaces(hvec, vectors):
-    """Joint eigenspace decomposition of a list of vectors.
-
-    Returns {eigenvalue: independent spanning states}; the dimensions
-    add up to the rank of the input span.
-    """
-    buckets = {}
-    for v in vectors:
-        for lam, piece in zero_mode_decompose(hvec, v).items():
-            buckets.setdefault(lam, []).append(piece)
-    out = {}
-    total = 0
-    for lam in sorted(buckets):
-        ech = Echelon()
-        rows = []
-        for piece in buckets[lam]:
-            if ech.insert(piece) is None:
-                rows.append(piece)
-        out[lam] = rows
-        total += len(rows)
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    if total != ech.rank:
-        raise ArithmeticError("eigenspace dimensions do not add up")
     return out
 
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from voalab import sectors
 from voalab.exactfield import I, ONE, ZERO, sc, sixth_root
 from voalab.fockspace import State, graded_states, named_vector, partitions
+from voalab.linalg import Echelon, rank_of
 from voalab.sectors import (
     QSeries, brute_fixed_dims, char_L1, char_series,
     decompose_quarter_module, dim_full_lattice, eigenspace_char, graded_dim,
@@ -16,7 +18,7 @@ from voalab.sectors import (
     sigma_multiplet_dims, sigma_trace, sigma_trace_brute, theta_trace,
     top_level_eigenvalue, twisted_sector,
 )
-from voalab.vertexengine import zero_mode_exp
+from voalab.vertexengine import zero_mode_decompose, zero_mode_exp
 
 
 def test_partition_counts():
@@ -167,6 +169,79 @@ def test_twisted_sector_lowest():
     assert len(t11["graded"][Fraction(1, 36)]) == 1
     t21 = twisted_sector(2, 1, bound=Fraction(10, 9))
     assert sorted(t21["graded"])[0] == Fraction(1, 9)
+
+
+def _krylov_eigenspaces(basis):
+    """The per-vector Krylov route: split each vector by the zero mode of
+    h', then keep an independent spanning set per eigenvalue."""
+    hprime = named_vector("hprime")
+    buckets = {}
+    for v in basis:
+        for lam, piece in zero_mode_decompose(hprime, v).items():
+            buckets.setdefault(lam, []).append(piece)
+    out = {}
+    for lam, pieces in buckets.items():
+        ech = Echelon()
+        out[lam] = [p for p in pieces if ech.insert(p) is None]
+    return out
+
+
+def _same_span(a, b):
+    return rank_of(a) == rank_of(b) == rank_of(a + b)
+
+
+def _against_krylov(basis):
+    """Assert equal eigenvalues and spans on the two routes; return the
+    Krylov eigenspaces."""
+    old = _krylov_eigenspaces(basis)
+    new = sectors._hprime_eigenspaces(basis)
+    assert set(new) == set(old)
+    for lam in old:
+        assert _same_span(new[lam], old[lam]), lam
+    return old
+
+
+def _sector_weights(i, bound):
+    """The weights of module i that twisted_sector visits up to bound."""
+    w = Fraction(0) if i == 1 else Fraction(1, 4)
+    out = []
+    while w + Fraction(1, 36) - sectors._lambda_bound(i, w) <= bound:
+        out.append(w)
+        w += 1
+    return out
+
+
+def test_hprime_eigenspaces_match_krylov_route():
+    # the sl2 conjugation against the Krylov split, on every weight space
+    # that twisted_sector (default bound) and decompose_quarter_module visit
+    for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        ts = twisted_sector(i, j)
+        module, d = ts["module"], ts["sign"]
+        expected = {}
+        for w in _sector_weights(i, ts["bound"]):
+            old = _against_krylov(graded_states(module, w))
+            for lam in old:
+                g = w + d * lam + Fraction(1, 36)
+                if g <= ts["bound"]:
+                    expected.setdefault(g, []).extend(old[lam])
+        assert set(ts["graded"]) == set(expected), (i, j)
+        for g, sts in expected.items():
+            assert _same_span(ts["graded"][g], sts), (i, j, g)
+    for w in (Fraction(1, 4), Fraction(9, 4)):
+        _against_krylov(graded_states("V_L2+a/2", w))
+
+
+def test_hprime_certificate_fires(monkeypatch):
+    monkeypatch.setattr(sectors, "_U", -sectors._U)
+    with pytest.raises(ArithmeticError):
+        sectors._hprime_eigenspaces(graded_states("V_L2", 1))
+    with pytest.raises(ArithmeticError):
+        twisted_sector(1, 1)
+
+
+def test_twisted_sector_mirror_dims():
+    assert twisted_sector(1, 2)["dims"] == twisted_sector(1, 1)["dims"]
+    assert twisted_sector(2, 2)["dims"] == twisted_sector(2, 1)["dims"]
 
 
 def test_quarter_module():
