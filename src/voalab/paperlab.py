@@ -35,8 +35,8 @@ from .structure import (
     pair, vacuum_words, word_states,
 )
 from .vertexengine import (
-    ModeLegalityError, RationalPowerSeries, delta_apply, mode_apply,
-    mode_apply_theta_even, twisted_weight, virasoro_mode,
+    ModeLegalityError, RationalPowerSeries, apply_word, delta_apply,
+    mode_apply, mode_apply_theta_even, twisted_weight, virasoro_mode,
 )
 from .sectors import (
     brute_fixed_dims, char_L1, decompose_quarter_module,
@@ -196,12 +196,6 @@ def _random_state(rng, name, w, nterms=3):
         den = rng.randint(1, 4)
         acc = acc + basis[idx] * sc(Fraction(num, den))
     return acc
-
-
-def _lminus1_pow(v, j):
-    for _ in range(j):
-        v = virasoro_mode(-1, v)
-    return v
 
 
 def _scan_twisted_image(u, base, hvec, target):
@@ -446,9 +440,7 @@ _BRACKET_CASES = {
 def _bracket_expected(terms):
     acc = State()
     for name, dcount, coeff in terms:
-        v = named_vector(name)
-        for _ in range(dcount):
-            v = virasoro_mode(-1, v)
+        v = apply_word([-1] * dcount, named_vector(name))
         acc = acc + v * sc(Fraction(coeff))
     return acc
 
@@ -848,10 +840,7 @@ def _chk_c_print(cfg):
     one = named_vector("one")
     got = []
     for k in (1, 2, 3):
-        v = one
-        for _ in range(k):
-            v = virasoro_mode(-2, v)
-        ck = as_rational(c_functional(v))
+        ck = as_rational(c_functional(apply_word([-2] * k, one)))
         if ck != Fraction(1, 2 ** k):
             raise ArithmeticError("c of the k=%d power drifted" % k)
         got.append(ck)
@@ -1465,7 +1454,7 @@ def _chk_prop_skew(cfg):
                 if not t:
                     continue
                 sign = -1 if (n + 1 + j) % 2 else 1
-                rhs = rhs + _lminus1_pow(t, j) * sc(
+                rhs = rhs + apply_word([-1] * j, t) * sc(
                     Fraction(sign, math.factorial(j)))
             if lhs != rhs:
                 return ("mismatch at n=%d" % n), "all equal"

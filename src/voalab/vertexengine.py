@@ -12,6 +12,12 @@ power of sqrt2.  `mode_apply` sums those integers, times the pair
 coefficients, per output monomial over one denominator and builds one
 field element per output monomial at the very end.  The creation-side
 combinatorics are memoized independently of the lattice charge.
+
+Virasoro modes skip the general expansion: `virasoro_mode` applies the
+free-field form L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock
+monomial, with h(0) acting on e^{(q8/8) b} by p = sqrt2 q8 / 4, and
+sums through the same integer accumulation.  The general route
+`mode_apply(omega, n + 1, v)` is its test oracle.
 """
 
 from __future__ import annotations
@@ -228,7 +234,6 @@ def _mode_apply_counting(u, n, v):
     legal = 0
     total = 0
     pairs = []
-    den = 1
     for (udegs, a8), cu in u.terms.items():
         for (vdegs, q8), cv in v.terms.items():
             total += 1
@@ -237,19 +242,27 @@ def _mode_apply_counting(u, n, v):
                 continue
             legal += 1
             if contrib[1]:
-                cc = cu * cv
-                d = cc.den * contrib[0]
-                pairs.append((cc, d, q8 + a8, contrib[1]))
-                if den % d:
-                    den = den // math.gcd(den, d) * d
-    # Every contribution is a pair coefficient times an integer amplitude
-    # times a power of sqrt2, over the common denominator den: sum the
-    # integer numerators per output monomial and normalise once per key.
+                pairs.append((cu * cv, contrib[0], q8 + a8, contrib[1]))
+    return _sum_pairs(pairs), legal, total
+
+
+def _sum_pairs(pairs):
+    """The State sum of coeff * (amp / den) * sqrt2^e * (degs, q8 out)
+    over pairs = [(coeff, den, q8 out, amps)], amps as from `_pair_modes`.
+
+    Every contribution is a pair coefficient times an integer amplitude
+    times a power of sqrt2, over one common denominator: sum the integer
+    numerators per output monomial and normalise once per key.
+    """
+    den = 1
+    for cc, d, _, _ in pairs:
+        d *= cc.den
+        if den % d:
+            den = den // math.gcd(den, d) * d
     acc = {}
     for cc, d, q8out, amps in pairs:
-        f = den // d
-        a = cc.num
-        even = [(k, x * f) for k, x in enumerate(a) if x]
+        f = den // (d * cc.den)
+        even = [(k, x * f) for k, x in enumerate(cc.num) if x]
         odd = [(SQRT2_MAP[k][0], x * SQRT2_MAP[k][1]) for k, x in even]
         for (degs, e), amp in amps.items():
             key = (degs, q8out)
@@ -263,7 +276,7 @@ def _mode_apply_counting(u, n, v):
     for key, row in acc.items():
         if any(row):
             out[key] = Scalar(row, den)
-    return State(out), legal, total
+    return State(out)
 
 
 def mode_apply(u, n, v):
@@ -292,9 +305,80 @@ def mode_apply_theta_even(u, n, v):
 # Virasoro modes.
 
 
+def _drop(degs, d):
+    """degs (descending) with one part d removed."""
+    i = degs.index(d)
+    return degs[:i] + degs[i + 1:]
+
+
+def _with(degs, *parts):
+    """degs with the given parts added, descending."""
+    return tuple(sorted(degs + parts, reverse=True))
+
+
+def _virasoro_amps(vdegs, q8, n):
+    """L(n) on the monomial h(-d_1)...h(-d_k) e^{(q8/8) b}, in the output
+    format of `_pair_modes`: (den, {(degs, sqrt2 exponent): amp}).
+
+    L(n) = p h(n) + (1/2) sum_{j != 0, n} :h(j) h(n-j): for n != 0, where
+    h(0) acts by p = sqrt2 q8 / 4 and [h(j), h(-d)] = j delta_{j,d}, so
+    h(j) takes j times the multiplicity of the part j.  Every amplitude
+    is an integer over 4 (the charge term is q8 over 4 at sqrt2
+    exponent 1; the diagonal j = n - j carries the 1/2).
+    """
+    if n == 0:
+        w16 = 16 * sum(vdegs) + q8 * q8
+        g = math.gcd(16, w16)
+        return 16 // g, ({(vdegs, 0): w16 // g} if w16 else {})
+    counts = _counts(vdegs)
+    out = {}
+    if q8:
+        if n < 0:
+            out[(_with(vdegs, -n), 1)] = q8
+        elif n in counts:
+            out[(_drop(vdegs, n), 1)] = q8 * n * counts[n]
+    # h(-(d - n)) h(d): annihilate a part d, create the part d - n.
+    for d, m in counts.items():
+        if d > n:
+            out[(_with(_drop(vdegs, d), d - n), 0)] = 4 * d * m
+    if n >= 2:
+        # h(j) h(n - j): annihilate the parts j <= n - j.
+        for d, m in counts.items():
+            k = n - d
+            if k == d and m > 1:
+                out[(_drop(_drop(vdegs, d), d), 0)] = 2 * d * d * m * (m - 1)
+            elif k > d and k in counts:
+                out[(_drop(_drop(vdegs, d), k), 0)] = 4 * d * k * m * counts[k]
+    elif n <= -2:
+        # h(-j) h(n + j): create the parts j <= -n - j.
+        for j in range(1, -n // 2 + 1):
+            out[(_with(vdegs, j, -n - j), 0)] = 2 if 2 * j == -n else 4
+    g = math.gcd(4, *out.values())
+    return 4 // g, {key: amp // g for key, amp in out.items()}
+
+
 def virasoro_mode(n, v):
-    """L(n) v for the rank-one free-boson Virasoro vector (c = 1)."""
-    return mode_apply(named_vector("omega"), n + 1, v)
+    """L(n) v for the rank-one free-boson Virasoro vector (c = 1).
+
+    This is the mode omega(n + 1) of omega = (1/2) h(-1)^2 |0>, applied
+    monomial by monomial through the free-field form
+    L(n) = (1/2) sum_j :h(j) h(n-j): (`_virasoro_amps`), where h(0)
+    acts on e^{(q8/8) b} by p = sqrt2 q8 / 4.  The general route
+    `mode_apply(named_vector("omega"), n + 1, v)` gives the same state
+    and serves as the test oracle.  Raises ModeLegalityError for a
+    non-integer n on a nonzero v.
+    """
+    n = ModeIndex(n)
+    if not v:
+        return State()
+    if type(n) is not int:
+        raise ModeLegalityError("mode %s is not defined on this pair" % (n + 1))
+    pairs = []
+    for (vdegs, q8), cv in v.terms.items():
+        den, amps = _virasoro_amps(vdegs, q8, n)
+        if amps:
+            pairs.append((cv, den, q8, amps))
+    return _sum_pairs(pairs)
 
 
 def apply_word(word, v):
@@ -316,23 +400,42 @@ def apply_word(word, v):
 # `sectors.sigma_eigendims`.
 
 
+def _root_bound(coeffs):
+    """An integer bound on the absolute values of the roots of a monic
+    rational polynomial (ascending Fraction coeffs): Fujiwara's bound
+    2 max_i |c_{d-i}|^{1/i}, with each i-th root rounded up in integers.
+
+    Since |c_{d-i}| <= binom(d, i) R^i for roots of size at most R, the
+    bound is at most 2 d R before rounding.
+    """
+    deg = len(coeffs) - 1
+    top = 0
+    for i in range(1, deg + 1):
+        c = abs(coeffs[deg - i])
+        while top ** i < c:
+            top += 1
+    return 2 * top
+
+
 def _rational_roots(coeffs):
     """All roots of a monic rational polynomial, assuming they are
     rational with denominator dividing 6; raises otherwise.
 
-    coeffs: ascending list of Fractions with coeffs[-1] == 1.
+    coeffs: ascending list of Fractions with coeffs[-1] == 1.  The
+    candidates k6/6 are scanned in ascending order within the
+    `_root_bound` window.
     """
     roots = []
     cur = [Fraction(x) for x in coeffs]
     while len(cur) > 1:
-        bound = 1 + max(abs(c) for c in cur[:-1])
+        bound = 6 * _root_bound(cur)
         # r = k6/6 is a root iff sum_i c_i k6^i 6^(deg-i) vanishes; clear
         # the denominators of the c_i to evaluate that in integers.
         deg = len(cur) - 1
         den = math.lcm(*(c.denominator for c in cur))
         icoef = [int(c * den) * 6 ** (deg - i) for i, c in enumerate(cur)]
         found = None
-        for k6 in range(-int(6 * bound) - 6, int(6 * bound) + 7):
+        for k6 in range(-bound, bound + 1):
             acc = 0
             for c in reversed(icoef):
                 acc = acc * k6 + c

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from voalab.exactfield import I, ZERO, exp_two_pi_i, sc, sixth_root, sqrt2_power
-from voalab.fockspace import State, graded_states, named_vector
+from voalab.fockspace import (
+    State, graded_states, mono_weight, named_vector, partitions,
+)
 from voalab.vertexengine import (
     ModeIndex, ModeLegalityError, RationalPowerSeries, _pair_modes,
-    apply_word, delta_apply, mode_apply, mode_apply_theta_even,
-    twisted_mode_apply, twisted_weight, virasoro_mode, zero_mode_decompose,
-    zero_mode_exp,
+    _rational_roots, _root_bound, apply_word, delta_apply, mode_apply,
+    mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
+    zero_mode_decompose, zero_mode_exp,
 )
 
 ONE_V = named_vector("one")
@@ -41,6 +43,59 @@ def test_virasoro_algebra_samples():
     v = State.basis((2,))
     lhs = virasoro_mode(1, virasoro_mode(-1, v)) - virasoro_mode(-1, virasoro_mode(1, v))
     assert lhs == v * sc(4)
+
+
+def test_virasoro_kernel_matches_general_route():
+    states = [b for w in range(7) for b in graded_states("V_L2", w)]
+    for w in (Fraction(1, 4), Fraction(5, 4), Fraction(9, 4)):
+        states += graded_states("V_L2+a/2", w)
+    # a mixture of weights and charges with an odd-q8 term
+    states.append(State.basis((2, 1), Fraction(1, 8), sc(Fraction(-3, 5)))
+                  + State.basis((3,), Fraction(-1, 2), I) + J)
+    states += [named_vector(name) for name in
+               ("J", "E", "W", "u9", "u16", "hprime")]
+    for v in states:
+        for n in range(-6, 7):
+            assert virasoro_mode(n, v) == mode_apply(OMEGA, n + 1, v)
+    with pytest.raises(ModeLegalityError):
+        virasoro_mode(Fraction(1, 2), E)
+    assert virasoro_mode(Fraction(1, 2), State()) == State()
+
+
+def test_virasoro_relations_on_three_charge_classes():
+    # V_L2 (q8 = 0 mod 4), V_L2+a/2 (q8 = 2 mod 4), odd q8 (|1/8 b> sector)
+    states = [
+        State.basis((2, 1)) + State.basis((1,), 1, sc(3)) + J * I,
+        State.basis((1, 1), Fraction(1, 4)) + State.basis((), Fraction(-3, 4), sc(-2)),
+        State.basis((3,), Fraction(1, 8)) + State.basis((1, 1), Fraction(-7, 8), sc(5)),
+    ]
+    for v in states:
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                lhs = (virasoro_mode(m, virasoro_mode(n, v))
+                       - virasoro_mode(n, virasoro_mode(m, v)))
+                rhs = virasoro_mode(m + n, v) * sc(m - n)
+                if m + n == 0:
+                    rhs = rhs + v * sc(Fraction(m ** 3 - m, 12))
+                assert lhs == rhs, (m, n, v)
+    # L(0) reads the weight of every monomial up to weight 5
+    for q8 in range(-8, 9):
+        for s in range(6):
+            if Fraction(q8 * q8, 16) + s > 5:
+                continue
+            for lam in partitions(s):
+                b = State({(lam, q8): sc(1)})
+                assert virasoro_mode(0, b) == b * sc(mono_weight((lam, q8)))
+
+
+def test_rational_roots_scan_is_bounded():
+    roots = [Fraction(s * k, 6) for k in range(1, 7) for s in (1, -1)]
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    assert _rational_roots(poly) == sorted(roots)
+    deg = len(poly) - 1
+    assert _root_bound(poly) <= 2 * deg * max(abs(r) for r in roots)
 
 
 def test_apply_word():
