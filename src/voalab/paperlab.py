@@ -26,13 +26,13 @@ from fractions import Fraction
 from .exactfield import ZERO, as_rational, sc, sixth_root, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import (
-    State, graded_states, lattice_component, named_vector, partitions,
-    tau1, theta, theta_even_states,
+    State, graded_states, lattice_component, named_vector, tau1, theta,
+    theta_even_states,
 )
 from .linalg import express_in_span, fixed_vectors, rank_of
 from .structure import (
-    VirasoroWord, c_functional, decompose_over, gram_rational, is_primary,
-    pair, vacuum_words, word_states,
+    c_functional, decompose_over, gram_rational, is_primary, pair,
+    vacuum_words, word_states,
 )
 from .vertexengine import (
     ModeLegalityError, RationalPowerSeries, apply_word, delta_apply,
@@ -83,13 +83,6 @@ def _w_state(n):
     return _artifact("w%d" % n, build)
 
 
-def _u16_words(deg):
-    """Virasoro words of a given degree on the weight 16 generator,
-    ordered by (length, reverse parts)."""
-    parts = sorted(partitions(deg), key=lambda p: (len(p), [-x for x in p]))
-    return [VirasoroWord(p) for p in parts]
-
-
 def _dec(n):
     """Exact decomposition of the weight-n product over Virasoro words on
     the vacuum plus Virasoro words on the weight 16 generator."""
@@ -97,7 +90,7 @@ def _dec(n):
         one = named_vector("one")
         u16 = named_vector("u16")
         vw = vacuum_words(n)
-        uw = _u16_words(n - 16)
+        uw = vacuum_words(n - 16, min_part=1)
         states = word_states(vw, one) + word_states(uw, u16)
         blocks = [list(range(len(vw))),
                   list(range(len(vw), len(vw) + len(uw)))]
@@ -744,7 +737,7 @@ def _chk_weight22(cfg):
         "gram-system", cost="heavy", tags=("criterion-5",))
 def _chk_gram(cfg):
     u16 = named_vector("u16")
-    vecs = word_states(_u16_words(4), u16)
+    vecs = word_states(vacuum_words(4, min_part=1), u16)
     g = gram_rational(vecs)
     gram_ok = all(g[i][j] == _KAPPA * _GRAM_PRINTED[i][j]
                   for i in range(5) for j in range(5))

@@ -3,23 +3,25 @@
 The invariant bilinear form is normalized by (1, 1) = 1 and pairs a
 monomial h(-n_1)...h(-n_s) e^{qb} with h(-n_1)...h(-n_s) e^{-qb} to the
 partition factor prod_d d^{m_d} m_d!, up to sign.  Since it is diagonal
-in the Fock basis, every use of it (`pair`, `gram_rational`, the
-right-hand side of `decompose_over`, the orthogonality check in
-`build_u16`) runs on integer Fock coordinates: a state is converted once
-to integer rows, one per field coordinate, over one common denominator
-(the dual side at the conjugate monomials, times the signed zlam), a
-pairing is a plain-int dot product, and each value becomes one field
-element at the end.
+in the Fock basis, every use of it (`pair`, `gram_rational`, the Gram
+systems of `decompose_over`, the orthogonality check in `build_u16`)
+runs on integer Fock coordinates: a state is converted once to integer
+rows, one per field coordinate, over one common denominator (the dual
+side at the conjugate monomials, times the signed zlam), a pairing is a
+plain-int dot product, and each value becomes one field element at the
+end.  `decompose_over` hands the integer Gram system to `solve_square`
+and sums its combination on the same rows.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .exactfield import ZERO, from_basis_products, sc
+from .exactfield import ZERO, Scalar, basis_products, from_basis_products, sc
 from .fockspace import State, named_vector, lattice_component, partitions
-from .linalg import SingularMatrixError, express_in_span, solve_square
+from .linalg import express_in_span, solve_square
 from .vertexengine import apply_word, mode_apply, mode_apply_theta_even, virasoro_mode
 
 
@@ -93,13 +95,26 @@ def _rows(v, index, dual):
     return den, rows
 
 
+def _terms(pu, dv):
+    """The (p, q, plain-int dot product) terms of a primal and a dual
+    conversion over one index."""
+    return [(p, q, sum(map(mul, a, b))) for p, a in pu[1].items() for q, b in dv[1].items()]
+
+
 def _form(pu, dv):
     """The form of a primal and a dual conversion over one index."""
-    du, ru = pu
-    dd, rd = dv
-    return from_basis_products(
-        [(p, q, sum(map(mul, a, b))) for p, a in ru.items() for q, b in rd.items()],
-        du * dd)
+    return from_basis_products(_terms(pu, dv), pu[0] * dv[0])
+
+
+def _int_form(pu, dv):
+    """The form of a primal and a dual conversion times both their
+    denominators, an integer; ArithmeticError where it is irrational."""
+    terms = _terms(pu, dv)
+    num = basis_products(terms)
+    if any(num[1:]):
+        raise ArithmeticError("form value %s is not rational"
+                              % from_basis_products(terms, pu[0] * dv[0]))
+    return num[0]
 
 
 def _pairings(u, vectors):
@@ -122,7 +137,9 @@ def pair(u, v):
 
 
 def _gram(vectors):
-    """(index, primal rows, gram_rational matrix) of the vectors."""
+    """(index, primal rows, N) for the vectors v_i = row_i / d_i: N is the
+    integer matrix <row_i, row_j>, so the Gram matrix is N_ij / (d_i d_j).
+    Raises ArithmeticError if any entry is irrational."""
     index = _index(vectors)
     prim = [_rows(v, index, False) for v in vectors]
     dual = [_rows(v, index, True) for v in vectors]
@@ -130,17 +147,17 @@ def _gram(vectors):
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            g = _form(prim[i], dual[j])
-            if not g.is_rational():
-                raise ArithmeticError("Gram entry %s is not rational" % g)
-            out[i][j] = out[j][i] = g.as_rational()
+            out[i][j] = out[j][i] = _int_form(prim[i], dual[j])
     return index, prim, out
 
 
 def gram_rational(vectors):
     """The Gram matrix as Fractions; raises ArithmeticError if any entry
     is irrational.  Each vector is converted to integer coordinates once."""
-    return _gram(vectors)[2]
+    _, prim, num = _gram(vectors)
+    dens = [d for d, _ in prim]
+    return [[Fraction(x, di * dj) for x, dj in zip(row, dens)]
+            for row, di in zip(num, dens)]
 
 
 def is_primary(v):
@@ -236,43 +253,67 @@ class DecompositionResult:
         return iter((self.coefficients, self.residual))
 
 
+def _combination(index, prim, coeffs):
+    """sum_j x_j v_j for rational coefficients x_j and v_j = row_j / d_j
+    given by their primal rows, summed on integers: one Scalar per
+    monomial at the end."""
+    scaled = [x / d for x, (d, _) in zip(coeffs, prim)]
+    den = lcm(*[c.denominator for c in scaled])
+    acc = {}
+    for c, (_, rows) in zip(scaled, prim):
+        k = c.numerator * (den // c.denominator)
+        if k:
+            for p, row in rows.items():
+                a = acc.get(p)
+                acc[p] = ([k * x for x in row] if a is None
+                          else [s + k * x for s, x in zip(a, row)])
+    terms = {}
+    for m, pos in index[0].items():
+        num = [acc[p][pos] if p in acc else 0 for p in range(8)]
+        if any(num):
+            terms[m] = Scalar(num, den)
+    return State(terms)
+
+
 def decompose_over(target, vectors, blocks=None):
     """Resolve target against the given vectors, block by block.
 
     blocks is a list of index lists whose spans are mutually orthogonal
     (default: one block).  Within each block the component is found by
-    solving the Gram system exactly: `_gram` gives the matrix and the
-    block's primal rows, which the form's symmetry pairs with the target
-    for the right-hand side.  A block whose Gram entries or
-    right-hand side are irrational, or whose Gram matrix is singular,
-    falls back to `express_in_span`.  The returned residual is target
-    minus the full combination, so a zero residual certifies the answer
-    independently of the orthogonality assumption.
+    solving the Gram system exactly on integers.  Writing v_j = row_j / d_j
+    and the target as t / d_t, N_ij = <row_i, row_j> and R_i = <row_i, t>
+    are integers from `_gram`'s kernel; `solve_square` solves N y = R and
+    x_j = y_j d_j / d_t, and the block's combination is summed on the same
+    integer rows.  A block whose N or R has an irrational entry, or whose
+    N is singular modulo the lifting prime (see `solve_square`), falls
+    back to `express_in_span`, so the answer stays exact.  The returned
+    residual is target minus the combination of the returned
+    coefficients, so a zero residual certifies the answer independently
+    of the orthogonality assumption.
     """
     if blocks is None:
         blocks = [list(range(len(vectors)))]
     coeffs = [ZERO] * len(vectors)
+    combo = State()
     for block in blocks:
         vs = [vectors[i] for i in block]
         try:
-            index, prim, g = _gram(vs)
+            index, prim, num = _gram(vs)
             dt = _rows(target, index, True)
-            rhs = [_form(p, dt) for p in prim]
-            if not all(p.is_rational() for p in rhs):
-                raise ArithmeticError("right-hand side is not rational")
-            sol = solve_square(g, [[p.as_rational() for p in rhs]])[0]
-            for i, c in zip(block, sol):
-                coeffs[i] = sc(c)
-        except (ArithmeticError, SingularMatrixError):
+            sol = solve_square(num, [[_int_form(p, dt) for p in prim]])[0]
+        except ArithmeticError:
             expr = express_in_span(vs, target)
             if expr is None:
                 raise ValueError("target is not resolvable over this block")
-            for i, c in zip(block, expr):
+            for i, c, v in zip(block, expr, vs):
                 coeffs[i] = c
-    combo = State()
-    for c, v in zip(coeffs, vectors):
-        if c:
-            combo = combo + v * c
+                if c:
+                    combo = combo + v * c
+            continue
+        xs = [y * Fraction(p[0], dt[0]) for p, y in zip(prim, sol)]
+        for i, x in zip(block, xs):
+            coeffs[i] = sc(x)
+        combo = combo + _combination(index, prim, xs)
     return DecompositionResult(coeffs, target - combo)
 
 

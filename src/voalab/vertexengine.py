@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .exactfield import SQRT2_MAP, Scalar, exp_two_pi_i, sc
-from .fockspace import State, mono_weight, named_vector, theta
+from .fockspace import State, mono_weight, named_vector, partitions, theta
 from .linalg import Echelon
 
 
@@ -61,24 +61,13 @@ def _eminus(c):
     if hit is not None:
         return hit
     out = []
-    for lam in _partitions(c):
+    for lam in partitions(c):
         denom = 1
         for d, run in _counts(lam).items():
             denom *= d ** run * math.factorial(run)
         out.append((lam, len(lam), math.factorial(c) // denom))
     _EMINUS[c] = out
     return out
-
-
-def _partitions(n, max_part=None):
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
 
 
 def _creation(pending, c_target):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from voalab import structure
+from voalab import linalg, structure
 from voalab.exactfield import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, sc
 from voalab.fockspace import State, graded_states, named_vector, theta, tau1
 from voalab.linalg import fixed_vectors
@@ -129,6 +129,23 @@ def test_decompose_over_irrational_gram_falls_back(monkeypatch):
     assert calls == [2]
     assert dec.exact
     assert dec.coefficients == [ONE, -SQRT2]
+
+
+def test_decompose_over_gram_divisible_by_lifting_prime_falls_back(monkeypatch):
+    calls = []
+    express = structure.express_in_span
+
+    def spy(vectors, target):
+        calls.append(len(vectors))
+        return express(vectors, target)
+
+    monkeypatch.setattr(structure, "express_in_span", spy)
+    p = linalg._PRIME
+    assert gram_rational([J * sc(p)]) == [[Fraction(54 * p * p)]]
+    dec = decompose_over(J, [J * sc(p)])
+    assert calls == [1]
+    assert dec.exact
+    assert dec.coefficients == [sc(Fraction(1, p))]
 
 
 def test_is_primary():
