@@ -31,7 +31,8 @@ _RMUL = (
 )
 
 # Full 8x8 table including the imaginary flag: index = radical + 4*imag.
-_MUL = tuple(
+# BASIS_MUL[p][q] = (m, f) means basis_p * basis_q = f * basis_m.
+BASIS_MUL = tuple(
     tuple(
         (
             _RMUL[p % 4][q % 4][0] + 4 * ((p // 4 + q // 4) % 2),
@@ -41,9 +42,6 @@ _MUL = tuple(
     )
     for p in range(8)
 )
-
-# sqrt2 times basis element k is f times basis element m: (m, f).
-SQRT2_MAP = _MUL[1]
 
 _LABELS = ("", "√2", "√3", "√6", "i", "√2·i", "√3·i", "√6·i")
 
@@ -156,7 +154,7 @@ class Scalar:
         for p, x in enumerate(a):
             if not x:
                 continue
-            row = _MUL[p]
+            row = BASIS_MUL[p]
             for q, y in bq:
                 m, f = row[q]
                 out[m] += x * y * f
@@ -323,7 +321,7 @@ def basis_products(terms):
     in terms, e_0..e_7 the coordinate basis and each s an integer."""
     out = [0] * 8
     for p, q, s in terms:
-        m, f = _MUL[p][q]
+        m, f = BASIS_MUL[p][q]
         out[m] += f * s
     return out
 

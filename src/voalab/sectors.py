@@ -20,7 +20,8 @@ from .exprparse import parse_scalar_expr
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
 from .vertexengine import (
-    mode_apply, twisted_mode_apply, virasoro_mode, zero_mode_decompose,
+    exp_charge_mode, mode_apply, twisted_mode_apply, virasoro_mode,
+    zero_mode_decompose,
 )
 
 # --------------------------------------------------------------------------
@@ -280,27 +281,15 @@ def primary_multiplicity(n):
 # so the product gives sigma there.  H is the integer q8/2 on a term of
 # charge (q8/8) b, so t^H scales it by t^(q8/2), and 1/t = 1-i.  Each
 # exponential is a finite sum because e and f move the charge by +-a at
-# fixed weight.
+# fixed weight; `exp_charge_mode` runs it (a8 = 4 for e, -4 for f).
 #
 # The same sl2 gives the spectrum of h'(0).  g = exp(c f) exp(u e) with
 # u = -(1-i) sqrt3/6 and c = (sqrt3-1)(1+i)/2 is [[1, u], [c, 1+cu]] in
 # the 2-dimensional representation, where g^-1 M g = sqrt3 H, so
 # g^-1 h'(0) g = H/6 on every weight space.
-_EPLUS_ALPHA = State.basis((), Fraction(1, 2))
 _T = (ONE + I) * HALF
 _U = (I - ONE) * SQRT3 * sc(Fraction(1, 6))
 _C = (SQRT3 - ONE) * (ONE + I) * HALF
-
-
-def _nilpotent_exp(u, x, v):
-    """exp(x u(0)) v, for a zero mode u(0) that is nilpotent on v."""
-    acc = term = v
-    k = 0
-    while term:
-        k += 1
-        term = mode_apply(u, 0, term) * (x * sc(Fraction(1, k)))
-        acc = acc + term
-    return acc
 
 
 def sigma(v):
@@ -317,11 +306,11 @@ def sigma(v):
     if odd:
         raise ValueError("sigma needs charges in (1/4)Z b; got charge %s"
                          % ", ".join("%sb" % q for q in odd))
-    v = _nilpotent_exp(_EPLUS_ALPHA, ONE, v)
+    v = exp_charge_mode(4, ONE, v)
     t = {k: _T ** k if k >= 0 else (ONE - I) ** -k
          for k in {q8 // 2 for (_, q8) in v.terms}}
     v = State({m: c * t[m[1] // 2] for m, c in v.terms.items()})
-    return _nilpotent_exp(_EMINUS_ALPHA, I, v)
+    return exp_charge_mode(-4, I, v)
 
 
 def _hprime_eigenspaces(basis):
@@ -332,7 +321,7 @@ def _hprime_eigenspaces(basis):
     out = {}
     for b in basis:
         lam = Fraction(next(iter(b.terms))[1], 12)
-        gb = _nilpotent_exp(_EMINUS_ALPHA, _C, _nilpotent_exp(_EPLUS_ALPHA, _U, b))
+        gb = exp_charge_mode(-4, _C, exp_charge_mode(4, _U, b))
         if mode_apply(named_vector("hprime"), 0, gb) != gb * sc(lam):
             raise ArithmeticError("g b is not an h'(0) eigenvector for %s" % lam)
         out.setdefault(lam, []).append(gb)

@@ -6,12 +6,21 @@ normally ordered products of derivative Heisenberg fields against a
 lattice exponential, with all lattice two-cocycle values taken to be 1
 (consistent here because every charge pairing that occurs is even).
 
-For efficiency the expansion of one monomial pair runs on integers:
-each amplitude is an integer over a common denominator together with a
-power of sqrt2.  `mode_apply` sums those integers, times the pair
-coefficients, per output monomial over one denominator and builds one
-field element per output monomial at the very end.  The creation-side
-combinatorics are memoized independently of the lattice charge.
+For efficiency the expansion of one monomial pair runs on integers.
+`_pair_modes` returns it as (den, even, odd): two integer maps keyed by
+the output monomial (degs, q8 + a8) over one positive denominator, the
+amplitude being (even + sqrt2 odd) / den (the even part of each power
+of sqrt2 is folded into the integer).  `mode_apply` sums those integers,
+times the integer coordinates of the pair coefficients, on 8 coordinate
+planes {monomial: int} (one per basis element of the field) over one
+common denominator, and builds one field element per output monomial
+at the very end.  The creation-side combinatorics are memoized
+independently of the lattice charge.
+
+`exp_charge_mode(a8, x, v)` computes exp(x e^{(a8/8) b}(0)) v, the
+nilpotent exponentials of the order-3 symmetry, keeping the whole series
+on coordinate planes and building one State at the end; the series of
+`mode_apply` calls is its test oracle.
 
 Virasoro modes skip the general expansion: `virasoro_mode` applies the
 free-field form L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock
@@ -25,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import SQRT2_MAP, Scalar, exp_two_pi_i, sc
+from .exactfield import BASIS_MUL, Scalar, exp_two_pi_i, rat, sc
 from .fockspace import State, mono_weight, named_vector, partitions, theta
 from .linalg import Echelon
 
@@ -35,10 +44,11 @@ class ModeLegalityError(ValueError):
 
 
 def ModeIndex(n):
-    """Normalize a mode index to an int or a Fraction."""
+    """Normalize a mode index to an int or a Fraction; raises TypeError
+    on a float."""
     if isinstance(n, int):
         return n
-    f = Fraction(n)
+    f = rat(n)
     return int(f) if f.denominator == 1 else f
 
 
@@ -122,9 +132,10 @@ def _pair_modes(udegs, a8, vdegs, q8, n):
     """All output contributions of one monomial pair, or None if the
     mode index is incompatible with the charge pairing.
 
-    Returns (den, amps): amps maps (output degrees, sqrt2 exponent) to a
-    nonzero integer amplitude over the common positive denominator den.
-    The caller supplies the charge shift and the monomial coefficients.
+    Returns (den, even, odd): even and odd map each output monomial
+    (degs, q8 + a8) to a nonzero integer, and the pair contributes
+    (even + sqrt2 odd) / den there, over one positive denominator den.
+    The caller supplies the monomial coefficients.
 
     Every factor of the charge pairings 2a = a8/4 and 2q = q8/4 raises
     the sqrt2 exponent e by one, so the running amplitude is an integer
@@ -190,11 +201,13 @@ def _pair_modes(udegs, a8, vdegs, q8, n):
 
     # Phase three: fill in creation modes and the exponential cloud.  A
     # contribution at sqrt2 exponent e and creation degree c is an
-    # integer over 4^e c!; bring them all over 4^emax cmax!.
+    # integer over 4^e c!; bring them all over 4^emax cmax!, where
+    # sqrt2^e = 2^(e >> 1) sqrt2^(e & 1) leaves at most one sqrt2.
     live = [(rem, pend, csh + sum(pend), e2, amp)
             for (rem, pend, csh, e2), amp in states.items()
             if amp and csh + sum(pend) >= 0]
-    out = {}
+    q8out = q8 + a8
+    even, odd = {}, {}
     if live:
         cmax = max(t[2] for t in live)
         emax = max(t[3] for t in live) + (cmax if a8 else 0)
@@ -204,15 +217,18 @@ def _pair_modes(udegs, a8, vdegs, q8, n):
                 if s and not a8:
                     continue
                 e = e2 + s
-                key = (tuple(sorted(rem + extra, reverse=True)), e)
-                val = amp * cx * a8 ** s << 2 * (emax - e)
-                out[key] = out.get(key, 0) + val
+                plane = odd if e & 1 else even
+                key = (tuple(sorted(rem + extra, reverse=True)), q8out)
+                val = amp * cx * a8 ** s << 2 * (emax - e) + (e >> 1)
+                plane[key] = plane.get(key, 0) + val
         den = math.factorial(cmax) << 2 * emax
     else:
         den = 1
-    out = {key: amp for key, amp in out.items() if amp}
-    g = math.gcd(den, *out.values())
-    res = (den // g, {key: amp // g for key, amp in out.items()})
+    even = {key: amp for key, amp in even.items() if amp}
+    odd = {key: amp for key, amp in odd.items() if amp}
+    g = math.gcd(den, *even.values(), *odd.values())
+    res = (den // g, {key: amp // g for key, amp in even.items()},
+           {key: amp // g for key, amp in odd.items()})
     if memo_key is not None:
         _PURE_EXP[memo_key] = res
     return res
@@ -230,42 +246,80 @@ def _mode_apply_counting(u, n, v):
             if contrib is None:
                 continue
             legal += 1
-            if contrib[1]:
-                pairs.append((cu * cv, contrib[0], q8 + a8, contrib[1]))
+            den, even, odd = contrib
+            if even or odd:
+                pairs.append((cu * cv, den, even, odd))
     return _sum_pairs(pairs), legal, total
 
 
-def _sum_pairs(pairs):
-    """The State sum of coeff * (amp / den) * sqrt2^e * (degs, q8 out)
-    over pairs = [(coeff, den, q8 out, amps)], amps as from `_pair_modes`.
+# --------------------------------------------------------------------------
+# Coordinate planes: a state as 8 maps {monomial: int}, one per basis
+# element of the field, over one common denominator.
 
-    Every contribution is a pair coefficient times an integer amplitude
-    times a power of sqrt2, over one common denominator: sum the integer
-    numerators per output monomial and normalise once per key.
+
+def _add_amps(planes, k, c, even, odd):
+    """Add c e_k (even + sqrt2 odd) to the planes, for an integer c, the
+    basis element e_k and integer maps {monomial: int} as from
+    `_pair_modes` (odd may be empty)."""
+    if even:
+        plane = planes[k]
+        get = plane.get
+        for key, a in even.items():
+            plane[key] = get(key, 0) + c * a
+    if odd:
+        m, f = BASIS_MUL[1][k]
+        plane = planes[m]
+        get = plane.get
+        c *= f
+        for key, a in odd.items():
+            plane[key] = get(key, 0) + c * a
+
+
+def _to_planes(v):
+    """(den, planes) holding v: its coordinates over their common
+    denominator."""
+    den = math.lcm(*(c.den for c in v.terms.values()))
+    planes = [{} for _ in range(8)]
+    for key, c in v.terms.items():
+        f = den // c.den
+        for k, x in enumerate(c.num):
+            if x:
+                planes[k][key] = x * f
+    return den, planes
+
+
+def _from_planes(planes, den):
+    """The State held by planes over den: one field element per monomial."""
+    out = {}
+    for key in dict.fromkeys(key for plane in planes for key in plane):
+        num = [plane.get(key, 0) for plane in planes]
+        if any(num):
+            out[key] = Scalar(num, den)
+    return State(out)
+
+
+def _sum_pairs(pairs):
+    """The State sum of coeff * (even + sqrt2 odd) / den over
+    pairs = [(coeff, den, even, odd)], the maps as from `_pair_modes`.
+
+    Every contribution is an integer coordinate of a pair coefficient
+    times an integer amplitude, possibly times sqrt2, over one common
+    denominator: sum them on the 8 coordinate planes, one dict update
+    per amplitude and nonzero coordinate, and build one field element
+    per output monomial at the end.
     """
     den = 1
     for cc, d, _, _ in pairs:
         d *= cc.den
         if den % d:
             den = den // math.gcd(den, d) * d
-    acc = {}
-    for cc, d, q8out, amps in pairs:
+    planes = [{} for _ in range(8)]
+    for cc, d, even, odd in pairs:
         f = den // (d * cc.den)
-        even = [(k, x * f) for k, x in enumerate(cc.num) if x]
-        odd = [(SQRT2_MAP[k][0], x * SQRT2_MAP[k][1]) for k, x in even]
-        for (degs, e), amp in amps.items():
-            key = (degs, q8out)
-            row = acc.get(key)
-            if row is None:
-                row = acc[key] = [0] * 8
-            m = amp << (e >> 1)
-            for k, x in (odd if e & 1 else even):
-                row[k] += x * m
-    out = {}
-    for key, row in acc.items():
-        if any(row):
-            out[key] = Scalar(row, den)
-    return State(out)
+        for k, x in enumerate(cc.num):
+            if x:
+                _add_amps(planes, k, x * f, even, odd)
+    return _from_planes(planes, den)
 
 
 def mode_apply(u, n, v):
@@ -290,6 +344,59 @@ def mode_apply_theta_even(u, n, v):
     return q + theta(q)
 
 
+def exp_charge_mode(a8, x, v):
+    """exp(x e(0)) v for the zero mode e(0) of e^{(a8/8) b} and a field
+    element x, where e(0) is nilpotent on v (as the zero modes of
+    e^{+-a}, a8 = +-4, are: they move the charge at fixed weight).
+
+    The series sum_k x^k / k! e(0)^k v runs on coordinate planes from
+    start to end: each step reads the memoized `_pair_modes((), a8,
+    degs, q8, 0)` of every monomial, applies x and 1/k on the planes,
+    and one State is built at the end.  Raises ModeLegalityError on a
+    term whose charge admits no zero mode of e^{(a8/8) b}.
+    """
+    xs = [(j, xj) for j, xj in enumerate(x.num) if xj]
+    den, planes = _to_planes(v)
+    terms = [(den, planes)]
+    k = 0
+    while any(planes):
+        k += 1
+        amps = {}
+        for plane in planes:
+            for key in plane:
+                if key not in amps:
+                    amp = _pair_modes((), a8, key[0], key[1], 0)
+                    if amp is None:
+                        raise ModeLegalityError(
+                            "zero mode of e^(%s b) is not defined on charge %s"
+                            % (Fraction(a8, 8), Fraction(key[1], 8)))
+                    amps[key] = amp
+        dd = math.lcm(*(amp[0] for amp in amps.values()))
+        nxt = [{} for _ in range(8)]
+        for p, plane in enumerate(planes):
+            row = BASIS_MUL[p]
+            for key, c in plane.items():
+                d, even, odd = amps[key]
+                c *= dd // d
+                for j, xj in xs:
+                    m, f = row[j]
+                    _add_amps(nxt, m, c * f * xj, even, odd)
+        planes = [{key: c for key, c in plane.items() if c} for plane in nxt]
+        den *= dd * x.den * k
+        g = math.gcd(den, *(c for plane in planes for c in plane.values()))
+        if g > 1:
+            den //= g
+            planes = [{key: c // g for key, c in plane.items()}
+                      for plane in planes]
+        terms.append((den, planes))
+    den = math.lcm(*(d for d, _ in terms))
+    acc = [{} for _ in range(8)]
+    for d, planes in terms:
+        for k, plane in enumerate(planes):
+            _add_amps(acc, k, den // d, plane, None)
+    return _from_planes(acc, den)
+
+
 # --------------------------------------------------------------------------
 # Virasoro modes.
 
@@ -307,7 +414,7 @@ def _with(degs, *parts):
 
 def _virasoro_amps(vdegs, q8, n):
     """L(n) on the monomial h(-d_1)...h(-d_k) e^{(q8/8) b}, in the output
-    format of `_pair_modes`: (den, {(degs, sqrt2 exponent): amp}).
+    format of `_pair_modes`: (den, even, odd), keyed by (degs, q8).
 
     L(n) = p h(n) + (1/2) sum_{j != 0, n} :h(j) h(n-j): for n != 0, where
     h(0) acts by p = sqrt2 q8 / 4 and [h(j), h(-d)] = j delta_{j,d}, so
@@ -318,32 +425,33 @@ def _virasoro_amps(vdegs, q8, n):
     if n == 0:
         w16 = 16 * sum(vdegs) + q8 * q8
         g = math.gcd(16, w16)
-        return 16 // g, ({(vdegs, 0): w16 // g} if w16 else {})
+        return 16 // g, ({(vdegs, q8): w16 // g} if w16 else {}), {}
     counts = _counts(vdegs)
-    out = {}
+    even, odd = {}, {}
     if q8:
         if n < 0:
-            out[(_with(vdegs, -n), 1)] = q8
+            odd[(_with(vdegs, -n), q8)] = q8
         elif n in counts:
-            out[(_drop(vdegs, n), 1)] = q8 * n * counts[n]
+            odd[(_drop(vdegs, n), q8)] = q8 * n * counts[n]
     # h(-(d - n)) h(d): annihilate a part d, create the part d - n.
     for d, m in counts.items():
         if d > n:
-            out[(_with(_drop(vdegs, d), d - n), 0)] = 4 * d * m
+            even[(_with(_drop(vdegs, d), d - n), q8)] = 4 * d * m
     if n >= 2:
         # h(j) h(n - j): annihilate the parts j <= n - j.
         for d, m in counts.items():
             k = n - d
             if k == d and m > 1:
-                out[(_drop(_drop(vdegs, d), d), 0)] = 2 * d * d * m * (m - 1)
+                even[(_drop(_drop(vdegs, d), d), q8)] = 2 * d * d * m * (m - 1)
             elif k > d and k in counts:
-                out[(_drop(_drop(vdegs, d), k), 0)] = 4 * d * k * m * counts[k]
+                even[(_drop(_drop(vdegs, d), k), q8)] = 4 * d * k * m * counts[k]
     elif n <= -2:
         # h(-j) h(n + j): create the parts j <= -n - j.
         for j in range(1, -n // 2 + 1):
-            out[(_with(vdegs, j, -n - j), 0)] = 2 if 2 * j == -n else 4
-    g = math.gcd(4, *out.values())
-    return 4 // g, {key: amp // g for key, amp in out.items()}
+            even[(_with(vdegs, j, -n - j), q8)] = 2 if 2 * j == -n else 4
+    g = math.gcd(4, *even.values(), *odd.values())
+    return (4 // g, {key: amp // g for key, amp in even.items()},
+            {key: amp // g for key, amp in odd.items()})
 
 
 def virasoro_mode(n, v):
@@ -364,9 +472,9 @@ def virasoro_mode(n, v):
         raise ModeLegalityError("mode %s is not defined on this pair" % (n + 1))
     pairs = []
     for (vdegs, q8), cv in v.terms.items():
-        den, amps = _virasoro_amps(vdegs, q8, n)
-        if amps:
-            pairs.append((cv, den, q8, amps))
+        den, even, odd = _virasoro_amps(vdegs, q8, n)
+        if even or odd:
+            pairs.append((cv, den, even, odd))
     return _sum_pairs(pairs)
 
 

@@ -18,7 +18,10 @@ from voalab.sectors import (
     sigma_multiplet_dims, sigma_trace, sigma_trace_brute, theta_trace,
     top_level_eigenvalue, twisted_sector,
 )
-from voalab.vertexengine import zero_mode_decompose, zero_mode_exp
+from voalab.vertexengine import (
+    ModeLegalityError, exp_charge_mode, mode_apply, zero_mode_decompose,
+    zero_mode_exp,
+)
 
 
 def test_partition_counts():
@@ -109,6 +112,37 @@ def test_sigma_matches_krylov_route():
     states += [named_vector(n) for n in ("J", "E", "X1", "X2", "w1", "w2", "u9")]
     for v in states:
         assert sigma(v) == zero_mode_exp(hprime, v), v
+
+
+def _mode_apply_series(u, x, v):
+    """exp(x u(0)) v as the series sum_k (x/k) u(0) applied through
+    mode_apply and summed on States."""
+    acc = term = v
+    k = 0
+    while term:
+        k += 1
+        term = mode_apply(u, 0, term) * (x * sc(Fraction(1, k)))
+        acc = acc + term
+    return acc
+
+
+def test_exp_charge_mode_matches_mode_apply_series():
+    states = [b for w in range(7) for b in graded_states("V_L2", w)]
+    for w in (Fraction(1, 4), Fraction(5, 4), Fraction(9, 4), Fraction(13, 4)):
+        states += graded_states("V_L2+a/2", w)
+    # coefficients that already carry sqrt2 and i
+    rich = sigma(State.basis((3,), Fraction(1, 2)))
+    assert {1, 4, 5} <= {k for c in rich.terms.values()
+                         for k, x in enumerate(c.num) if x}
+    states.append(rich)
+    for a8 in (4, -4):
+        u = State.basis((), Fraction(a8, 8))
+        for x in (ONE, I, sectors._U, sectors._C):
+            for v in states:
+                assert exp_charge_mode(a8, x, v) == _mode_apply_series(u, x, v), \
+                    (a8, x, v)
+    with pytest.raises(ModeLegalityError):
+        exp_charge_mode(4, ONE, State.basis((), Fraction(1, 8)))
 
 
 def test_sigma_gauss_factorization():

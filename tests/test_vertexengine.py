@@ -122,6 +122,22 @@ def test_mode_legality():
         mode_apply(State.basis((1,)), Fraction(1, 3), ONE_V)
 
 
+def test_float_mode_index_is_refused():
+    hp = named_vector("hprime")
+    y1 = named_vector("y1")
+    for n in (0.1, 1.0, 0.5):
+        with pytest.raises(TypeError):
+            ModeIndex(n)
+        with pytest.raises(TypeError):
+            mode_apply(E, n, E)
+        with pytest.raises(TypeError):
+            twisted_mode_apply(E, n, y1, hp)
+        with pytest.raises(TypeError):
+            virasoro_mode(n, E)
+    assert ModeIndex(Fraction(4, 2)) == 2
+    assert ModeIndex("1/3") == Fraction(1, 3)
+
+
 def test_theta_even_shortcut_agrees():
     # the fast path needs u supported away from charge zero
     rng = random.Random(90125)
@@ -206,11 +222,11 @@ def per_contribution(u, n, v):
             if pair is None:
                 continue
             legal += 1
-            den, amps = pair
+            den, even, odd = pair
             cc = cu * cv
-            for (degs, e), amp in amps.items():
-                key = (degs, q8 + a8)
-                out[key] = out.get(key, ZERO) + cc.mul_rat_sqrt2(Fraction(amp, den), e)
+            for e, amps in ((0, even), (1, odd)):
+                for key, amp in amps.items():
+                    out[key] = out.get(key, ZERO) + cc.mul_rat_sqrt2(Fraction(amp, den), e)
     return State({m: c for m, c in out.items() if c}), legal, set(out)
 
 
