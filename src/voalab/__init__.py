@@ -15,9 +15,9 @@ from .structure import (
     is_primary, pair, vacuum_words, word_states,
 )
 from .vertexengine import (
-    ModeLegalityError, RationalPowerSeries, delta_apply, mode_apply,
-    mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
-    zero_mode_decompose, zero_mode_exp,
+    KeyWidthError, ModeLegalityError, RationalPowerSeries, delta_apply,
+    mode_apply, mode_apply_theta_even, twisted_mode_apply, twisted_weight,
+    virasoro_mode, zero_mode_decompose, zero_mode_exp,
 )
 from .sectors import (
     QSeries, char_L1, char_series, decompose_quarter_module, graded_dim,
@@ -38,7 +38,7 @@ __all__ = [
     "graded_states", "named_vector", "theta", "theta_even_states",
     "VirasoroWord", "build_u16", "c_functional", "decompose_over",
     "gram_rational", "is_primary", "pair", "vacuum_words", "word_states",
-    "ModeLegalityError", "RationalPowerSeries", "delta_apply", "mode_apply",
+    "KeyWidthError", "ModeLegalityError", "RationalPowerSeries", "delta_apply", "mode_apply",
     "mode_apply_theta_even", "twisted_mode_apply", "twisted_weight",
     "virasoro_mode", "zero_mode_decompose", "zero_mode_exp",
     "QSeries", "char_L1", "char_series", "decompose_quarter_module",

@@ -20,7 +20,9 @@ import sys
 
 from .exprparse import parse_state_expr
 from .structure import pair
-from .vertexengine import mode_apply
+from .vertexengine import (
+    KeyWidthError, ModeIndex, ModeLegalityError, mode_apply,
+)
 from .sectors import char_L1, char_series, eigenspace_char, graded_dim, module_catalog
 from . import paperlab
 
@@ -57,10 +59,22 @@ def _cmd_list(args):
     return 0
 
 
+def _mode_index(text):
+    """An exact mode index from the command line: an int or a ratio."""
+    try:
+        return ModeIndex(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError("not an exact rational: %r" % text)
+
+
 def _cmd_mode(args):
     u = parse_state_expr(args.u)
     v = parse_state_expr(args.v)
-    out = mode_apply(u, args.n, v)
+    try:
+        out = mode_apply(u, args.n, v)
+    except (ModeLegalityError, KeyWidthError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     print(str(out))
     return 0
 
@@ -159,7 +173,9 @@ def build_parser():
 
     p = sub.add_parser("mode", help="apply one mode: u(n)v")
     p.add_argument("--u", required=True, help="state expression")
-    p.add_argument("--n", required=True, type=int, help="mode index")
+    p.add_argument("--n", required=True, type=_mode_index,
+                   help="mode index, an integer or a fraction such as 1/2; "
+                        "write a negative fraction as --n=-1/2")
     p.add_argument("--v", required=True, help="state expression")
     p.set_defaults(func=_cmd_mode)
 

@@ -7,12 +7,17 @@ lattice exponential, with all lattice two-cocycle values taken to be 1
 (consistent here because every charge pairing that occurs is even).
 
 For efficiency the expansion of one monomial pair runs on integers.
-`_pair_modes` returns it as (den, even, odd): two integer maps keyed by
-the output monomial (degs, q8 + a8) over one positive denominator, the
-amplitude being (even + sqrt2 odd) / den (the even part of each power
-of sqrt2 is folded into the integer).  `mode_apply` sums those integers,
-times the integer coordinates of the pair coefficients, on 8 coordinate
-planes {monomial: int} (one per basis element of the field) over one
+Inside the engine a monomial is a packed key, one int holding the
+charge and a 6-bit count per part (`_pack`), so merging monomials is an
+integer addition; keys are packed once per input term and unpacked once
+per output monomial, and a packed monomial of degree above 63 or with
+|q8| >= 128 raises KeyWidthError.  `_pair_modes` returns one pair's
+expansion as (den, even, odd): two integer maps keyed by the packed
+output monomial over one positive denominator, the amplitude being
+(even + sqrt2 odd) / den (the even part of each power of sqrt2 is
+folded into the integer).  `mode_apply` sums those integers, times the
+integer coordinates of the pair coefficients, on 8 coordinate planes
+{packed monomial: int} (one per basis element of the field) over one
 common denominator, and builds one field element per output monomial
 at the very end.  The creation-side combinatorics are memoized
 independently of the lattice charge.
@@ -34,8 +39,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import BASIS_MUL, Scalar, exp_two_pi_i, rat, sc
-from .fockspace import State, mono_weight, named_vector, partitions, theta
+from .exactfield import BASIS_MUL, _norm, exp_two_pi_i, rat, sc
+from .fockspace import State, mono_weight, named_vector, theta
 from .linalg import Echelon
 
 
@@ -53,29 +58,112 @@ def ModeIndex(n):
 
 
 # --------------------------------------------------------------------------
+# Packed monomial keys.
+#
+# Inside the engine a monomial h(-d_1)...h(-d_k) e^{(q8/8) b} is one int:
+# the low 8 bits hold q8 + 128, and each part d adds 1 << (8 + 6 (d - 1)),
+# so every part has a 6-bit count field (the packed exponent vectors of
+# Monagan and Pearce, CASC 2007).  Merging two monomials is one integer
+# addition, removing a part is one subtraction, and the multiplicity of
+# the part d is a shift and a mask.  A degree sum(d_i) of at most 63
+# bounds every part and every count by 63, so no field ever carries into
+# the next; a larger degree, or |q8| >= 128, raises KeyWidthError.
+
+MAX_DEGREE = 63
+_QBIAS = 128
+_SHIFT = (0,) + tuple(8 + 6 * (d - 1) for d in range(1, MAX_DEGREE + 1))
+_PART = tuple(1 << s for s in _SHIFT)
+
+
+class KeyWidthError(ValueError):
+    """Raised when a monomial falls outside the packed key: a degree
+    above MAX_DEGREE or a charge |q8| >= 128."""
+
+
+def _check_width(deg, q8):
+    if deg > MAX_DEGREE:
+        raise KeyWidthError("monomial degree %d exceeds the packed key width"
+                            " (at most %d)" % (deg, MAX_DEGREE))
+    if not -_QBIAS < q8 < _QBIAS:
+        raise KeyWidthError("charge %s is outside the packed key width"
+                            " (|8q| < %d)" % (Fraction(q8, 8), _QBIAS))
+
+
+def _check_parts(degs):
+    if degs and degs[-1] < 1:
+        raise KeyWidthError("part %d has no field in the packed key"
+                            % degs[-1])
+
+
+def _pack(degs, q8):
+    """The packed key of the monomial (degs, q8), degs descending as in
+    a State key; raises KeyWidthError if it does not fit."""
+    _check_parts(degs)
+    _check_width(sum(degs), q8)
+    key = q8 + _QBIAS
+    for d in degs:
+        key += _PART[d]
+    return key
+
+
+def _parts(key):
+    """[(d, multiplicity)] of the parts of a packed key, ascending in d."""
+    out = []
+    key >>= 8
+    d = 1
+    while key:
+        m = key & 63
+        if m:
+            out.append((d, m))
+        key >>= 6
+        d += 1
+    return out
+
+
+def _unpack(key):
+    """The monomial (degs, q8) of a packed key."""
+    degs = []
+    for d, m in reversed(_parts(key)):
+        degs += [d] * m
+    return tuple(degs), (key & 255) - _QBIAS
+
+
+# --------------------------------------------------------------------------
 # Creation-side combinatorics, independent of the lattice charge.
 #
 # All amplitudes are integers over a known denominator.  The weight
 # 1/prod_k (k^{j_k} j_k!) of a partition of c is c!/prod_k (k^{j_k} j_k!)
 # over c!, and that numerator is an integer (it counts the permutations
 # of cycle type lam), so creation coefficients at degree c live over c!.
+# Degrees are packed keys without a charge (their low 8 bits are zero).
 
 _EMINUS = {}
 _CREATION = {}
 
 
 def _eminus(c):
-    """Partitions lam of c with weights prod_k 1/(k^{j_k} j_k!), each
-    given as an integer numerator over c!."""
+    """The partitions lam of c, grouped by their length s: a list of
+    (s, [(packed lam, integer numerator over c! of
+    prod_k 1/(k^{j_k} j_k!))]), s ascending."""
     hit = _EMINUS.get(c)
     if hit is not None:
         return hit
-    out = []
-    for lam in partitions(c):
-        denom = 1
-        for d, run in _counts(lam).items():
-            denom *= d ** run * math.factorial(run)
-        out.append((lam, len(lam), math.factorial(c) // denom))
+    groups = [[] for _ in range(c + 1)]
+    fc = math.factorial(c)
+
+    def walk(n, top, key, size, denom, run):
+        # parts are appended in descending order and run counts the
+        # copies of the last part top: the j-th copy of d multiplies
+        # denom by d * j, which makes d^j j! in all
+        if not n:
+            groups[size].append((key, fc // denom))
+            return
+        for d in range(min(n, top), 0, -1):
+            r = run + 1 if d == top else 1
+            walk(n - d, d, key + _PART[d], size + 1, denom * d * r, r)
+
+    walk(c, c + 1, 0, 0, 1, 0)
+    out = [(s, group) for s, group in enumerate(groups) if group]
     _EMINUS[c] = out
     return out
 
@@ -86,39 +174,30 @@ def _creation(pending, c_target):
     pending: ascending tuple of derivative orders n_i assigned to the
     creation channel; each picks a degree k_i >= n_i with coefficient
     binom(k_i - 1, n_i - 1), and the remainder becomes an exponential
-    cloud partition.  Returns a dict (degrees, cloud_size) -> integer
-    numerator over c_target!.
+    cloud partition.  Returns the ways grouped by cloud size s, as a
+    list of (s, [(packed degrees, integer numerator over c_target!)]),
+    s ascending, one entry per distinct degrees.
     """
+    if not pending:
+        return _eminus(c_target)
     key = (pending, c_target)
     hit = _CREATION.get(key)
     if hit is not None:
         return hit
-    out = {}
-    if not pending:
-        for lam, s, coeff in _eminus(c_target):
-            k = (lam, s)
-            out[k] = out.get(k, 0) + coeff
-    else:
-        n0 = pending[0]
-        rest = pending[1:]
-        min_rest = sum(rest)
-        for k in range(n0, c_target - min_rest + 1):
-            # binom(k-1, n0-1), rescaled from (c_target-k)! to c_target!
-            f = math.comb(k - 1, n0 - 1) * math.perm(c_target, k)
-            if not f:
-                continue
-            for (degs, s), c in _creation(rest, c_target - k).items():
-                degs2 = tuple(sorted(degs + (k,), reverse=True))
-                k2 = (degs2, s)
-                out[k2] = out.get(k2, 0) + f * c
+    acc = {}
+    n0 = pending[0]
+    rest = pending[1:]
+    for k in range(n0, c_target - sum(rest) + 1):
+        # binom(k-1, n0-1), rescaled from (c_target-k)! to c_target!
+        f = math.comb(k - 1, n0 - 1) * math.perm(c_target, k)
+        pk = _PART[k]
+        for s, group in _creation(rest, c_target - k):
+            into = acc.setdefault(s, {})
+            for extra, c in group:
+                extra += pk
+                into[extra] = into.get(extra, 0) + f * c
+    out = [(s, list(acc[s].items())) for s in sorted(acc)]
     _CREATION[key] = out
-    return out
-
-
-def _counts(degs):
-    out = {}
-    for d in degs:
-        out[d] = out.get(d, 0) + 1
     return out
 
 
@@ -128,107 +207,112 @@ def _counts(degs):
 _PURE_EXP = {}
 
 
-def _pair_modes(udegs, a8, vdegs, q8, n):
+def _pair_modes(udegs, a8, vkey, n):
     """All output contributions of one monomial pair, or None if the
     mode index is incompatible with the charge pairing.
 
-    Returns (den, even, odd): even and odd map each output monomial
-    (degs, q8 + a8) to a nonzero integer, and the pair contributes
-    (even + sqrt2 odd) / den there, over one positive denominator den.
-    The caller supplies the monomial coefficients.
+    u's monomial is (udegs, a8) with udegs a tuple; v's monomial is the
+    packed key vkey.  Returns (den, even, odd): even and odd map each
+    packed output key (charge q8 + a8) to a nonzero integer, and the
+    pair contributes (even + sqrt2 odd) / den there, over one positive
+    denominator den.  The caller supplies the monomial coefficients.
 
     Every factor of the charge pairings 2a = a8/4 and 2q = q8/4 raises
     the sqrt2 exponent e by one, so the running amplitude is an integer
     over 4^e; the creation coefficients add the denominator c!.
+
+    Every output of the pair has the same degree D = deg u + deg v + c0
+    (the mode moves the weight by a fixed amount), which equals
+    deg(rem) + c_target on each live branch of phase three.  So one test
+    of D, and of the output charge, guards every output key: a pair
+    with output beyond the key width raises KeyWidthError.
     """
-    # The lowest creation degree is c0 = -n - 1 - a8 q8 / 8.
+    q8 = (vkey & 255) - _QBIAS
+    # The lowest creation degree is c0 = -n - 1 - a8 q8 / 8, and the pair
+    # is legal when it is an integer; for n = p / d that is
+    # (-8 (p + d) - a8 q8 d) / 8d.
     if type(n) is int:
         c0, frac = divmod(-8 * (n + 1) - a8 * q8, 8)
-        if frac:
-            return None
     else:
-        c0f = -n - 1 - Fraction(a8 * q8, 8)
-        if c0f.denominator != 1:
-            return None
-        c0 = int(c0f)
+        p, d = n.numerator, n.denominator
+        c0, frac = divmod(-8 * (p + d) - a8 * q8 * d, 8 * d)
+    if frac:
+        return None
     memo_key = None
     if not udegs:
-        memo_key = (a8, vdegs, q8, n)
+        memo_key = (a8, vkey, n)
         hit = _PURE_EXP.get(memo_key)
         if hit is not None:
             return hit
-    vcounts = _counts(vdegs)
-    distinct = sorted(vcounts)
+    parts = _parts(vkey)
 
     # Phase one: contractions of the charge exponential with v's modes.
-    branches = [((), 1, 0, 0)]  # (removed counts, amp, e2, cshift)
-    for d in distinct:
-        m = vcounts[d]
-        jmax = m if a8 else 0
-        nxt = []
-        for removed, amp, e2, csh in branches:
-            for j in range(jmax + 1):
-                f = math.comb(m, j) * (-a8) ** j
-                nxt.append((removed + (j,), amp * f, e2 + j, csh + d * j))
-        branches = nxt
+    branches = [(vkey, 1, 0, c0)]  # (rem, amp, e2, cshift)
+    if a8:
+        for d, m in parts:
+            pd = _PART[d]
+            nxt = []
+            for rem, amp, e2, csh in branches:
+                for j in range(m + 1):
+                    f = math.comb(m, j) * (-a8) ** j
+                    nxt.append((rem - j * pd, amp * f, e2 + j, csh + d * j))
+            branches = nxt
 
     # Phase two: route each derivative field of u through one channel.
-    states = {}
-    for removed, amp0, e20, csh0 in branches:
-        rem0 = []
-        for d, j in zip(distinct, removed):
-            rem0.extend([d] * (vcounts[d] - j))
-        key = (tuple(sorted(rem0, reverse=True)), (), csh0 + c0, e20)
-        states[key] = states.get(key, 0) + amp0
+    # A state is keyed by (rem, pend, c, e2), where c counts the creation
+    # degree of the branch, sum(pend) included.
+    states = {(rem, (), csh, e2): amp for rem, amp, e2, csh in branches}
+    desc = [d for d, _ in reversed(parts)]
     for ni in udegs:
         sgn = -1 if (ni - 1) % 2 else 1
         nxt = {}
         for (rem, pend, csh, e2), amp in states.items():
-            key = (rem, tuple(sorted(pend + (ni,))), csh, e2)
+            # udegs is descending (a State key), so pend stays ascending
+            key = (rem, (ni,) + pend, csh + ni, e2)
             nxt[key] = nxt.get(key, 0) + amp
             if q8:
                 key = (rem, pend, csh + ni, e2 + 1)
                 nxt[key] = nxt.get(key, 0) + amp * sgn * q8
-            seen = None
-            for pos, d in enumerate(rem):
-                if d == seen:
-                    continue
-                seen = d
-                f = sgn * math.comb(d + ni - 1, ni - 1) * d * rem.count(d)
-                key = (rem[:pos] + rem[pos + 1:], pend, csh + d + ni, e2)
-                nxt[key] = nxt.get(key, 0) + amp * f
+            for d in desc:
+                m = rem >> _SHIFT[d] & 63
+                if m:
+                    f = sgn * math.comb(d + ni - 1, ni - 1) * d * m
+                    key = (rem - _PART[d], pend, csh + d + ni, e2)
+                    nxt[key] = nxt.get(key, 0) + amp * f
         states = nxt
 
     # Phase three: fill in creation modes and the exponential cloud.  A
     # contribution at sqrt2 exponent e and creation degree c is an
     # integer over 4^e c!; bring them all over 4^emax cmax!, where
     # sqrt2^e = 2^(e >> 1) sqrt2^(e & 1) leaves at most one sqrt2.
-    live = [(rem, pend, csh + sum(pend), e2, amp)
-            for (rem, pend, csh, e2), amp in states.items()
-            if amp and csh + sum(pend) >= 0]
-    q8out = q8 + a8
+    live = [(rem, pend, c, e2, amp)
+            for (rem, pend, c, e2), amp in states.items() if amp and c >= 0]
     even, odd = {}, {}
     if live:
+        _check_width(sum(d * m for d, m in parts) + sum(udegs) + c0, q8 + a8)
         cmax = max(t[2] for t in live)
         emax = max(t[3] for t in live) + (cmax if a8 else 0)
         for rem, pend, c_target, e2, amp in live:
             amp *= math.perm(cmax, cmax - c_target)
-            for (extra, s), cx in _creation(pend, c_target).items():
-                if s and not a8:
-                    continue
+            rem += a8
+            groups = _creation(pend, c_target)
+            if not a8:
+                # a charge-zero operator has no cloud: only s = 0 counts
+                groups = groups[:1] if groups and not groups[0][0] else ()
+            for s, group in groups:
                 e = e2 + s
                 plane = odd if e & 1 else even
-                key = (tuple(sorted(rem + extra, reverse=True)), q8out)
-                val = amp * cx * a8 ** s << 2 * (emax - e) + (e >> 1)
-                plane[key] = plane.get(key, 0) + val
+                f = amp * a8 ** s << 2 * (emax - e) + (e >> 1)
+                get = plane.get
+                for extra, cx in group:
+                    key = rem + extra
+                    plane[key] = get(key, 0) + cx * f
         den = math.factorial(cmax) << 2 * emax
     else:
         den = 1
-    even = {key: amp for key, amp in even.items() if amp}
-    odd = {key: amp for key, amp in odd.items() if amp}
     g = math.gcd(den, *even.values(), *odd.values())
-    res = (den // g, {key: amp // g for key, amp in even.items()},
-           {key: amp // g for key, amp in odd.items()})
+    res = (den // g, {key: amp // g for key, amp in even.items() if amp},
+           {key: amp // g for key, amp in odd.items() if amp})
     if memo_key is not None:
         _PURE_EXP[memo_key] = res
     return res
@@ -239,10 +323,16 @@ def _mode_apply_counting(u, n, v):
     legal = 0
     total = 0
     pairs = []
+    vterms = [(_pack(vdegs, q8), cv) for (vdegs, q8), cv in v.terms.items()]
     for (udegs, a8), cu in u.terms.items():
-        for (vdegs, q8), cv in v.terms.items():
+        # u's monomial is never packed: only a part 0 or its charge can
+        # fall outside the key, and its degree reaches the key only
+        # through the output degree that `_pair_modes` checks
+        _check_parts(udegs)
+        _check_width(0, a8)
+        for vkey, cv in vterms:
             total += 1
-            contrib = _pair_modes(udegs, a8, vdegs, q8, n)
+            contrib = _pair_modes(udegs, a8, vkey, n)
             if contrib is None:
                 continue
             legal += 1
@@ -277,10 +367,11 @@ def _add_amps(planes, k, c, even, odd):
 
 def _to_planes(v):
     """(den, planes) holding v: its coordinates over their common
-    denominator."""
+    denominator, keyed by packed monomial."""
     den = math.lcm(*(c.den for c in v.terms.values()))
     planes = [{} for _ in range(8)]
-    for key, c in v.terms.items():
+    for (degs, q8), c in v.terms.items():
+        key = _pack(degs, q8)
         f = den // c.den
         for k, x in enumerate(c.num):
             if x:
@@ -289,12 +380,16 @@ def _to_planes(v):
 
 
 def _from_planes(planes, den):
-    """The State held by planes over den: one field element per monomial."""
+    """The State held by planes over den: one field element per packed
+    monomial, unpacked here and only here."""
+    used = [(k, plane) for k, plane in enumerate(planes) if plane]
     out = {}
-    for key in dict.fromkeys(key for plane in planes for key in plane):
-        num = [plane.get(key, 0) for plane in planes]
+    for key in dict.fromkeys(key for _, plane in used for key in plane):
+        num = [0] * 8
+        for k, plane in used:
+            num[k] = plane.get(key, 0)
         if any(num):
-            out[key] = Scalar(num, den)
+            out[_unpack(key)] = _norm(tuple(num), den)
     return State(out)
 
 
@@ -326,7 +421,10 @@ def mode_apply(u, n, v):
     """The n-th mode of u applied to v.
 
     Raises ModeLegalityError when u and v are nonzero but no charge
-    pairing is compatible with the requested index.
+    pairing is compatible with the requested index, and KeyWidthError
+    when a monomial of v or of the result is beyond the key width, or a
+    monomial of u has a part 0 or a charge beyond it (u is not packed,
+    so its degree is bounded only through the result's).
     """
     result, legal, total = _mode_apply_counting(u, n, v)
     if total and not legal:
@@ -349,11 +447,12 @@ def exp_charge_mode(a8, x, v):
     element x, where e(0) is nilpotent on v (as the zero modes of
     e^{+-a}, a8 = +-4, are: they move the charge at fixed weight).
 
-    The series sum_k x^k / k! e(0)^k v runs on coordinate planes from
-    start to end: each step reads the memoized `_pair_modes((), a8,
-    degs, q8, 0)` of every monomial, applies x and 1/k on the planes,
-    and one State is built at the end.  Raises ModeLegalityError on a
-    term whose charge admits no zero mode of e^{(a8/8) b}.
+    The series sum_k x^k / k! e(0)^k v runs on coordinate planes keyed
+    by packed monomial from start to end: each step reads the memoized
+    `_pair_modes((), a8, key, 0)` of every monomial, applies x and 1/k
+    on the planes, and one State is built at the end.  Raises
+    ModeLegalityError on a term whose charge admits no zero mode of
+    e^{(a8/8) b}.
     """
     xs = [(j, xj) for j, xj in enumerate(x.num) if xj]
     den, planes = _to_planes(v)
@@ -365,11 +464,11 @@ def exp_charge_mode(a8, x, v):
         for plane in planes:
             for key in plane:
                 if key not in amps:
-                    amp = _pair_modes((), a8, key[0], key[1], 0)
+                    amp = _pair_modes((), a8, key, 0)
                     if amp is None:
                         raise ModeLegalityError(
                             "zero mode of e^(%s b) is not defined on charge %s"
-                            % (Fraction(a8, 8), Fraction(key[1], 8)))
+                            % (Fraction(a8, 8), Fraction(_unpack(key)[1], 8)))
                     amps[key] = amp
         dd = math.lcm(*(amp[0] for amp in amps.values()))
         nxt = [{} for _ in range(8)]
@@ -401,54 +500,50 @@ def exp_charge_mode(a8, x, v):
 # Virasoro modes.
 
 
-def _drop(degs, d):
-    """degs (descending) with one part d removed."""
-    i = degs.index(d)
-    return degs[:i] + degs[i + 1:]
-
-
-def _with(degs, *parts):
-    """degs with the given parts added, descending."""
-    return tuple(sorted(degs + parts, reverse=True))
-
-
-def _virasoro_amps(vdegs, q8, n):
-    """L(n) on the monomial h(-d_1)...h(-d_k) e^{(q8/8) b}, in the output
-    format of `_pair_modes`: (den, even, odd), keyed by (degs, q8).
+def _virasoro_amps(vkey, n):
+    """L(n) on the packed monomial vkey = h(-d_1)...h(-d_k) e^{(q8/8) b},
+    in the output format of `_pair_modes`: (den, even, odd), keyed by
+    packed monomial.
 
     L(n) = p h(n) + (1/2) sum_{j != 0, n} :h(j) h(n-j): for n != 0, where
     h(0) acts by p = sqrt2 q8 / 4 and [h(j), h(-d)] = j delta_{j,d}, so
     h(j) takes j times the multiplicity of the part j.  Every amplitude
     is an integer over 4 (the charge term is q8 over 4 at sqrt2
-    exponent 1; the diagonal j = n - j carries the 1/2).
+    exponent 1; the diagonal j = n - j carries the 1/2).  Every output
+    has degree deg v - n, which must fit the key width.
     """
+    parts = _parts(vkey)
+    deg = sum(d * m for d, m in parts)
+    q8 = (vkey & 255) - _QBIAS
     if n == 0:
-        w16 = 16 * sum(vdegs) + q8 * q8
+        w16 = 16 * deg + q8 * q8
         g = math.gcd(16, w16)
-        return 16 // g, ({(vdegs, q8): w16 // g} if w16 else {}), {}
-    counts = _counts(vdegs)
+        return 16 // g, ({vkey: w16 // g} if w16 else {}), {}
+    _check_width(deg - n, q8)
+    parts.reverse()
+    counts = dict(parts)
     even, odd = {}, {}
     if q8:
         if n < 0:
-            odd[(_with(vdegs, -n), q8)] = q8
+            odd[vkey + _PART[-n]] = q8
         elif n in counts:
-            odd[(_drop(vdegs, n), q8)] = q8 * n * counts[n]
+            odd[vkey - _PART[n]] = q8 * n * counts[n]
     # h(-(d - n)) h(d): annihilate a part d, create the part d - n.
-    for d, m in counts.items():
+    for d, m in parts:
         if d > n:
-            even[(_with(_drop(vdegs, d), d - n), q8)] = 4 * d * m
+            even[vkey - _PART[d] + _PART[d - n]] = 4 * d * m
     if n >= 2:
         # h(j) h(n - j): annihilate the parts j <= n - j.
-        for d, m in counts.items():
+        for d, m in parts:
             k = n - d
             if k == d and m > 1:
-                even[(_drop(_drop(vdegs, d), d), q8)] = 2 * d * d * m * (m - 1)
+                even[vkey - 2 * _PART[d]] = 2 * d * d * m * (m - 1)
             elif k > d and k in counts:
-                even[(_drop(_drop(vdegs, d), k), q8)] = 4 * d * k * m * counts[k]
+                even[vkey - _PART[d] - _PART[k]] = 4 * d * k * m * counts[k]
     elif n <= -2:
         # h(-j) h(n + j): create the parts j <= -n - j.
         for j in range(1, -n // 2 + 1):
-            even[(_with(vdegs, j, -n - j), q8)] = 2 if 2 * j == -n else 4
+            even[vkey + _PART[j] + _PART[-n - j]] = 2 if 2 * j == -n else 4
     g = math.gcd(4, *even.values(), *odd.values())
     return (4 // g, {key: amp // g for key, amp in even.items()},
             {key: amp // g for key, amp in odd.items()})
@@ -463,7 +558,8 @@ def virasoro_mode(n, v):
     acts on e^{(q8/8) b} by p = sqrt2 q8 / 4.  The general route
     `mode_apply(named_vector("omega"), n + 1, v)` gives the same state
     and serves as the test oracle.  Raises ModeLegalityError for a
-    non-integer n on a nonzero v.
+    non-integer n on a nonzero v, and KeyWidthError when a monomial of
+    v or of L(n) v is beyond the key width.
     """
     n = ModeIndex(n)
     if not v:
@@ -472,7 +568,7 @@ def virasoro_mode(n, v):
         raise ModeLegalityError("mode %s is not defined on this pair" % (n + 1))
     pairs = []
     for (vdegs, q8), cv in v.terms.items():
-        den, even, odd = _virasoro_amps(vdegs, q8, n)
+        den, even, odd = _virasoro_amps(_pack(vdegs, q8), n)
         if even or odd:
             pairs.append((cv, den, even, odd))
     return _sum_pairs(pairs)

@@ -1,10 +1,11 @@
 """The command line front end."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from voalab import cli, paperlab
+from voalab import cli, mode_apply, named_vector, paperlab
 from voalab.paperlab import CheckSpec
 
 
@@ -80,6 +81,42 @@ def test_mode_command(capsys):
     code, out, _ = run_cli(["mode", "--u", "E", "--n", "3", "--v", "E"], capsys)
     assert code == 0
     assert "h(-2)h(-2)|0>" in out
+
+
+def test_mode_command_takes_fractional_index(capsys):
+    code, out, err = run_cli(["mode", "--u", "w1", "--n=-1/2", "--v", "w2"],
+                             capsys)
+    assert code == 0 and err == ""
+    w1, w2 = named_vector("w1"), named_vector("w2")
+    want = mode_apply(w1, Fraction(-1, 2), w2)
+    assert want and out.strip() == str(want)
+    parser = cli.build_parser()
+
+    def index(text):
+        return parser.parse_args(["mode", "--u", "E", "--n", text,
+                                  "--v", "E"]).n
+
+    assert index("3") == 3 and index("-3") == -3 and index("4/2") == 2
+    assert index("1/2") == Fraction(1, 2)
+    for bad in ("1/0", "x"):
+        with pytest.raises(SystemExit):
+            index(bad)
+    with pytest.raises(SystemExit):
+        cli.main(["mode", "--help"])
+    assert "--n=-1/2" in "".join(capsys.readouterr().out.split())
+
+
+def test_mode_command_reports_engine_errors(capsys):
+    # an integer mode of the charge-1/4 pair is not defined
+    code, out, err = run_cli(["mode", "--u", "w1", "--n", "-1", "--v", "w2"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    # a state beyond the packed key width of the mode engine
+    code, out, err = run_cli(["mode", "--u", "h(-1)|0>", "--n", "-1",
+                              "--v", "h(-63)|0>"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "degree 64" in err
 
 
 def test_pair_command(capsys):

@@ -8,7 +8,7 @@ import pytest
 from voalab import sectors
 from voalab.exactfield import I, ONE, ZERO, sc, sixth_root
 from voalab.fockspace import State, graded_states, named_vector, partitions
-from voalab.linalg import Echelon, rank_of
+from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.sectors import (
     QSeries, brute_fixed_dims, char_L1, char_series,
     decompose_quarter_module, dim_full_lattice, eigenspace_char, graded_dim,
@@ -101,6 +101,30 @@ def test_sigma_eigendims_small():
     assert sigma(named_vector("X1")) == named_vector("X1") * sixth_root(2)
     assert sigma(named_vector("X2")) == named_vector("X2") * sixth_root(4)
     assert sigma(named_vector("omega")) == named_vector("omega")
+
+
+def test_sigma_fixes_u16_by_the_weight_four_action():
+    # A second route for eq-4.2-u16-sigma, with no weight-16 work.  sigma
+    # is an automorphism (the exponential of a weight-1 zero mode), so
+    # sigma(x(-9)y) = sigma(x)(-9)sigma(y).  With M the matrix whose
+    # columns are the (J, E) coordinates of sigma J and sigma E, and
+    # D = diag(1, 27), sigma sends P = J(-9)J + 27 E(-9)E to
+    # sum_ab (M D M^T)_ab x_a(-9)x_b, which is P exactly when
+    # M D M^T = D.  u16 is P minus its component along the Virasoro words
+    # on the vacuum, and sigma fixes each of those when it fixes omega
+    # and |0>; so sigma(u16) = u16.
+    J, E = named_vector("J"), named_vector("E")
+    basis = [J, E]
+    cols = [express_in_span(basis, sigma(x)) for x in basis]
+    assert cols == [[sc(Fraction(-1, 2)), sc(Fraction(9, 2))],
+                    [sc(Fraction(-1, 6)), sc(Fraction(-1, 2))]]
+    m = [[cols[j][i] for j in range(2)] for i in range(2)]
+    d = [sc(1), sc(27)]
+    mdmt = [[sum((m[a][k] * d[k] * m[b][k] for k in range(2)), ZERO)
+             for b in range(2)] for a in range(2)]
+    assert mdmt == [[d[0], ZERO], [ZERO, d[1]]]
+    for name in ("omega", "one"):
+        assert sigma(named_vector(name)) == named_vector(name)
 
 
 def test_sigma_matches_krylov_route():

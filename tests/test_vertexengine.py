@@ -1,5 +1,6 @@
 """Mode actions: untwisted, theta-even shortcut, zero modes, twisted shifts."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,8 +11,9 @@ from voalab.fockspace import (
     State, graded_states, mono_weight, named_vector, partitions,
 )
 from voalab.vertexengine import (
-    ModeIndex, ModeLegalityError, RationalPowerSeries, _pair_modes,
-    _rational_roots, _root_bound, apply_word, delta_apply, mode_apply,
+    MAX_DEGREE, KeyWidthError, ModeIndex, ModeLegalityError,
+    RationalPowerSeries, _pack, _pair_modes, _rational_roots, _root_bound,
+    _unpack, apply_word, delta_apply, exp_charge_mode, mode_apply,
     mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
     zero_mode_decompose, zero_mode_exp,
 )
@@ -218,7 +220,7 @@ def per_contribution(u, n, v):
     legal = 0
     for (udegs, a8), cu in u.terms.items():
         for (vdegs, q8), cv in v.terms.items():
-            pair = _pair_modes(udegs, a8, vdegs, q8, ModeIndex(n))
+            pair = _pair_modes(udegs, a8, _pack(vdegs, q8), ModeIndex(n))
             if pair is None:
                 continue
             legal += 1
@@ -226,7 +228,8 @@ def per_contribution(u, n, v):
             cc = cu * cv
             for e, amps in ((0, even), (1, odd)):
                 for key, amp in amps.items():
-                    out[key] = out.get(key, ZERO) + cc.mul_rat_sqrt2(Fraction(amp, den), e)
+                    m = _unpack(key)
+                    out[m] = out.get(m, ZERO) + cc.mul_rat_sqrt2(Fraction(amp, den), e)
     return State({m: c for m, c in out.items() if c}), legal, set(out)
 
 
@@ -272,3 +275,220 @@ def test_twisted_mode_matches_per_contribution_route():
     got = twisted_mode_apply(E, n, y1, hp)
     assert got and got == want
     assert all(got.terms.values())
+
+
+# --------------------------------------------------------------------------
+# The tuple-keyed expansion the packed engine replaced, kept as its
+# oracle: monomials are (descending degs, q8) tuples throughout.
+
+_TUPLE_EMINUS = {}
+_TUPLE_CREATION = {}
+
+
+def _tuple_counts(degs):
+    out = {}
+    for d in degs:
+        out[d] = out.get(d, 0) + 1
+    return out
+
+
+def _tuple_eminus(c):
+    hit = _TUPLE_EMINUS.get(c)
+    if hit is not None:
+        return hit
+    out = []
+    for lam in partitions(c):
+        denom = 1
+        for d, run in _tuple_counts(lam).items():
+            denom *= d ** run * math.factorial(run)
+        out.append((lam, len(lam), math.factorial(c) // denom))
+    _TUPLE_EMINUS[c] = out
+    return out
+
+
+def _tuple_creation(pending, c_target):
+    key = (pending, c_target)
+    hit = _TUPLE_CREATION.get(key)
+    if hit is not None:
+        return hit
+    out = {}
+    if not pending:
+        for lam, s, coeff in _tuple_eminus(c_target):
+            k = (lam, s)
+            out[k] = out.get(k, 0) + coeff
+    else:
+        n0 = pending[0]
+        rest = pending[1:]
+        min_rest = sum(rest)
+        for k in range(n0, c_target - min_rest + 1):
+            f = math.comb(k - 1, n0 - 1) * math.perm(c_target, k)
+            if not f:
+                continue
+            for (degs, s), c in _tuple_creation(rest, c_target - k).items():
+                degs2 = tuple(sorted(degs + (k,), reverse=True))
+                k2 = (degs2, s)
+                out[k2] = out.get(k2, 0) + f * c
+    _TUPLE_CREATION[key] = out
+    return out
+
+
+def _tuple_pair_modes(udegs, a8, vdegs, q8, n):
+    if type(n) is int:
+        c0, frac = divmod(-8 * (n + 1) - a8 * q8, 8)
+        if frac:
+            return None
+    else:
+        c0f = -n - 1 - Fraction(a8 * q8, 8)
+        if c0f.denominator != 1:
+            return None
+        c0 = int(c0f)
+    vcounts = _tuple_counts(vdegs)
+    distinct = sorted(vcounts)
+    branches = [((), 1, 0, 0)]
+    for d in distinct:
+        m = vcounts[d]
+        jmax = m if a8 else 0
+        nxt = []
+        for removed, amp, e2, csh in branches:
+            for j in range(jmax + 1):
+                f = math.comb(m, j) * (-a8) ** j
+                nxt.append((removed + (j,), amp * f, e2 + j, csh + d * j))
+        branches = nxt
+    states = {}
+    for removed, amp0, e20, csh0 in branches:
+        rem0 = []
+        for d, j in zip(distinct, removed):
+            rem0.extend([d] * (vcounts[d] - j))
+        key = (tuple(sorted(rem0, reverse=True)), (), csh0 + c0, e20)
+        states[key] = states.get(key, 0) + amp0
+    for ni in udegs:
+        sgn = -1 if (ni - 1) % 2 else 1
+        nxt = {}
+        for (rem, pend, csh, e2), amp in states.items():
+            key = (rem, tuple(sorted(pend + (ni,))), csh, e2)
+            nxt[key] = nxt.get(key, 0) + amp
+            if q8:
+                key = (rem, pend, csh + ni, e2 + 1)
+                nxt[key] = nxt.get(key, 0) + amp * sgn * q8
+            seen = None
+            for pos, d in enumerate(rem):
+                if d == seen:
+                    continue
+                seen = d
+                f = sgn * math.comb(d + ni - 1, ni - 1) * d * rem.count(d)
+                key = (rem[:pos] + rem[pos + 1:], pend, csh + d + ni, e2)
+                nxt[key] = nxt.get(key, 0) + amp * f
+        states = nxt
+    live = [(rem, pend, csh + sum(pend), e2, amp)
+            for (rem, pend, csh, e2), amp in states.items()
+            if amp and csh + sum(pend) >= 0]
+    q8out = q8 + a8
+    even, odd = {}, {}
+    if live:
+        cmax = max(t[2] for t in live)
+        emax = max(t[3] for t in live) + (cmax if a8 else 0)
+        for rem, pend, c_target, e2, amp in live:
+            amp *= math.perm(cmax, cmax - c_target)
+            for (extra, s), cx in _tuple_creation(pend, c_target).items():
+                if s and not a8:
+                    continue
+                e = e2 + s
+                plane = odd if e & 1 else even
+                key = (tuple(sorted(rem + extra, reverse=True)), q8out)
+                val = amp * cx * a8 ** s << 2 * (emax - e) + (e >> 1)
+                plane[key] = plane.get(key, 0) + val
+        den = math.factorial(cmax) << 2 * emax
+    else:
+        den = 1
+    even = {key: amp for key, amp in even.items() if amp}
+    odd = {key: amp for key, amp in odd.items() if amp}
+    g = math.gcd(den, *even.values(), *odd.values())
+    return (den // g, {key: amp // g for key, amp in even.items()},
+            {key: amp // g for key, amp in odd.items()})
+
+
+def assert_packed_matches_tuple_oracle(u, n, v):
+    """Every term pair of u(n)v: the packed `_pair_modes` and the tuple
+    oracle agree on legality, den and the decoded even/odd maps.
+    Returns the number of pairs compared."""
+    n = ModeIndex(n)
+    count = 0
+    for udegs, a8 in u.terms:
+        for vdegs, q8 in v.terms:
+            got = _pair_modes(udegs, a8, _pack(vdegs, q8), n)
+            want = _tuple_pair_modes(udegs, a8, vdegs, q8, n)
+            if want is None:
+                assert got is None
+                continue
+            den, even, odd = got
+            decoded = (den, {_unpack(k): a for k, a in even.items()},
+                       {_unpack(k): a for k, a in odd.items()})
+            assert decoded == want, (udegs, a8, vdegs, q8, n)
+            count += 1
+    return count
+
+
+def test_packed_pair_modes_match_tuple_oracle():
+    # the inputs of u16: every term pair of J(-9)J and E(-9)E
+    for x in (J, E):
+        assert assert_packed_matches_tuple_oracle(x, -9, x)
+    # the 98 positive-charge pairs of u9(-3)u9
+    u9 = named_vector("u9")
+    pos = State({m: c for m, c in u9.terms.items() if m[1] > 0})
+    assert assert_packed_matches_tuple_oracle(pos, -3, u9) == 98
+    # e^{+-a}(0) on every V_Zb monomial at weights 0..8 (sigma's inputs)
+    monos = State({m: c for w in range(9) for b in graded_states("V_Zb", w)
+                   for m, c in b.terms.items()})
+    for a8 in (4, -4):
+        ea = State.basis((), Fraction(a8, 8))
+        assert assert_packed_matches_tuple_oracle(ea, 0, monos)
+    # h' at n = -1, 0, 1 on V_Zb at weights <= 4
+    hp = named_vector("hprime")
+    small = State({m: c for w in range(5) for b in graded_states("V_Zb", w)
+                   for m, c in b.terms.items()})
+    for n in (-1, 0, 1):
+        assert assert_packed_matches_tuple_oracle(hp, n, small)
+
+
+def test_packed_key_width_guard():
+    top = (1,) * MAX_DEGREE
+    for degs, q8 in ((top, 0), (top, 127), ((MAX_DEGREE,), -127), ((), 0),
+                     ((5, 3, 3, 1), 8)):
+        assert _unpack(_pack(degs, q8)) == (degs, q8)
+    h = State.basis((1,))
+    v63 = State.basis(top)
+    v62 = State.basis(top[1:])
+    assert mode_apply(h, 1, v63) == v62 * sc(MAX_DEGREE)
+    assert mode_apply(h, -1, v62) == v63
+    v64 = State.basis((1,) * (MAX_DEGREE + 1))
+    with pytest.raises(KeyWidthError):
+        mode_apply(h, 1, v64)
+    with pytest.raises(KeyWidthError):
+        virasoro_mode(1, v64)
+    with pytest.raises(KeyWidthError):
+        exp_charge_mode(4, sc(1), v64)
+    # outputs that would reach degree 64 raise too, not just inputs
+    with pytest.raises(KeyWidthError):
+        mode_apply(h, -1, v63)
+    with pytest.raises(KeyWidthError):
+        virasoro_mode(-1, v63)
+    with pytest.raises(KeyWidthError):
+        mode_apply(State.basis((), 1), -2, v63)
+    # u is never packed: a degree-64 u is computed while its output
+    # fits, and refused when its output would not
+    h64 = State.basis((MAX_DEGREE + 1,))
+    assert mode_apply(h64, MAX_DEGREE + 1, h) == State.basis(()) * sc(-64)
+    with pytest.raises(KeyWidthError):
+        mode_apply(h64, -1, State.basis(()))
+    # a part 0 has no count field, in v or in u
+    with pytest.raises(KeyWidthError):
+        mode_apply(h, 1, State.basis((2, 0)))
+    with pytest.raises(KeyWidthError):
+        mode_apply(State.basis((1, 0)), 1, h)
+    # and so do charges |q8| >= 128, in the input and in the output
+    with pytest.raises(KeyWidthError):
+        mode_apply(h, 0, State.basis((), 16))
+    with pytest.raises(KeyWidthError):
+        mode_apply(State.basis((), 1), -121, State.basis((), 15))
+    assert mode_apply(State.basis((), 1), -113, State.basis((), 14)) \
+        == State.basis((), 15)
