@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .exprparse import parse_state_expr
+from .exprparse import ExprError, parse_state_expr
 from .structure import pair
 from .vertexengine import (
     KeyWidthError, ModeIndex, ModeLegalityError, mode_apply,
@@ -68,11 +68,11 @@ def _mode_index(text):
 
 
 def _cmd_mode(args):
-    u = parse_state_expr(args.u)
-    v = parse_state_expr(args.v)
     try:
+        u = parse_state_expr(args.u)
+        v = parse_state_expr(args.v)
         out = mode_apply(u, args.n, v)
-    except (ModeLegalityError, KeyWidthError) as exc:
+    except (ExprError, ModeLegalityError, KeyWidthError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(str(out))
@@ -80,8 +80,12 @@ def _cmd_mode(args):
 
 
 def _cmd_pair(args):
-    u = parse_state_expr(args.u)
-    v = parse_state_expr(args.v)
+    try:
+        u = parse_state_expr(args.u)
+        v = parse_state_expr(args.v)
+    except ExprError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     print(str(pair(u, v)))
     return 0
 

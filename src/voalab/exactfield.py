@@ -174,10 +174,9 @@ class Scalar:
         return result
 
     def mul_rat_sqrt2(self, r, e):
-        """self * r * sqrt2**e in one pass, for rational r and int e.
-
-        This is the fused scale of the per-contribution route through
-        the mode engine: it builds no intermediate field elements.
+        """self * r * sqrt2**e in one pass, for rational r and int e,
+        building no intermediate field elements.  `sqrt2_power` and the
+        tests' per-contribution oracle of the mode engine use it.
         """
         if type(r) is int:
             rn, rd = r, 1

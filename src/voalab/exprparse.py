@@ -69,8 +69,10 @@ def _parse_ket(body):
         return State.basis(())
     if not body.endswith("b"):
         raise ExprError("ket must be |0> or |q b>, got |%s>" % body)
-    q = Fraction(body[:-1].strip())
-    return State.basis((), q)
+    try:
+        return State.basis((), Fraction(body[:-1].strip()))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ExprError("bad ket |%s>: %s" % (body, exc))
 
 
 class _Parser:
@@ -151,12 +153,11 @@ class _Parser:
                 and self.toks[self.pos + 1][0] == "(":
             self.next()
             self.expect("(")
-            t = self.next()
-            if t[0] == "-":
-                t = self.expect("int")
-                degs.append(t[1])
-            else:
-                raise ExprError("h modes in expressions must be creation modes h(-k)")
+            k = self.expect("int")[1] if self.next()[0] == "-" else 0
+            if k < 1:
+                raise ExprError("h modes in expressions must be creation modes"
+                                " h(-k), k >= 1")
+            degs.append(k)
             self.expect(")")
         t = self.next()
         if t[0] != "ket":
@@ -190,6 +191,8 @@ def _mul(a, b):
 def _div(a, b):
     if not isinstance(b, Scalar):
         raise ExprError("can only divide by a scalar")
+    if not b:
+        raise ExprError("division by zero")
     return _mul(a, b.inv())
 
 

@@ -12,6 +12,7 @@ The weight of h(-n_1)...h(-n_s) e^{q b} is sum(n_i) + 4 q^2.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exactfield import (
@@ -256,13 +257,12 @@ def theta_even_states(name, w):
 # --------------------------------------------------------------------------
 # Catalog of frequently used vectors.
 
-_CATALOG = {}
-
 
 def _half(x):
     return Fraction(x, 2)
 
 
+@functools.cache
 def _build_basic():
     one = VACUUM
     h = State.basis((1,))
@@ -348,16 +348,14 @@ def _build_derived(name):
     raise KeyError(name)
 
 
+@functools.cache
 def named_vector(name):
-    """Look up a cataloged state by name."""
-    if not _CATALOG:
-        _CATALOG.update(_build_basic())
-    if name in _CATALOG:
-        return _CATALOG[name]
+    """Look up a cataloged state by name; each is built once."""
+    basic = _build_basic()
+    if name in basic:
+        return basic[name]
     if name in ("u0", "u1", "u2", "u3", "v2", "v3", "v4", "v5", "W", "u16"):
-        v = _build_derived(name)
-        _CATALOG[name] = v
-        return v
+        return _build_derived(name)
     raise KeyError("no cataloged vector named %r" % name)
 
 

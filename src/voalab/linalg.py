@@ -16,7 +16,6 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .exactfield import ONE, ZERO
-from .fockspace import State
 
 
 class SingularMatrixError(ArithmeticError):
@@ -100,66 +99,27 @@ def express_in_span(vectors, target):
     return out
 
 
-def rref_kernel(matrix, ncols):
-    """Kernel basis of a matrix with Scalar entries.
-
-    matrix: list of rows, each a list of ncols Scalars.  Returns a list
-    of kernel vectors (lists of Scalars).
-    """
-    rows = [list(r) for r in matrix]
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        src = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - b * f for a, b in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    kernel = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for c, pr in pivots.items():
-            vec[c] = -rows[pr][fc]
-        kernel.append(vec)
-    return kernel
-
-
 def fixed_vectors(basis, ops):
-    """Basis of the joint fixed space of the maps in ops within span(basis)."""
-    monomials = {}
-    columns = []
-    for v in basis:
-        deltas = [op(v) - v for op in ops]
-        columns.append(deltas)
-        for d in deltas:
-            for m in d.terms:
-                monomials.setdefault(m, len(monomials))
-    nrows = len(monomials) * len(ops)
-    matrix = [[ZERO] * len(basis) for _ in range(nrows)]
-    for j, deltas in enumerate(columns):
-        for k, d in enumerate(deltas):
-            for m, c in d.terms.items():
-                matrix[k * len(monomials) + monomials[m]][j] = c
-    kernel = rref_kernel(matrix, len(basis))
-    out = []
-    for vec in kernel:
-        acc = State()
-        for c, v in zip(vec, basis):
-            if c:
-                acc = acc + v * c
-        out.append(acc)
-    return out
+    """Basis of the joint fixed space of the linear maps in ops within
+    span(basis), for linearly independent basis vectors.
+
+    One op at a time: insert op(b_i) - b_i for every current vector
+    b_i; each dependency op(b_i) - b_i = sum_j c_j (op(b_j) - b_j) gives
+    the fixed vector b_i - sum_j c_j b_j, and those vectors are the
+    basis the next op runs on.
+    """
+    vecs = list(basis)
+    for op in ops:
+        ech = Echelon()
+        fixed = []
+        for b in vecs:
+            dep = ech.insert(op(b) - b)
+            if dep is not None:
+                for j, c in dep.items():
+                    b = b - vecs[j] * c
+                fixed.append(b)
+        vecs = fixed
+    return vecs
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ certifies that every anchor in scope is exercised by at least one check.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -59,56 +60,48 @@ _SEED = 97531
 
 
 # --------------------------------------------------------------------------
-# Shared lazily-built artifacts, built once per process.
-
-_ARTIFACTS = {}
-
-
-def _artifact(name, build):
-    """The artifact stored under name, built on the first request; a
-    build that raises stores nothing."""
-    if name not in _ARTIFACTS:
-        _ARTIFACTS[name] = build()
-    return _ARTIFACTS[name]
-
+# Shared lazily-built artifacts, built once per process (a build that
+# raises stores nothing).
 
 _W_MODE = {16: 1, 20: -3, 22: -5}
 
 
+@functools.cache
 def _w_state(n):
     """The weight-n product of the weight 9 generator with itself."""
-    def build():
-        u9 = named_vector("u9")
-        return mode_apply_theta_even(u9, _W_MODE[n], u9)
-    return _artifact("w%d" % n, build)
+    u9 = named_vector("u9")
+    return mode_apply_theta_even(u9, _W_MODE[n], u9)
 
 
+@functools.cache
 def _dec(n):
     """Exact decomposition of the weight-n product over Virasoro words on
     the vacuum plus Virasoro words on the weight 16 generator."""
-    def build():
-        one = named_vector("one")
-        u16 = named_vector("u16")
-        vw = vacuum_words(n)
-        uw = vacuum_words(n - 16, min_part=1)
-        states = word_states(vw, one) + word_states(uw, u16)
-        blocks = [list(range(len(vw))),
-                  list(range(len(vw), len(vw) + len(uw)))]
-        dec = decompose_over(_w_state(n), states, blocks=blocks)
-        if not dec.exact:
-            raise ArithmeticError("weight %d decomposition left a residual" % n)
-        return {"vac_words": vw, "gen_words": uw, "dec": dec}
-    return _artifact("dec%d" % n, build)
+    one = named_vector("one")
+    u16 = named_vector("u16")
+    vw = vacuum_words(n)
+    uw = vacuum_words(n - 16, min_part=1)
+    states = word_states(vw, one) + word_states(uw, u16)
+    blocks = [list(range(len(vw))),
+              list(range(len(vw), len(vw) + len(uw)))]
+    dec = decompose_over(_w_state(n), states, blocks=blocks)
+    if not dec.exact:
+        raise ArithmeticError("weight %d decomposition left a residual" % n)
+    return {"vac_words": vw, "gen_words": uw, "dec": dec}
 
 
+@functools.cache
 def _c_of_w(n):
-    return _artifact("c%d" % n,
-                     lambda: as_rational(c_functional(_w_state(n))))
+    return as_rational(c_functional(_w_state(n)))
 
 
+@functools.cache
 def _cx16():
-    return _artifact("cx16",
-                     lambda: as_rational(c_functional(named_vector("u16"))))
+    return as_rational(c_functional(named_vector("u16")))
+
+
+_twisted_sector = functools.cache(twisted_sector)
+_quarter = functools.cache(decompose_quarter_module)
 
 
 def _vac_coeff(info, parts):
@@ -126,13 +119,7 @@ def _gen_block(info):
 
 def _twisted(i, j, cfg):
     lowest = Fraction(1, 36) if i == 1 else Fraction(1, 9)
-    bound = lowest + Fraction(cfg["twisted"])
-    key = "twisted-%d-%d-%s" % (i, j, bound)
-    return _artifact(key, lambda: twisted_sector(i, j, bound=bound))
-
-
-def _quarter():
-    return _artifact("quarter", decompose_quarter_module)
+    return _twisted_sector(i, j, bound=lowest + Fraction(cfg["twisted"]))
 
 
 # --------------------------------------------------------------------------

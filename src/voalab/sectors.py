@@ -390,7 +390,8 @@ def eigenspace_char(j, n_max):
 
 def verify_fixed_algebra_decomposition(n_max=25):
     """Resolve the fixed-subalgebra character into irreducible c=1
-    characters of square lowest weight and return the multiplicities.
+    characters of square lowest weight and return the multiplicities:
+    the eigenspace-0 column of `multiplet_spectrum_table`.
 
     Also certifies that the three eigenspace characters add up to the
     character of the whole theta-fixed lattice algebra.
@@ -401,21 +402,7 @@ def verify_fixed_algebra_decomposition(n_max=25):
         esum = esum + eigenspace_char(j, n_max)
     if esum != total:
         raise ArithmeticError("eigenspace characters do not add up to the full character")
-    fixed = eigenspace_char(0, n_max)
-    mults = {}
-    rem = fixed
-    n = 0
-    while n * n <= n_max:
-        a = rem.coefficient(n * n)
-        if a < 0:
-            raise ArithmeticError("negative multiplicity at n=%d" % n)
-        mults[n] = a
-        if a:
-            rem = rem - char_L1(n, n_max) * a
-        n += 1
-    if not rem.is_zero():
-        raise ArithmeticError("fixed character has a non-square remainder")
-    return mults
+    return {n: row[0] for n, row in multiplet_spectrum_table(n_max).items()}
 
 
 def multiplet_spectrum_table(n_max=25):

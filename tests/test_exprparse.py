@@ -46,6 +46,7 @@ def test_scalar_expressions():
 
 
 def test_errors():
-    for bad in ["h(-1", "|0", "E +", "(1/2", "unknownname", "h(0)|0>"]:
+    for bad in ["h(-1", "|0", "E +", "(1/2", "unknownname", "h(0)|0>",
+                "h(-0)|0>", "|1/3b>", "|xb>", "|1/0b>", "1/0"]:
         with pytest.raises(ExprError):
             parse_state_expr(bad)

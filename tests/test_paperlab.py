@@ -109,27 +109,18 @@ def test_fail_path_and_error_capture():
 
 
 def test_artifact_builds_once():
-    calls = []
-
-    def build():
-        calls.append(1)
-        return len(calls)
-
-    def boom():
-        raise RuntimeError("exploded")
-
-    try:
-        assert paperlab._artifact("tmp-counted", build) == 1
-        assert paperlab._artifact("tmp-counted", build) == 1
-        assert len(calls) == 1
-        with pytest.raises(RuntimeError):
-            paperlab._artifact("tmp-raises", boom)
-        assert "tmp-raises" not in paperlab._ARTIFACTS
-        assert paperlab._artifact("tmp-raises", build) == 2
-        assert len(calls) == 2
-    finally:
-        paperlab._ARTIFACTS.pop("tmp-counted", None)
-        paperlab._ARTIFACTS.pop("tmp-raises", None)
+    # thm-5.4 builds all four shifted sectors; lemma-5.3 then reads two
+    # of them, which must be cache hits
+    cache = paperlab._twisted_sector
+    assert run_checks(selection=["thm-5.4-lowest-weights"]).summary["pass"] == 1
+    before = cache.cache_info()
+    assert run_checks(selection=["lemma-5.3-graded-pieces"]).summary["pass"] == 1
+    after = cache.cache_info()
+    assert after.hits == before.hits + 2 and after.misses == before.misses
+    # a build that raises stores nothing
+    with pytest.raises(ValueError):
+        cache(3, 1)
+    assert cache.cache_info().currsize == after.currsize
 
 
 def test_config_defaults_and_copy():

@@ -119,6 +119,15 @@ def test_mode_command_reports_engine_errors(capsys):
     assert err.startswith("error: ") and "degree 64" in err
 
 
+def test_mode_and_pair_report_malformed_expressions(capsys):
+    for cmd, u, v in [("mode", "foo", "E"), ("mode", "E", "|1/3b>"),
+                      ("pair", "foo", "E"), ("pair", "E", "|1/3b>")]:
+        index = ["--n", "-1"] if cmd == "mode" else []
+        code, out, err = run_cli([cmd, "--u", u, *index, "--v", v], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_pair_command(capsys):
     code, out, _ = run_cli(["pair", "--u", "J", "--v", "J"], capsys)
     assert code == 0

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from voalab import vertexengine
 from voalab.exactfield import I, ZERO, exp_two_pi_i, sc, sixth_root, sqrt2_power
 from voalab.fockspace import (
     State, graded_states, mono_weight, named_vector, partitions,
@@ -182,12 +183,9 @@ def test_rational_power_series():
     assert s.coefficient(Fraction(1, 3)) == State()
     t = RationalPowerSeries([(Fraction(1, 2), E), (Fraction(0), ONE_V)])
     assert s == t
-    b = RationalPowerSeries([(Fraction(0), ONE_V)], bound=Fraction(2))
-    assert s != b
+    assert s != RationalPowerSeries([(Fraction(0), ONE_V)])
     with pytest.raises(ValueError):
         RationalPowerSeries([(Fraction(0), ONE_V), (Fraction(0), E)])
-    with pytest.raises(ValueError):
-        b.coefficient(Fraction(5, 2))
 
 
 def test_delta_apply_series():
@@ -263,6 +261,16 @@ def test_integer_accumulation_matches_per_contribution_route():
     assert touched - set(got.terms)
     got, touched = assert_same_as_per_contribution(u9, 16, u9)
     assert touched and not got
+
+
+def test_delta_cache_is_bounded():
+    h = named_vector("h")
+    cap = vertexengine._delta.cache_info().maxsize
+    assert cap
+    for k in range(1, cap + 10):
+        v = ONE_V * sc(k)
+        assert delta_apply(h, v) == RationalPowerSeries([(0, v)])
+    assert vertexengine._delta.cache_info().currsize <= cap
 
 
 def test_twisted_mode_matches_per_contribution_route():
