@@ -90,7 +90,26 @@ def _cmd_pair(args):
     return 0
 
 
+def _max_weight(text):
+    """A weight truncation from the command line: an integer >= 0."""
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("not a nonnegative integer: %r" % text)
+
+
 _CHAR_NAMES = ("M(1)", "M(1)+", "M(1)-", "V_Zb+", "V_Zb-")
+
+
+def _name_index(name):
+    """The integer N of an object name PREFIX-N, or None."""
+    try:
+        return int(name.split("-", 1)[1])
+    except ValueError:
+        return None
 
 
 def _cmd_char(args):
@@ -99,13 +118,18 @@ def _cmd_char(args):
     if name in _CHAR_NAMES:
         series = char_series(name, n_max)
     elif name.startswith("eigenspace-"):
-        j = int(name.split("-", 1)[1])
+        j = _name_index(name)
         if j not in (0, 1, 2):
             print("error: eigenspace index must be 0, 1, or 2", file=sys.stderr)
             return 2
         series = eigenspace_char(j, n_max)
     elif name.startswith("L1-"):
-        series = char_L1(int(name.split("-", 1)[1]), n_max)
+        n = _name_index(name)
+        if n is None or n < 0:
+            print("error: L1 index must be a nonnegative integer",
+                  file=sys.stderr)
+            return 2
+        series = char_L1(n, n_max)
     else:
         try:
             series = None
@@ -165,7 +189,7 @@ def build_parser():
                    help="run every check (the default)")
     p.add_argument("--check", nargs="+", metavar="ID",
                    help="run only these check ids or tags")
-    p.add_argument("--max-weight", type=int, default=None, metavar="N",
+    p.add_argument("--max-weight", type=_max_weight, default=None, metavar="N",
                    help="character truncation override")
     p.add_argument("--report", metavar="PATH",
                    help="also write the report to this file")
@@ -192,7 +216,7 @@ def build_parser():
     p.add_argument("--object", required=True,
                    help="M(1), M(1)+, M(1)-, V_Zb+, V_Zb-, V_L2, "
                         "eigenspace-J, or L1-N")
-    p.add_argument("--max-weight", type=int, default=24, metavar="N")
+    p.add_argument("--max-weight", type=_max_weight, default=24, metavar="N")
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("table", help="print a catalog table")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactfield import HALF, I, ONE, SQRT3, ZERO, sc, sqrt2_power
+from .exactfield import HALF, I, ONE, SQRT3, ZERO, Scalar, sc, sqrt2_power
 from .fockspace import (
     State, graded_monomials, graded_states, named_vector, theta,
     theta_even_states,
@@ -20,7 +20,7 @@ from .exprparse import parse_scalar_expr
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
 from .vertexengine import (
-    exp_charge_mode, mode_apply, twisted_mode_apply, virasoro_mode,
+    charge_chain, mode_apply, twisted_mode_apply, virasoro_mode,
     zero_mode_decompose,
 )
 
@@ -279,17 +279,30 @@ def primary_multiplicity(n):
 # exp(i f) t^H exp(e).  Each weight space of V_L2 + V_L2+a/2 is a
 # finite-dimensional sl2 module, where an identity in SL2 holds as well,
 # so the product gives sigma there.  H is the integer q8/2 on a term of
-# charge (q8/8) b, so t^H scales it by t^(q8/2), and 1/t = 1-i.  Each
-# exponential is a finite sum because e and f move the charge by +-a at
-# fixed weight; `exp_charge_mode` runs it (a8 = 4 for e, -4 for f).
+# charge (q8/8) b, so t^H scales it by t^(q8/2), and 1/t = 1-i
+# (`_t_power`).  Each exponential is a finite sum because e and f move
+# the charge by +-a at fixed weight (a8 = 4 for e, -4 for f).  The three
+# factors run as one `charge_chain`: v is packed onto integer coordinate
+# planes once, exp(e), t^H and exp(i f) act on the planes, and the
+# result is unpacked once.
 #
 # The same sl2 gives the spectrum of h'(0).  g = exp(c f) exp(u e) with
 # u = -(1-i) sqrt3/6 and c = (sqrt3-1)(1+i)/2 is [[1, u], [c, 1+cu]] in
 # the 2-dimensional representation, where g^-1 M g = sqrt3 H, so
 # g^-1 h'(0) g = H/6 on every weight space.
-_T = (ONE + I) * HALF
 _U = (I - ONE) * SQRT3 * sc(Fraction(1, 6))
 _C = (SQRT3 - ONE) * (ONE + I) * HALF
+
+
+def _t_power(q8):
+    """t^H on charge (q8/8) b: t^k for k = q8/2, t = (1+i)/2, as the
+    Gaussian integer (1+i)^k over 2^k for k >= 0 and (1-i)^-k for k < 0."""
+    k = q8 // 2
+    s = 1 if k >= 0 else -1
+    a, b = 1, 0
+    for _ in range(abs(k)):
+        a, b = a - s * b, b + s * a
+    return Scalar((a, 0, 0, 0, b, 0, 0, 0), 1 << max(k, 0))
 
 
 def sigma(v):
@@ -299,18 +312,15 @@ def sigma(v):
     ValueError on any term of charge k/8 b with k odd.  It is computed as
     exp(i f) t^H exp(e), two exponentials of the zero modes e, f of
     e^{+-a} and a charge-diagonal factor, t = (1+i)/2 (the sl2 derivation
-    is above), and is checked in the tests against the Krylov route
+    is above), run as one `charge_chain` on integer coordinate planes.
+    It is checked in the tests against the Krylov route
     zero_mode_exp(named_vector("hprime"), v).
     """
     odd = sorted({Fraction(q8, 8) for (_, q8) in v.terms if q8 % 2})
     if odd:
         raise ValueError("sigma needs charges in (1/4)Z b; got charge %s"
                          % ", ".join("%sb" % q for q in odd))
-    v = exp_charge_mode(4, ONE, v)
-    t = {k: _T ** k if k >= 0 else (ONE - I) ** -k
-         for k in {q8 // 2 for (_, q8) in v.terms}}
-    v = State({m: c * t[m[1] // 2] for m, c in v.terms.items()})
-    return exp_charge_mode(-4, I, v)
+    return charge_chain([(-4, I), _t_power, (4, ONE)], v)
 
 
 def _hprime_eigenspaces(basis):
@@ -321,7 +331,7 @@ def _hprime_eigenspaces(basis):
     out = {}
     for b in basis:
         lam = Fraction(next(iter(b.terms))[1], 12)
-        gb = exp_charge_mode(-4, _C, exp_charge_mode(4, _U, b))
+        gb = charge_chain([(-4, _C), (4, _U)], b)
         if mode_apply(named_vector("hprime"), 0, gb) != gb * sc(lam):
             raise ArithmeticError("g b is not an h'(0) eigenvector for %s" % lam)
         out.setdefault(lam, []).append(gb)

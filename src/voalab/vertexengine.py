@@ -22,10 +22,14 @@ common denominator, and builds one field element per output monomial
 at the very end.  The creation-side combinatorics are memoized
 independently of the lattice charge.
 
-`exp_charge_mode(a8, x, v)` computes exp(x e^{(a8/8) b}(0)) v, the
-nilpotent exponentials of the order-3 symmetry, keeping the whole series
-on coordinate planes and building one State at the end; the series of
-`mode_apply` calls is its test oracle.
+`charge_chain(factors, v)` runs a product of charge-mode factors on
+coordinate planes from end to end: v is packed once, each factor acts
+on the planes, and one State is built at the end.  A factor is a
+nilpotent exponential exp(x e^{(a8/8) b}(0)) or a charge-diagonal scale
+(a field element per charge); the order-3 symmetry `sectors.sigma` is
+the chain exp(i f) t^H exp(e).  `exp_charge_mode(a8, x, v)` is the
+one-factor chain, and the series of `mode_apply` calls is its test
+oracle.
 
 Virasoro modes skip the general expansion: `virasoro_mode` applies the
 free-field form L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock
@@ -428,26 +432,54 @@ def mode_apply_theta_even(u, n, v):
     return q + theta(q)
 
 
+def charge_chain(factors, v):
+    """The product of charge-mode factors applied to v, the rightmost
+    factor first (as written: charge_chain([f2, f1], v) is f2 f1 v).
+
+    A factor is either a pair (a8, x), the exponential
+    exp(x e^{(a8/8) b}(0)) of `exp_charge_mode`, or a function from q8
+    to a field element, the charge-diagonal scale that multiplies each
+    term of charge (q8/8) b by that element.  v is packed onto integer
+    coordinate planes once, every factor runs on the planes (and leaves
+    no zero entry there), and one State is built at the end.  Raises
+    ModeLegalityError as `exp_charge_mode` does.
+    """
+    den, planes = _to_planes(v)
+    for factor in reversed(factors):
+        if callable(factor):
+            den, planes = _scale_planes(factor, den, planes)
+        else:
+            den, planes = _exp_planes(*factor, den, planes)
+    return _from_planes(planes, den)
+
+
 def exp_charge_mode(a8, x, v):
     """exp(x e(0)) v for the zero mode e(0) of e^{(a8/8) b} and a field
     element x, where e(0) is nilpotent on v (as the zero modes of
     e^{+-a}, a8 = +-4, are: they move the charge at fixed weight).
 
-    The series sum_k x^k / k! e(0)^k v runs on coordinate planes keyed
-    by packed monomial from start to end: each step reads the memoized
-    `_pure_exp(a8, key, 0)` of every monomial, applies x and 1/k
-    on the planes, and one State is built at the end.  Raises
-    ModeLegalityError on a term whose charge admits no zero mode of
-    e^{(a8/8) b}.
+    The one-factor `charge_chain`.  Raises ModeLegalityError on a term
+    whose charge admits no zero mode of e^{(a8/8) b}.
+    """
+    return charge_chain([(a8, x)], v)
+
+
+def _exp_planes(a8, x, den, planes):
+    """exp(x e^{(a8/8) b}(0)) on the state held by planes over den, as
+    (den, planes).
+
+    The series sum_k x^k / k! e(0)^k v runs on the planes: each step
+    reads the memoized `_pure_exp(a8, key, 0)` of every monomial and
+    applies x and 1/k, carrying only the nonempty planes.
     """
     xs = [(j, xj) for j, xj in enumerate(x.num) if xj]
-    den, planes = _to_planes(v)
-    terms = [(den, planes)]
+    live = [(p, plane) for p, plane in enumerate(planes) if plane]
+    terms = [(den, live)]
     k = 0
-    while any(planes):
+    while live:
         k += 1
         amps = {}
-        for plane in planes:
+        for _, plane in live:
             for key in plane:
                 if key not in amps:
                     amp = _pure_exp(a8, key, 0)
@@ -458,28 +490,75 @@ def exp_charge_mode(a8, x, v):
                     amps[key] = amp
         dd = math.lcm(*(amp[0] for amp in amps.values()))
         nxt = [{} for _ in range(8)]
-        for p, plane in enumerate(planes):
+        for p, plane in live:
+            # per coordinate x_j of x: the planes that e_p x_j and
+            # sqrt2 e_p x_j land on, and the integer factors there
             row = BASIS_MUL[p]
+            outs = []
+            for j, xj in xs:
+                m, f = row[j]
+                mo, fo = BASIS_MUL[1][m]
+                outs.append((nxt[m], f * xj, nxt[mo], f * fo * xj))
             for key, c in plane.items():
                 d, even, odd = amps[key]
                 c *= dd // d
-                for j, xj in xs:
-                    m, f = row[j]
-                    _add_amps(nxt, m, c * f * xj, even, odd)
-        planes = [{key: c for key, c in plane.items() if c} for plane in nxt]
+                for pe, fe, po, fo in outs:
+                    fe *= c
+                    get = pe.get
+                    for out, a in even.items():
+                        pe[out] = get(out, 0) + fe * a
+                    if odd:
+                        fo *= c
+                        get = po.get
+                        for out, a in odd.items():
+                            po[out] = get(out, 0) + fo * a
         den *= dd * x.den * k
-        g = math.gcd(den, *(c for plane in planes for c in plane.values()))
+        live = []
+        for p, plane in enumerate(nxt):
+            plane = {key: c for key, c in plane.items() if c}
+            if plane:
+                live.append((p, plane))
+        g = math.gcd(den, *(c for _, plane in live for c in plane.values()))
         if g > 1:
             den //= g
-            planes = [{key: c // g for key, c in plane.items()}
-                      for plane in planes]
-        terms.append((den, planes))
+            live = [(p, {key: c // g for key, c in plane.items()})
+                    for p, plane in live]
+        terms.append((den, live))
     den = math.lcm(*(d for d, _ in terms))
     acc = [{} for _ in range(8)]
-    for d, planes in terms:
-        for k, plane in enumerate(planes):
-            _add_amps(acc, k, den // d, plane, None)
-    return _from_planes(acc, den)
+    for d, live in terms:
+        f = den // d
+        for p, plane in live:
+            into = acc[p]
+            get = into.get
+            for key, c in plane.items():
+                into[key] = get(key, 0) + c * f
+    return den, [{key: c for key, c in plane.items() if c} for plane in acc]
+
+
+def _scale_planes(scale, den, planes):
+    """The charge-diagonal scale on the state held by planes over den:
+    each term of charge (q8/8) b times the field element scale(q8), as
+    (den, planes)."""
+    facs = {}
+    for plane in planes:
+        for key in plane:
+            q = key & 255
+            if q not in facs:
+                facs[q] = scale(q - _QBIAS)
+    dd = math.lcm(*(s.den for s in facs.values()))
+    facs = {q: [(j, xj * (dd // s.den)) for j, xj in enumerate(s.num) if xj]
+            for q, s in facs.items()}
+    nxt = [{} for _ in range(8)]
+    for p, plane in enumerate(planes):
+        row = BASIS_MUL[p]
+        for key, c in plane.items():
+            for j, xj in facs[key & 255]:
+                m, f = row[j]
+                into = nxt[m]
+                into[key] = into.get(key, 0) + c * f * xj
+    return den * dd, [{key: c for key, c in plane.items() if c}
+                      for plane in nxt]
 
 
 # --------------------------------------------------------------------------

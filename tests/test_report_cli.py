@@ -143,6 +143,38 @@ def test_char_command(capsys):
     assert dims == [1, 0, 1, 1, 4, 4, 8, 10, 17]
 
 
+def test_char_reports_bad_object_indices(capsys):
+    for name, what in (("L1-x", "L1 index"), ("L1--2", "L1 index"),
+                       ("eigenspace-x", "eigenspace index"),
+                       ("eigenspace-3", "eigenspace index")):
+        code, out, err = run_cli(["char", "--object", name], capsys)
+        assert code == 2, name
+        assert out == ""
+        assert err.startswith("error: " + what), (name, err)
+    code, out, _ = run_cli(["char", "--object", "L1-2", "--max-weight", "6"],
+                           capsys)
+    assert code == 0
+    assert [int(ln.split()[-1]) for ln in out.splitlines()] == \
+        [0, 0, 0, 0, 1, 1, 2]
+
+
+def test_negative_max_weight_is_refused(capsys):
+    # a negative truncation leaves the character checks nothing to compare
+    for argv in (["verify", "--check", "lemma-3.1-character"],
+                 ["verify"], ["char", "--object", "V_Zb+"]):
+        for bad in ("-3", "-1", "x"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--max-weight", bad])
+            assert exc.value.code == 2, (argv, bad)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "not a nonnegative integer" in err
+    code, out, _ = run_cli(["verify", "--check", "lemma-3.1-character",
+                            "--max-weight", "0"], capsys)
+    assert code == 0
+    assert "pass: 1" in out
+
+
 def test_table_command(capsys):
     code, out, _ = run_cli(["table", "--name", "irreducibles"], capsys)
     assert code == 0

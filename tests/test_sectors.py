@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from voalab import sectors
-from voalab.exactfield import I, ONE, ZERO, sc, sixth_root
+from voalab.exactfield import I, ONE, SQRT2, ZERO, sc, sixth_root
 from voalab.fockspace import State, graded_states, named_vector, partitions
 from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.sectors import (
@@ -19,8 +19,8 @@ from voalab.sectors import (
     top_level_eigenvalue, twisted_sector,
 )
 from voalab.vertexengine import (
-    ModeLegalityError, exp_charge_mode, mode_apply, zero_mode_decompose,
-    zero_mode_exp,
+    ModeLegalityError, charge_chain, exp_charge_mode, mode_apply,
+    zero_mode_decompose, zero_mode_exp,
 )
 
 
@@ -167,6 +167,49 @@ def test_exp_charge_mode_matches_mode_apply_series():
                     (a8, x, v)
     with pytest.raises(ModeLegalityError):
         exp_charge_mode(4, ONE, State.basis((), Fraction(1, 8)))
+
+
+def _t_power_by_scalars(k):
+    """t^k for t = (1+i)/2 through Scalar powers, and 1/t = 1-i."""
+    return ((ONE + I) * sc(Fraction(1, 2))) ** k if k >= 0 else (ONE - I) ** -k
+
+
+def _sigma_by_states(v):
+    """sigma as exp(e), then t^H on States, then exp(i f): three separate
+    steps, each unpacked back to a State."""
+    v = exp_charge_mode(4, ONE, v)
+    v = State({m: c * _t_power_by_scalars(m[1] // 2)
+               for m, c in v.terms.items()})
+    return exp_charge_mode(-4, I, v)
+
+
+def test_sigma_chain_matches_state_route():
+    states = [b for w in range(7) for b in graded_states("V_L2", w)]
+    for w in (Fraction(1, 4), Fraction(5, 4), Fraction(9, 4)):
+        states += graded_states("V_L2+a/2", w)
+    # sqrt2 and i coefficients, and negative charges
+    rich = sigma(State.basis((3,), Fraction(1, 2)))
+    assert {1, 4, 5} <= {k for c in rich.terms.values()
+                         for k, x in enumerate(c.num) if x}
+    assert min(q8 for _, q8 in rich.terms) < 0
+    states.append(rich)
+    for v in states:
+        assert sigma(v) == _sigma_by_states(v), v
+
+
+def test_t_power_scale_matches_scalar_powers():
+    c = ONE + SQRT2 * I - sc(Fraction(3, 5))
+    mixed = State()
+    for k in range(-4, 5):
+        assert sectors._t_power(2 * k) == _t_power_by_scalars(k), k
+        v = State.basis((2, 1), Fraction(k, 4), c) \
+            + State.basis((), Fraction(k, 4), I)
+        assert charge_chain([sectors._t_power], v) == \
+            v * _t_power_by_scalars(k), k
+        mixed = mixed + v * sc(k + 7)
+    expected = State({m: x * _t_power_by_scalars(m[1] // 2)
+                      for m, x in mixed.terms.items()})
+    assert charge_chain([sectors._t_power], mixed) == expected
 
 
 def test_sigma_gauss_factorization():
