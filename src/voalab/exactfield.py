@@ -355,10 +355,6 @@ def sqrt2_power(e):
 
 # Module-level aliases matching the functional interface.
 
-def invert(a):
-    return _coerce(a).inv()
-
-
 def is_rational(a):
     return _coerce(a).is_rational()
 

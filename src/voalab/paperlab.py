@@ -318,7 +318,7 @@ def _run_one(spec, cfg):
         status = "fail"
         cs = _clip("error: %s: %s" % (type(exc).__name__, exc), 360)
         es = ""
-    ms = int(round((time.perf_counter() - t0) * 1000.0))
+    ms = int(round((time.perf_counter() - t0) * 1000))
     return CheckResult(spec.id, status, cs, es, ms)
 
 
@@ -342,6 +342,18 @@ def _select(selection):
     return list(chosen.values())
 
 
+def _check_config(cfg):
+    """ValueError, naming the key, unless the truncations `characters`
+    and `eigenspaces` are nonnegative ints and the range `twisted` is a
+    nonnegative int or Fraction."""
+    for key, kinds in (("characters", (int,)), ("eigenspaces", (int,)),
+                       ("twisted", (int, Fraction))):
+        value = cfg[key]
+        if type(value) not in kinds or value < 0:
+            raise ValueError("config %r must be a nonnegative %s, got %r" % (
+                key, " or ".join(k.__name__ for k in kinds), value))
+
+
 def run_checks(selection=None, config=None):
     """Run the selected checks (ids or tags; None means everything) one at
     a time and return a Report sorted by id.  Heavy checks run first, so a
@@ -350,6 +362,7 @@ def run_checks(selection=None, config=None):
     cfg = dict(DEFAULT_CONFIG)
     if config:
         cfg.update(config)
+    _check_config(cfg)
     specs = _select(selection)
     ordered = sorted(specs, key=lambda s: (s.cost != "heavy", s.id))
     checks = sorted((_run_one(spec, cfg) for spec in ordered),

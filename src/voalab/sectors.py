@@ -156,7 +156,9 @@ def char_series(name, n_max):
 
 def char_L1(n, n_max):
     """The graded dimensions of the irreducible c=1 module with lowest
-    weight n^2 (n a nonnegative integer)."""
+    weight n^2 (n a nonnegative integer); ValueError for n < 0."""
+    if n < 0:
+        raise ValueError("char_L1 needs n >= 0, got %s" % n)
     lo = n * n
     hi = (n + 1) * (n + 1)
     return QSeries([partition_count(t - lo) - partition_count(t - hi)

@@ -9,33 +9,32 @@ lattice exponential, with all lattice two-cocycle values taken to be 1
 For efficiency the expansion of one monomial pair runs on integers.
 Inside the engine a monomial is a packed key, one int holding the
 charge and a 6-bit count per part (`_pack`), so merging monomials is an
-integer addition; keys are packed once per input term and unpacked once
-per output monomial, and a packed monomial of degree above 63 or with
+integer addition; a packed monomial of degree above 63 or with
 |q8| >= 128 raises KeyWidthError.  `_pair_modes` returns one pair's
 expansion as (den, even, odd): two integer maps keyed by the packed
 output monomial over one positive denominator, the amplitude being
 (even + sqrt2 odd) / den (the even part of each power of sqrt2 is
-folded into the integer).  `mode_apply` sums those integers, times the
-integer coordinates of the pair coefficients, on 8 coordinate planes
-{packed monomial: int} (one per basis element of the field) over one
-common denominator, and builds one field element per output monomial
-at the very end.  The creation-side combinatorics are memoized
+folded into the integer).  The creation-side combinatorics are memoized
 independently of the lattice charge.
 
-`charge_chain(factors, v)` runs a product of charge-mode factors on
-coordinate planes from end to end: v is packed once, each factor acts
-on the planes, and one State is built at the end.  A factor is a
-nilpotent exponential exp(x e^{(a8/8) b}(0)) or a charge-diagonal scale
-(a field element per charge); the order-3 symmetry `sectors.sigma` is
-the chain exp(i f) t^H exp(e).  `exp_charge_mode(a8, x, v)` is the
-one-factor chain, and the series of `mode_apply` calls is its test
-oracle.
+A state inside the engine is a set of integer coordinate planes
+{packed monomial: int}, one per basis element of the field, over one
+common denominator.  One kernel, `_apply_planes`, applies a sum of
+operators x A to the planes, A given by its amplitudes in the format of
+`_pair_modes` and x a field element; it is the only loop that routes
+amplitudes onto the planes.  `mode_apply` (one operator per term of u),
+`twisted_mode_apply` (one call over all the shift terms), the Virasoro
+words of `apply_word` (one call per letter; `virasoro_mode` is the
+one-letter word) and the exponentials of `charge_chain` all run on it:
+a state is packed once, stays on the planes from step to step, and is
+unpacked once per output monomial at the end.
 
-Virasoro modes skip the general expansion: `virasoro_mode` applies the
-free-field form L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock
-monomial, with h(0) acting on e^{(q8/8) b} by p = sqrt2 q8 / 4, and
-sums through the same integer accumulation.  The general route
-`mode_apply(omega, n + 1, v)` is its test oracle.
+`charge_chain(factors, v)` runs a product of nilpotent exponentials
+exp(x e^{(a8/8) b}(0)) and charge-diagonal scales on the planes; the
+order-3 symmetry `sectors.sigma` is the chain exp(i f) t^H exp(e).
+Virasoro modes skip the general expansion: `_virasoro_amps` applies
+L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock monomial.  The
+general route `mode_apply` is the test oracle of both.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exactfield import BASIS_MUL, _norm, exp_two_pi_i, rat, sc
+from .exactfield import BASIS_MUL, ONE, _norm, exp_two_pi_i, rat, sc
 from .fockspace import State, mono_weight, named_vector, theta
 from .linalg import Echelon
 
@@ -296,83 +295,42 @@ def _pair_modes(udegs, a8, vkey, n):
 
 
 # A pure exponential operator (no derivative fields) meets the same
-# monomials again and again: in one catalog run sigma's series in
-# `exp_charge_mode` took 19,716 hits against 1,134 misses, and the pure
-# exponential pairs of `mode_apply` 3,937 against 785.  The callers
-# dispatch here on udegs == (), so the general pair path pays no extra
-# call.
+# monomials again and again: in one catalog run sigma's series took
+# 19,716 hits against 1,134 misses, and the pure exponential pairs of
+# `mode_apply` 3,937 against 785.
 @functools.cache
-def _pure_exp(a8, vkey, n):
+def _pure_exp(a8, n, vkey):
     """`_pair_modes((), a8, vkey, n)`, memoized."""
     return _pair_modes((), a8, vkey, n)
 
 
-def _mode_apply_counting(u, n, v):
-    n = ModeIndex(n)
-    legal = 0
-    total = 0
-    pairs = []
-    vterms = [(_pack(vdegs, q8), cv) for (vdegs, q8), cv in v.terms.items()]
-    for (udegs, a8), cu in u.terms.items():
-        # u's monomial is never packed: only a part 0 or its charge can
-        # fall outside the key, and its degree reaches the key only
-        # through the output degree that `_pair_modes` checks
-        _check_parts(udegs)
-        _check_width(0, a8)
-        for vkey, cv in vterms:
-            total += 1
-            contrib = (_pair_modes(udegs, a8, vkey, n) if udegs
-                       else _pure_exp(a8, vkey, n))
-            if contrib is None:
-                continue
-            legal += 1
-            den, even, odd = contrib
-            if even or odd:
-                pairs.append((cu * cv, den, even, odd))
-    return _sum_pairs(pairs), legal, total
-
-
 # --------------------------------------------------------------------------
-# Coordinate planes: a state as 8 maps {monomial: int}, one per basis
-# element of the field, over one common denominator.
-
-
-def _add_amps(planes, k, c, even, odd):
-    """Add c e_k (even + sqrt2 odd) to the planes, for an integer c, the
-    basis element e_k and integer maps {monomial: int} as from
-    `_pair_modes` (odd may be empty)."""
-    if even:
-        plane = planes[k]
-        get = plane.get
-        for key, a in even.items():
-            plane[key] = get(key, 0) + c * a
-    if odd:
-        m, f = BASIS_MUL[1][k]
-        plane = planes[m]
-        get = plane.get
-        c *= f
-        for key, a in odd.items():
-            plane[key] = get(key, 0) + c * a
+# Coordinate planes: a state as maps {monomial: int}, one per basis
+# element of the field, over one common denominator, held in a dict
+# {basis index: plane} of the nonempty planes only.  Between the steps
+# of a chain the planes have no zero entry (`_trim`), so a zero state
+# has no planes.
 
 
 def _to_planes(v):
     """(den, planes) holding v: its coordinates over their common
     denominator, keyed by packed monomial."""
-    den = math.lcm(*(c.den for c in v.terms.values()))
-    planes = [{} for _ in range(8)]
-    for (degs, q8), c in v.terms.items():
+    terms = v.terms
+    den = math.lcm(*[c.den for c in terms.values()])
+    planes = {}
+    for (degs, q8), c in terms.items():
         key = _pack(degs, q8)
         f = den // c.den
         for k, x in enumerate(c.num):
             if x:
-                planes[k][key] = x * f
+                planes.setdefault(k, {})[key] = x * f
     return den, planes
 
 
 def _from_planes(planes, den):
     """The State held by planes over den: one field element per packed
     monomial, unpacked here and only here."""
-    used = [(k, plane) for k, plane in enumerate(planes) if plane]
+    used = sorted(planes.items())
     out = {}
     for key in dict.fromkeys(key for _, plane in used for key in plane):
         num = [0] * 8
@@ -383,28 +341,106 @@ def _from_planes(planes, den):
     return State(out)
 
 
-def _sum_pairs(pairs):
-    """The State sum of coeff * (even + sqrt2 odd) / den over
-    pairs = [(coeff, den, even, odd)], the maps as from `_pair_modes`.
+def _trim(den, planes):
+    """(den, planes) without zero entries, empty planes or a factor
+    common to den and every entry: the form a chain of `_apply_planes`
+    steps carries, so that a zero state has no planes."""
+    out = {}
+    g = den
+    for p, plane in planes.items():
+        plane = {key: c for key, c in plane.items() if c}
+        if plane:
+            out[p] = plane
+            g = math.gcd(g, *plane.values())
+    if g > 1:
+        den //= g
+        out = {p: {key: c // g for key, c in plane.items()}
+               for p, plane in out.items()}
+    return den, out
 
-    Every contribution is an integer coordinate of a pair coefficient
-    times an integer amplitude, possibly times sqrt2, over one common
-    denominator: sum them on the 8 coordinate planes, one dict update
-    per amplitude and nonzero coordinate, and build one field element
-    per output monomial at the end.
+
+def _apply_planes(ops, den, planes):
+    """The sum of operators x A applied to the state held by planes over
+    den, as (den, planes, legal, total); the planes may hold zeros.
+
+    ops is a list of (amps, x): amps(key) is A on the packed monomial
+    key in the format of `_pair_modes`, or None where A is undefined,
+    and x is a field element; legal and total count the (op, monomial)
+    pairs where A is defined and all of them.  A term c e_p goes to
+    sum_j x_j c e_p e_j (even + sqrt2 odd) / (d x.den), where e_p e_j
+    and sqrt2 e_p e_j are signed basis elements (`BASIS_MUL`): every
+    contribution is an integer product added to one plane.
     """
-    den = 1
-    for cc, d, _, _ in pairs:
-        d *= cc.den
-        if den % d:
-            den = den // math.gcd(den, d) * d
-    planes = [{} for _ in range(8)]
-    for cc, d, even, odd in pairs:
-        f = den // (d * cc.den)
-        for k, x in enumerate(cc.num):
-            if x:
-                _add_amps(planes, k, x * f, even, odd)
-    return _from_planes(planes, den)
+    keys = {}
+    for plane in planes.values():
+        keys |= plane
+    legal = total = 0
+    dd = 1
+    work = []
+    for amps, x in ops:
+        table = {}
+        xden = x.den
+        for key in keys:
+            amp = amps(key)
+            if amp is not None:
+                legal += 1
+                if amp[1] or amp[2]:
+                    table[key] = amp
+                    d = amp[0] * xden
+                    if dd % d:
+                        dd = dd // math.gcd(dd, d) * d
+        total += len(keys)
+        if table:
+            work.append((table, xden, x.num))
+    nxt = {}
+    sqrt2 = BASIS_MUL[1]
+    for table, xden, xnum in work:
+        for p, plane in planes.items():
+            # per coordinate x_j of x: the planes that e_p x_j and
+            # sqrt2 e_p x_j land on, and the integer factors there
+            row = BASIS_MUL[p]
+            outs = []
+            for j, xj in enumerate(xnum):
+                if not xj:
+                    continue
+                m, f = row[j]
+                mo, fo = sqrt2[m]
+                outs.append((nxt.setdefault(m, {}), f * xj,
+                             nxt.setdefault(mo, {}), f * fo * xj))
+            for key, c in plane.items():
+                amp = table.get(key)
+                if amp is None:
+                    continue
+                d, even, odd = amp
+                c *= dd // (d * xden)
+                for pe, fe, po, fo in outs:
+                    fe *= c
+                    get = pe.get
+                    for out, a in even.items():
+                        pe[out] = get(out, 0) + fe * a
+                    if odd:
+                        fo *= c
+                        get = po.get
+                        for out, a in odd.items():
+                            po[out] = get(out, 0) + fo * a
+    return den * dd, nxt, legal, total
+
+
+def _mode_ops(u, n):
+    """The `_apply_planes` ops of the n-th mode of u, one per term."""
+    ops = []
+    for (udegs, a8), cu in u.terms.items():
+        # u's monomial is never packed: only a part 0 or its charge can
+        # fall outside the key, and its degree reaches the key only
+        # through the output degree that `_pair_modes` checks
+        _check_parts(udegs)
+        _check_width(0, a8)
+        if udegs:
+            amps = functools.partial(_pair_modes, udegs, a8, n=n)
+        else:
+            amps = functools.partial(_pure_exp, a8, n)
+        ops.append((amps, cu))
+    return ops
 
 
 def mode_apply(u, n, v):
@@ -416,10 +452,12 @@ def mode_apply(u, n, v):
     monomial of u has a part 0 or a charge beyond it (u is not packed,
     so its degree is bounded only through the result's).
     """
-    result, legal, total = _mode_apply_counting(u, n, v)
+    n = ModeIndex(n)
+    den, planes = _to_planes(v)
+    den, planes, legal, total = _apply_planes(_mode_ops(u, n), den, planes)
     if total and not legal:
         raise ModeLegalityError("mode %s is not defined on this pair" % n)
-    return result
+    return _from_planes(planes, den)
 
 
 def mode_apply_theta_even(u, n, v):
@@ -437,12 +475,11 @@ def charge_chain(factors, v):
     factor first (as written: charge_chain([f2, f1], v) is f2 f1 v).
 
     A factor is either a pair (a8, x), the exponential
-    exp(x e^{(a8/8) b}(0)) of `exp_charge_mode`, or a function from q8
-    to a field element, the charge-diagonal scale that multiplies each
-    term of charge (q8/8) b by that element.  v is packed onto integer
-    coordinate planes once, every factor runs on the planes (and leaves
-    no zero entry there), and one State is built at the end.  Raises
-    ModeLegalityError as `exp_charge_mode` does.
+    exp(x e^{(a8/8) b}(0)) of a zero mode nilpotent on v (as those of
+    e^{+-a}, a8 = +-4, are: they move the charge at fixed weight), or a
+    function from q8 to a field element, the charge-diagonal scale that
+    multiplies each term of charge (q8/8) b by that element.  Raises
+    ModeLegalityError on a term whose charge admits no such zero mode.
     """
     den, planes = _to_planes(v)
     for factor in reversed(factors):
@@ -453,87 +490,37 @@ def charge_chain(factors, v):
     return _from_planes(planes, den)
 
 
-def exp_charge_mode(a8, x, v):
-    """exp(x e(0)) v for the zero mode e(0) of e^{(a8/8) b} and a field
-    element x, where e(0) is nilpotent on v (as the zero modes of
-    e^{+-a}, a8 = +-4, are: they move the charge at fixed weight).
-
-    The one-factor `charge_chain`.  Raises ModeLegalityError on a term
-    whose charge admits no zero mode of e^{(a8/8) b}.
-    """
-    return charge_chain([(a8, x)], v)
-
-
 def _exp_planes(a8, x, den, planes):
     """exp(x e^{(a8/8) b}(0)) on the state held by planes over den, as
     (den, planes).
 
-    The series sum_k x^k / k! e(0)^k v runs on the planes: each step
-    reads the memoized `_pure_exp(a8, key, 0)` of every monomial and
-    applies x and 1/k, carrying only the nonempty planes.
+    The series sum_k x^k / k! e(0)^k v is one `_apply_planes` call per
+    term, on the memoized `_pure_exp(a8, 0, key)` of each monomial.
     """
-    xs = [(j, xj) for j, xj in enumerate(x.num) if xj]
-    live = [(p, plane) for p, plane in enumerate(planes) if plane]
-    terms = [(den, live)]
+    ops = [(functools.partial(_pure_exp, a8, 0), x)]
+    terms = [(den, planes)]
     k = 0
-    while live:
+    while planes:
         k += 1
-        amps = {}
-        for _, plane in live:
-            for key in plane:
-                if key not in amps:
-                    amp = _pure_exp(a8, key, 0)
-                    if amp is None:
-                        raise ModeLegalityError(
-                            "zero mode of e^(%s b) is not defined on charge %s"
-                            % (Fraction(a8, 8), Fraction(_unpack(key)[1], 8)))
-                    amps[key] = amp
-        dd = math.lcm(*(amp[0] for amp in amps.values()))
-        nxt = [{} for _ in range(8)]
-        for p, plane in live:
-            # per coordinate x_j of x: the planes that e_p x_j and
-            # sqrt2 e_p x_j land on, and the integer factors there
-            row = BASIS_MUL[p]
-            outs = []
-            for j, xj in xs:
-                m, f = row[j]
-                mo, fo = BASIS_MUL[1][m]
-                outs.append((nxt[m], f * xj, nxt[mo], f * fo * xj))
-            for key, c in plane.items():
-                d, even, odd = amps[key]
-                c *= dd // d
-                for pe, fe, po, fo in outs:
-                    fe *= c
-                    get = pe.get
-                    for out, a in even.items():
-                        pe[out] = get(out, 0) + fe * a
-                    if odd:
-                        fo *= c
-                        get = po.get
-                        for out, a in odd.items():
-                            po[out] = get(out, 0) + fo * a
-        den *= dd * x.den * k
-        live = []
-        for p, plane in enumerate(nxt):
-            plane = {key: c for key, c in plane.items() if c}
-            if plane:
-                live.append((p, plane))
-        g = math.gcd(den, *(c for _, plane in live for c in plane.values()))
-        if g > 1:
-            den //= g
-            live = [(p, {key: c // g for key, c in plane.items()})
-                    for p, plane in live]
-        terms.append((den, live))
+        den, nxt, legal, total = _apply_planes(ops, den, planes)
+        if legal < total:
+            q8 = next((key & 255) - _QBIAS for plane in planes.values()
+                      for key in plane if _pure_exp(a8, 0, key) is None)
+            raise ModeLegalityError(
+                "zero mode of e^(%s b) is not defined on charge %s"
+                % (Fraction(a8, 8), Fraction(q8, 8)))
+        den, planes = _trim(den * k, nxt)
+        terms.append((den, planes))
     den = math.lcm(*(d for d, _ in terms))
-    acc = [{} for _ in range(8)]
-    for d, live in terms:
+    acc = {}
+    for d, step in terms:
         f = den // d
-        for p, plane in live:
-            into = acc[p]
+        for p, plane in step.items():
+            into = acc.setdefault(p, {})
             get = into.get
             for key, c in plane.items():
                 into[key] = get(key, 0) + c * f
-    return den, [{key: c for key, c in plane.items() if c} for plane in acc]
+    return _trim(den, acc)
 
 
 def _scale_planes(scale, den, planes):
@@ -541,7 +528,7 @@ def _scale_planes(scale, den, planes):
     each term of charge (q8/8) b times the field element scale(q8), as
     (den, planes)."""
     facs = {}
-    for plane in planes:
+    for plane in planes.values():
         for key in plane:
             q = key & 255
             if q not in facs:
@@ -550,22 +537,21 @@ def _scale_planes(scale, den, planes):
     facs = {q: [(j, xj * (dd // s.den)) for j, xj in enumerate(s.num) if xj]
             for q, s in facs.items()}
     nxt = [{} for _ in range(8)]
-    for p, plane in enumerate(planes):
+    for p, plane in planes.items():
         row = BASIS_MUL[p]
         for key, c in plane.items():
             for j, xj in facs[key & 255]:
                 m, f = row[j]
                 into = nxt[m]
                 into[key] = into.get(key, 0) + c * f * xj
-    return den * dd, [{key: c for key, c in plane.items() if c}
-                      for plane in nxt]
+    return _trim(den * dd, dict(enumerate(nxt)))
 
 
 # --------------------------------------------------------------------------
 # Virasoro modes.
 
 
-def _virasoro_amps(vkey, n):
+def _virasoro_amps(n, vkey):
     """L(n) on the packed monomial vkey = h(-d_1)...h(-d_k) e^{(q8/8) b},
     in the output format of `_pair_modes`: (den, even, odd), keyed by
     packed monomial.
@@ -615,41 +601,37 @@ def _virasoro_amps(vkey, n):
 
 
 def virasoro_mode(n, v):
-    """L(n) v for the rank-one free-boson Virasoro vector (c = 1).
+    """L(n) v for the rank-one free-boson Virasoro vector (c = 1), the
+    one-letter `apply_word`.
 
     This is the mode omega(n + 1) of omega = (1/2) h(-1)^2 |0>, applied
-    monomial by monomial through the free-field form
-    L(n) = (1/2) sum_j :h(j) h(n-j): (`_virasoro_amps`), where h(0)
-    acts on e^{(q8/8) b} by p = sqrt2 q8 / 4.  The general route
-    `mode_apply(named_vector("omega"), n + 1, v)` gives the same state
-    and serves as the test oracle.  Raises ModeLegalityError for a
-    non-integer n on a nonzero v, and KeyWidthError when a monomial of
-    v or of L(n) v is beyond the key width.
+    through the free-field form (`_virasoro_amps`); the general route
+    `mode_apply(named_vector("omega"), n + 1, v)` is its test oracle.
+    Raises ModeLegalityError for a non-integer n on a nonzero v, and
+    KeyWidthError when a monomial of v or of L(n) v is beyond the key
+    width.
     """
-    n = ModeIndex(n)
-    if not v:
-        return State()
-    if type(n) is not int:
-        raise ModeLegalityError("mode %s is not defined on this pair" % (n + 1))
-    pairs = []
-    for (vdegs, q8), cv in v.terms.items():
-        den, even, odd = _virasoro_amps(_pack(vdegs, q8), n)
-        if even or odd:
-            pairs.append((cv, den, even, odd))
-    return _sum_pairs(pairs)
+    return apply_word([n], v)
 
 
 def apply_word(word, v):
     """Apply L(m_s)...L(m_1) to v, rightmost factor first.
 
     word is the list [m_s, ..., m_1] of mode indices, so apply_word([-3, -1], v)
-    is L(-3) L(-1) v.
+    is L(-3) L(-1) v.  v stays on the coordinate planes from letter to
+    letter, and the word stops at a zero state.
     """
+    den, planes = _to_planes(v)
     for m in reversed(list(word)):
-        v = virasoro_mode(m, v)
-        if not v:
+        m = ModeIndex(m)
+        if not planes:
             break
-    return v
+        if type(m) is not int:
+            raise ModeLegalityError("mode %s is not defined on this pair"
+                                    % (m + 1))
+        ops = [(functools.partial(_virasoro_amps, m), ONE)]
+        den, planes = _trim(*_apply_planes(ops, den, planes)[:2])
+    return _from_planes(planes, den)
 
 
 # --------------------------------------------------------------------------
@@ -871,22 +853,18 @@ def twisted_mode_apply(u, n, v, hvec):
 
     The twisted operator is the plain one evaluated on the shifted
     vector Delta(hvec, z) u, so each shift term contributes its plain
-    mode at a shifted index.  Index incompatibilities are tolerated per
-    term; if nothing at all is compatible, that is an error.
+    mode at a shifted index; all of them run as one `_apply_planes`
+    call.  Index incompatibilities are tolerated per term; if nothing at
+    all is compatible, that is an error.
     """
     n = ModeIndex(n)
-    series = delta_apply(hvec, u)
-    acc = State()
-    legal = 0
-    total = 0
-    for e, w in series:
-        st, lg, tt = _mode_apply_counting(w, Fraction(n) + e, v)
-        acc = acc + st
-        legal += lg
-        total += tt
+    ops = [op for e, w in delta_apply(hvec, u)
+           for op in _mode_ops(w, ModeIndex(n + e))]
+    den, planes = _to_planes(v)
+    den, planes, legal, total = _apply_planes(ops, den, planes)
     if total and not legal:
         raise ModeLegalityError("twisted mode %s undefined on this pair" % n)
-    return acc
+    return _from_planes(planes, den)
 
 
 def twisted_weight(v, hvec):

@@ -6,6 +6,7 @@ values are pinned here as literal strings, independently of the catalog
 module, so a drift in either layer is caught.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -17,6 +18,10 @@ EXPECTED_FINDINGS = {
     "lemma-4.5-c3",
     "thm-4.7-c-print",
 }
+
+# sha256 of `emit_report(run_checks(), "json")` with every ms set to 0
+REPORT_SHA256 = (
+    "fed84c3f08c27985e73118d451da64891ea76f86048fc3d6fd0fcebbd3a7b744")
 
 # per-criterion wall clock ceilings, in seconds
 BUDGETS = {1: 5, 2: 10, 3: 30, 4: 60, 5: 300, 6: 300, 7: 60, 8: 60,
@@ -164,6 +169,11 @@ def test_full_catalog_summary_and_ceiling():
     finding_ids = {c.id for c in report.checks if c.status == "finding"}
     assert finding_ids == EXPECTED_FINDINGS
     assert elapsed < 900
+    # same behaviour: the json report, timings scrubbed, is byte-stable
+    for c in report.checks:
+        c.ms = 0
+    digest = hashlib.sha256(paperlab.emit_report(report, "json")).hexdigest()
+    assert digest == REPORT_SHA256
     print("full catalog: PASS (86 checks, %.1fs)" % elapsed)
 
 

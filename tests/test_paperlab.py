@@ -3,6 +3,7 @@ emission."""
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -127,6 +128,23 @@ def test_config_defaults_and_copy():
     rep = run_checks(selection=[])
     assert rep.config == DEFAULT_CONFIG
     assert rep.config is not DEFAULT_CONFIG
+
+
+def test_run_checks_rejects_bad_truncations():
+    # a negative or non-integer truncation would pass checks vacuously
+    bad = [("characters", -3), ("characters", 5 / 2), ("characters", "24"),
+           ("characters", True), ("eigenspaces", -1),
+           ("eigenspaces", Fraction(3, 2)), ("twisted", -1),
+           ("twisted", Fraction(-1, 2)), ("twisted", 1 / 2),
+           ("twisted", None)]
+    for key, value in bad:
+        with pytest.raises(ValueError, match=key):
+            run_checks(selection=["lemma-3.1-character"],
+                       config={key: value})
+    rep = run_checks(selection=["lemma-3.1-character"],
+                     config={"characters": 0, "eigenspaces": 0,
+                             "twisted": Fraction(1, 2)})
+    assert rep.summary["total"] == 1
 
 
 def test_render_scalars():

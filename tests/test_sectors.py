@@ -19,7 +19,7 @@ from voalab.sectors import (
     top_level_eigenvalue, twisted_sector,
 )
 from voalab.vertexengine import (
-    ModeLegalityError, charge_chain, exp_charge_mode, mode_apply,
+    ModeLegalityError, charge_chain, mode_apply,
     zero_mode_decompose, zero_mode_exp,
 )
 
@@ -69,6 +69,10 @@ def test_char_L1_rows():
     row2 = char_L1(2, 10)
     assert row2.coefficient(4) == 1
     assert row2.coefficient(3) == 0
+    # n is a nonnegative integer: a negative n has no module
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            char_L1(n, 6)
 
 
 def test_brute_fixed_dims_match_eigenspace_character():
@@ -163,10 +167,10 @@ def test_exp_charge_mode_matches_mode_apply_series():
         u = State.basis((), Fraction(a8, 8))
         for x in (ONE, I, sectors._U, sectors._C):
             for v in states:
-                assert exp_charge_mode(a8, x, v) == _mode_apply_series(u, x, v), \
-                    (a8, x, v)
+                got = charge_chain([(a8, x)], v)
+                assert got == _mode_apply_series(u, x, v), (a8, x, v)
     with pytest.raises(ModeLegalityError):
-        exp_charge_mode(4, ONE, State.basis((), Fraction(1, 8)))
+        charge_chain([(4, ONE)], State.basis((), Fraction(1, 8)))
 
 
 def _t_power_by_scalars(k):
@@ -177,10 +181,10 @@ def _t_power_by_scalars(k):
 def _sigma_by_states(v):
     """sigma as exp(e), then t^H on States, then exp(i f): three separate
     steps, each unpacked back to a State."""
-    v = exp_charge_mode(4, ONE, v)
+    v = charge_chain([(4, ONE)], v)
     v = State({m: c * _t_power_by_scalars(m[1] // 2)
                for m, c in v.terms.items()})
-    return exp_charge_mode(-4, I, v)
+    return charge_chain([(-4, I)], v)
 
 
 def test_sigma_chain_matches_state_route():

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from voalab import vertexengine
-from voalab.exactfield import I, ZERO, exp_two_pi_i, sc, sixth_root, sqrt2_power
+from voalab.exactfield import (
+    I, SQRT2, ZERO, exp_two_pi_i, sc, sixth_root, sqrt2_power,
+)
 from voalab.fockspace import (
     State, graded_states, mono_weight, named_vector, partitions,
 )
 from voalab.vertexengine import (
     MAX_DEGREE, KeyWidthError, ModeIndex, ModeLegalityError,
     RationalPowerSeries, _pack, _pair_modes, _rational_roots, _root_bound,
-    _unpack, apply_word, delta_apply, exp_charge_mode, mode_apply,
+    _unpack, apply_word, charge_chain, delta_apply, mode_apply,
     mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
     zero_mode_decompose, zero_mode_exp,
 )
@@ -106,6 +108,28 @@ def test_apply_word():
     direct = virasoro_mode(-2, virasoro_mode(-2, ONE_V))
     assert w == direct
     assert apply_word([], E) == E
+    # whole words on the planes against the step-by-step chain of the
+    # general route omega(m + 1); [.., -1] reaches 0 on the vacuum
+    words = ([-1, -2, -1], [-3, -1, 2], [0, -2, 1, -1], [2, 1, -1, -2],
+             [-1, -1, -1, -1], [-2, -1], [3, -2, -2])
+    mixed = (State.basis((2, 1), Fraction(1, 8), sc(Fraction(-3, 5)))
+             + State.basis((3,), Fraction(-1, 2), I) + J)
+    for v in (ONE_V, E, J, named_vector("u9"), mixed):
+        for word in words:
+            want = v
+            for m in reversed(word):
+                want = mode_apply(OMEGA, m + 1, want)
+            assert apply_word(word, v) == want, (word, v)
+    # the word stops at 0, so a later non-integer letter is never
+    # applied; L(1) kills v = h(-2)|b/2> - (1/p) h(-1)^2|b/2>, p = sqrt2,
+    # by cancellation
+    v = (State.basis((2,), Fraction(1, 2))
+         - State.basis((1, 1), Fraction(1, 2), SQRT2 * sc(Fraction(1, 2))))
+    assert not mode_apply(OMEGA, 2, v)
+    assert apply_word([Fraction(1, 2), 1], v) == State()
+    assert apply_word([Fraction(1, 2), -1], ONE_V) == State()
+    with pytest.raises(ModeLegalityError):
+        apply_word([-1, Fraction(1, 2), -2], ONE_V)
 
 
 def test_lattice_mode_values():
@@ -474,7 +498,7 @@ def test_packed_key_width_guard():
     with pytest.raises(KeyWidthError):
         virasoro_mode(1, v64)
     with pytest.raises(KeyWidthError):
-        exp_charge_mode(4, sc(1), v64)
+        charge_chain([(4, sc(1))], v64)
     # outputs that would reach degree 64 raise too, not just inputs
     with pytest.raises(KeyWidthError):
         mode_apply(h, -1, v63)
