@@ -11,8 +11,8 @@ from .exactfield import ONE, ZERO, Scalar, as_rational, rat, sc, sixth_root, sqr
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import State, graded_states, named_vector, theta, theta_even_states
 from .structure import (
-    VirasoroWord, build_u16, c_functional, decompose_over, gram_rational,
-    is_primary, pair, vacuum_words, word_states,
+    build_u16, c_functional, decompose_over, gram_rational, is_primary,
+    pair, vacuum_words, word_states,
 )
 from .vertexengine import (
     KeyWidthError, ModeLegalityError, RationalPowerSeries, delta_apply,
@@ -36,7 +36,7 @@ __all__ = [
     "ONE", "ZERO", "Scalar", "as_rational", "rat", "sc", "sixth_root",
     "sqrt2_power", "parse_scalar_expr", "parse_state_expr", "State",
     "graded_states", "named_vector", "theta", "theta_even_states",
-    "VirasoroWord", "build_u16", "c_functional", "decompose_over",
+    "build_u16", "c_functional", "decompose_over",
     "gram_rational", "is_primary", "pair", "vacuum_words", "word_states",
     "KeyWidthError", "ModeLegalityError", "RationalPowerSeries", "delta_apply", "mode_apply",
     "mode_apply_theta_even", "twisted_mode_apply", "twisted_weight",

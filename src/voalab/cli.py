@@ -83,10 +83,11 @@ def _cmd_pair(args):
     try:
         u = parse_state_expr(args.u)
         v = parse_state_expr(args.v)
-    except ExprError as exc:
+        out = pair(u, v)
+    except ValueError as exc:  # ExprError, or a pairing the form leaves undefined
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    print(str(pair(u, v)))
+    print(str(out))
     return 0
 
 

@@ -105,11 +105,8 @@ _quarter = functools.cache(decompose_quarter_module)
 
 
 def _vac_coeff(info, parts):
-    words = info["vac_words"]
-    for i, w in enumerate(words):
-        if w.parts == parts:
-            return as_rational(info["dec"].coefficients[i])
-    raise KeyError("no vacuum word %r" % (parts,))
+    i = info["vac_words"].index(parts)
+    return as_rational(info["dec"].coefficients[i])
 
 
 def _gen_block(info):

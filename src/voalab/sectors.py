@@ -8,10 +8,9 @@ algebra.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .exactfield import HALF, I, ONE, SQRT3, ZERO, Scalar, sc, sqrt2_power
+from .exactfield import HALF, I, ONE, SQRT3, ZERO, Scalar, sc, sixth_root, sqrt2_power
 from .fockspace import (
     State, graded_monomials, graded_states, named_vector, theta,
     theta_even_states,
@@ -19,10 +18,7 @@ from .fockspace import (
 from .exprparse import parse_scalar_expr
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
-from .vertexengine import (
-    charge_chain, mode_apply, twisted_mode_apply, virasoro_mode,
-    zero_mode_decompose,
-)
+from .vertexengine import charge_chain, mode_apply, twisted_mode_apply, virasoro_mode
 
 # --------------------------------------------------------------------------
 # Partition counts and graded dimensions.
@@ -343,41 +339,27 @@ def _hprime_eigenspaces(basis):
 def sigma_eigendims(states):
     """Dimensions of the three eigenspaces of the order-3 symmetry on
     the span of the given states, keyed by the eigenvalue exponent
-    j in {0, 1, 2} (eigenvalue = exp(2 pi i j / 3))."""
-    hprime = named_vector("hprime")
-    buckets = {}
+    j in {0, 1, 2} (eigenvalue = exp(2 pi i j / 3)).
+
+    Each state v is split by the projectors P_j v = (v + w^-j sigma v +
+    w^-2j sigma^2 v) / 3, w = exp(2 pi i / 3), once sigma^3 v = v is
+    certified (ArithmeticError if not); the rank of the vectors 3 P_j v
+    is the dimension of eigenspace j.
+    """
+    echs = {0: Echelon(), 1: Echelon(), 2: Echelon()}
     for v in states:
-        comps = {}
-        for lam, piece in zero_mode_decompose(hprime, v).items():
-            r = lam - math.floor(lam)
-            if r.denominator not in (1, 3):
-                raise ArithmeticError("eigenvalue %s is not a cube root of unity" % lam)
-            j = int(3 * r) % 3
-            acc = comps.get(j)
-            comps[j] = piece if acc is None else acc + piece
-        for j, piece in comps.items():
+        s1 = sigma(v)
+        s2 = sigma(s1)
+        if sigma(s2) != v:
+            raise ArithmeticError("an eigenvalue of sigma is not a cube root of unity")
+        for j, ech in echs.items():
+            piece = v + s1 * sixth_root(-2 * j) + s2 * sixth_root(-4 * j)
             if piece:
-                buckets.setdefault(j, []).append(piece)
-    dims = {0: 0, 1: 0, 2: 0}
-    total = 0
-    for j, rows in buckets.items():
-        ech = Echelon()
-        for row in rows:
-            ech.insert(row)
-        dims[j] = ech.rank
-        total += ech.rank
-    if total != rank_of(list(states)):
+                ech.insert(piece)
+    dims = {j: ech.rank for j, ech in echs.items()}
+    if sum(dims.values()) != rank_of(list(states)):
         raise ArithmeticError("eigenspace dimensions do not add up")
     return dims
-
-
-def sigma_multiplet_dims(n):
-    """Eigenspace dimensions of the order-3 symmetry on the weight n^2
-    primary space."""
-    basis = primary_space_basis(n)
-    if len(basis) != primary_multiplicity(n):
-        raise ArithmeticError("wrong multiplet size at n=%d" % n)
-    return sigma_eigendims(basis)
 
 
 def eigenspace_char(j, n_max):

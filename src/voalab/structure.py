@@ -169,67 +169,22 @@ def is_primary(v):
 # Virasoro words.
 
 
-class VirasoroWord:
-    """An ordered product L(-p_1)...L(-p_s), p_1 >= ... >= p_s >= 1."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        if any(p < 1 for p in self.parts):
-            raise ValueError("word parts must be positive")
-
-    @property
-    def word(self):
-        return [-p for p in self.parts]
-
-    @property
-    def degree(self):
-        return sum(self.parts)
-
-    def apply(self, base):
-        return apply_word(self.word, base)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, VirasoroWord) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __str__(self):
-        return "".join("L(-%d)" % p for p in self.parts) or "1"
-
-    def __repr__(self):
-        return "VirasoroWord(%r)" % (self.parts,)
-
-
 def vacuum_words(degree, min_part=2):
-    """Virasoro words of the given total degree, shortest first and in
+    """Virasoro words L(-p_1)...L(-p_s) of the given total degree, as
+    their descending part tuples (p_1, ..., p_s), shortest first and in
     descending lexicographic order within one length.
 
     The default min_part 2 suits words applied to the vacuum, where a
     trailing L(-1) acts as zero.
     """
-    lams = sorted(partitions(degree, min_part=min_part),
+    return sorted(partitions(degree, min_part=min_part),
                   key=lambda lam: (len(lam), tuple(-p for p in lam)))
-    return [VirasoroWord(lam) for lam in lams]
 
 
 def word_states(words, base):
-    """Apply a family of words to one base state, sharing suffixes."""
-    cache = {(): base}
-
-    def state_for(parts):
-        hit = cache.get(parts)
-        if hit is None:
-            hit = virasoro_mode(-parts[0], state_for(parts[1:]))
-            cache[parts] = hit
-        return hit
-
-    return [state_for(w.parts) for w in words]
+    """The states L(-p_1)...L(-p_s) base for a family of part tuples,
+    each word applied as one `apply_word`."""
+    return [apply_word([-p for p in parts], base) for parts in words]
 
 
 # --------------------------------------------------------------------------

@@ -636,8 +636,8 @@ def apply_word(word, v):
 
 # --------------------------------------------------------------------------
 # Zero-mode spectral decomposition (Krylov based, exact).  Callers:
-# `delta_apply`, `zero_mode_exp` (the test oracle for sigma) and
-# `sectors.sigma_eigendims`.
+# `delta_apply`, which takes any Heisenberg-type shift vector, and
+# `zero_mode_exp` (the test oracle for sigma).
 
 
 def _root_bound(coeffs):

@@ -134,6 +134,13 @@ def test_pair_command(capsys):
     assert out.strip() == "54"
 
 
+def test_pair_reports_undefined_form(capsys):
+    # the form is undefined between the charge-1/8 and charge-(-1/8) sectors
+    code, out, err = run_cli(["pair", "--u", "|1/8b>", "--v", "|-1/8b>"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "form undefined" in err
+
+
 def test_char_command(capsys):
     code, out, _ = run_cli(["char", "--object", "V_Zb+", "--max-weight", "8"],
                            capsys)

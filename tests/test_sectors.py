@@ -7,7 +7,9 @@ import pytest
 
 from voalab import sectors
 from voalab.exactfield import I, ONE, SQRT2, ZERO, sc, sixth_root
-from voalab.fockspace import State, graded_states, named_vector, partitions
+from voalab.fockspace import (
+    State, graded_states, named_vector, partitions, theta_even_states,
+)
 from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.sectors import (
     QSeries, brute_fixed_dims, char_L1, char_series,
@@ -15,8 +17,8 @@ from voalab.sectors import (
     klein_fixed_dim, module_catalog, partition_count,
     partition_count_even_length, primary_multiplicity, primary_space_basis,
     quarter_cube_is_minus_one, sector_top, sigma, sigma_eigendims,
-    sigma_multiplet_dims, sigma_trace, sigma_trace_brute, theta_trace,
-    top_level_eigenvalue, twisted_sector,
+    sigma_trace, sigma_trace_brute, theta_trace, top_level_eigenvalue,
+    twisted_sector,
 )
 from voalab.vertexengine import (
     ModeLegalityError, charge_chain, mode_apply,
@@ -248,8 +250,10 @@ def test_primary_multiplets():
     basis2 = primary_space_basis(2)
     assert len(basis2) == 2
     assert all(st.weight() == 4 for st in basis2)
-    assert sigma_multiplet_dims(2) == {0: 0, 1: 1, 2: 1}
-    assert sigma_multiplet_dims(3) == {0: 1, 1: 0, 2: 0}
+    for n, dims in [(2, {0: 0, 1: 1, 2: 1}), (3, {0: 1, 1: 0, 2: 0})]:
+        basis = primary_space_basis(n)
+        assert len(basis) == primary_multiplicity(n)
+        assert sigma_eigendims(basis) == dims
 
 
 def test_sector_tops():
@@ -276,14 +280,19 @@ def test_twisted_sector_lowest():
     assert sorted(t21["graded"])[0] == Fraction(1, 9)
 
 
-def _krylov_eigenspaces(basis):
+def _krylov_eigenspaces(basis, key=lambda lam: lam):
     """The per-vector Krylov route: split each vector by the zero mode of
-    h', then keep an independent spanning set per eigenvalue."""
+    h' and sum the pieces whose eigenvalues share a key, then keep an
+    independent spanning set per key."""
     hprime = named_vector("hprime")
     buckets = {}
     for v in basis:
+        comps = {}
         for lam, piece in zero_mode_decompose(hprime, v).items():
-            buckets.setdefault(lam, []).append(piece)
+            k = key(lam)
+            comps[k] = comps[k] + piece if k in comps else piece
+        for k, piece in comps.items():
+            buckets.setdefault(k, []).append(piece)
     out = {}
     for lam, pieces in buckets.items():
         ech = Echelon()
@@ -304,6 +313,21 @@ def _against_krylov(basis):
     for lam in old:
         assert _same_span(new[lam], old[lam]), lam
     return old
+
+
+def test_sigma_eigendims_match_krylov():
+    # the projector route against the Krylov split, eigenvalues of h'(0)
+    # bucketed by lam mod 1: sigma = exp(2 pi i h'(0)) acts on the bucket
+    # of lam by exp(2 pi i lam)
+    cases = [theta_even_states("V_Zb", w) for w in range(7)]
+    for basis in cases + [[named_vector("J"), named_vector("E")]]:
+        krylov = _krylov_eigenspaces(basis, key=lambda lam: lam % 1)
+        assert set(krylov) <= {Fraction(j, 3) for j in range(3)}
+        want = {j: len(krylov.get(Fraction(j, 3), [])) for j in range(3)}
+        assert sigma_eigendims(basis) == want
+    # sigma^3 = -1 on the charge-1/4 states, so no eigenvalue is a cube root of 1
+    with pytest.raises(ArithmeticError):
+        sigma_eigendims(graded_states("V_L2+a/2", Fraction(1, 4)))
 
 
 def _sector_weights(i, bound):

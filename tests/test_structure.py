@@ -10,8 +10,8 @@ from voalab.exactfield import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, sc
 from voalab.fockspace import State, graded_states, named_vector, theta, tau1
 from voalab.linalg import fixed_vectors
 from voalab.structure import (
-    VirasoroWord, build_u16, c_functional, decompose_over, gram_rational,
-    is_primary, pair, vacuum_words, word_states, zlam,
+    build_u16, c_functional, decompose_over, gram_rational, is_primary,
+    pair, vacuum_words, word_states, zlam,
 )
 from voalab.vertexengine import virasoro_mode
 
@@ -157,27 +157,26 @@ def test_is_primary():
 
 
 def test_virasoro_words():
-    w = VirasoroWord((3, 2))
-    assert w.parts == (3, 2)
-    assert w.word == [-3, -2]
     assert len(vacuum_words(4)) == 2
     assert len(vacuum_words(16)) == 55
     assert len(vacuum_words(20)) == 137
     assert len(vacuum_words(22)) == 210
     for w in vacuum_words(10):
-        assert sum(w.parts) == 10
-        assert min(w.parts) >= 2
+        assert sum(w) == 10
+        assert min(w) >= 2
 
 
 def test_word_states():
-    words = vacuum_words(4)
-    states = word_states(words, ONE_V)
-    assert len(states) == 2
-    for w, st in zip(words, states):
-        direct = ONE_V
-        for n in reversed(w.parts):
-            direct = virasoro_mode(-n, direct)
-        assert st == direct
+    # each word against the one-letter chain of virasoro_mode
+    for words, base in [(vacuum_words(4), ONE_V), (vacuum_words(12), ONE_V),
+                        (vacuum_words(4, min_part=1), J)]:
+        states = word_states(words, base)
+        assert len(states) == len(words)
+        for w, st in zip(words, states):
+            direct = base
+            for n in reversed(w):
+                direct = virasoro_mode(-n, direct)
+            assert st == direct
 
 
 def test_decompose_over_exact():
