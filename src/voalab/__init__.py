@@ -17,7 +17,7 @@ from .structure import (
 from .vertexengine import (
     KeyWidthError, ModeLegalityError, RationalPowerSeries, delta_apply,
     mode_apply, mode_apply_theta_even, twisted_mode_apply, twisted_weight,
-    virasoro_mode, zero_mode_decompose, zero_mode_exp,
+    virasoro_mode,
 )
 from .sectors import (
     QSeries, char_L1, char_series, decompose_quarter_module, graded_dim,
@@ -40,7 +40,7 @@ __all__ = [
     "gram_rational", "is_primary", "pair", "vacuum_words", "word_states",
     "KeyWidthError", "ModeLegalityError", "RationalPowerSeries", "delta_apply", "mode_apply",
     "mode_apply_theta_even", "twisted_mode_apply", "twisted_weight",
-    "virasoro_mode", "zero_mode_decompose", "zero_mode_exp",
+    "virasoro_mode",
     "QSeries", "char_L1", "char_series", "decompose_quarter_module",
     "graded_dim", "module_catalog", "multiplet_spectrum_table", "sector_top",
     "sigma", "top_level_eigenvalue", "twisted_sector", "CheckResult",

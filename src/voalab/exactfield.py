@@ -341,7 +341,7 @@ def sixth_root(k):
 
 def exp_two_pi_i(lam):
     """e^{2 pi i lam} for a rational lam with denominator dividing 6."""
-    lam = Fraction(lam)
+    lam = rat(lam)
     six = lam * 6
     if six.denominator != 1:
         raise ValueError("eigenvalue %s is not in (1/6)Z" % lam)

@@ -16,15 +16,16 @@ import functools
 from fractions import Fraction
 
 from .exactfield import (
-    I, ONE, SQRT2, SQRT3, SQRT6, Scalar, ZERO, sc, sixth_root,
+    I, ONE, SQRT2, SQRT3, SQRT6, Scalar, ZERO, rat, sc, sixth_root,
 )
 
 
 def to_q8(q):
-    """Normalize a charge (multiple of 1/8) to its integer 8q form."""
+    """Normalize a charge (multiple of 1/8) to its integer 8q form;
+    raises TypeError on a float."""
     if isinstance(q, int):
         return 8 * q
-    f = Fraction(q)
+    f = rat(q)
     e = f * 8
     if e.denominator != 1:
         raise ValueError("charge %s is not a multiple of 1/8" % q)
@@ -189,9 +190,10 @@ def partitions(n, max_part=None, min_part=1):
 def basis_monomials(w, charges):
     """All monomials of weight w whose charge lies in the given list."""
     out = []
+    w = rat(w)
     for q in charges:
         q8 = to_q8(q)
-        rem = Fraction(w) - Fraction(q8 * q8, 16)
+        rem = w - Fraction(q8 * q8, 16)
         if rem < 0 or rem.denominator != 1:
             continue
         for lam in partitions(int(rem)):
@@ -210,7 +212,7 @@ def sector_charges(name, w):
     if name not in grids:
         raise ValueError("unknown sector %r" % name)
     step, off = grids[name]
-    w = Fraction(w)
+    w = rat(w)
     hi = 0
     while Fraction(hi * hi, 16) <= w:
         hi += 1

@@ -1,16 +1,15 @@
 """Graded dimensions, characters, and module-level bookkeeping.
 
-Includes the weight-squared primary multiplets used to decompose the
-order-3-fixed subalgebra, the shifted (twisted) sector enumeration, and
-the catalog of the twenty-one irreducible modules of the fixed-point
-algebra.
+Includes the order-3 symmetry and its eigenspaces, the shifted
+(twisted) sector enumeration, and the catalog of the twenty-one
+irreducible modules of the fixed-point algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactfield import HALF, I, ONE, SQRT3, ZERO, Scalar, sc, sixth_root, sqrt2_power
+from .exactfield import I, ONE, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power
 from .fockspace import (
     State, graded_monomials, graded_states, named_vector, theta,
     theta_even_states,
@@ -18,7 +17,10 @@ from .fockspace import (
 from .exprparse import parse_scalar_expr
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
-from .vertexengine import charge_chain, mode_apply, twisted_mode_apply, virasoro_mode
+from .vertexengine import (
+    charge_chain, hprime_eigenvector, mode_apply, twisted_mode_apply,
+    virasoro_mode,
+)
 
 # --------------------------------------------------------------------------
 # Partition counts and graded dimensions.
@@ -78,7 +80,7 @@ def partition_count_even_length(n):
 
 def graded_dim(name, w):
     """The dimension of the weight-w piece of a named graded space."""
-    wf = Fraction(w)
+    wf = rat(w)
     if name in ("M(1)", "M(1)+", "M(1)-", "V_Zb+", "V_Zb-"):
         if wf.denominator != 1 or wf < 0:
             return 0
@@ -223,53 +225,10 @@ def klein_fixed_dim(w):
     return total // 4
 
 
-# --------------------------------------------------------------------------
-# Primary multiplets of square lowest weight.
-
-_EMINUS_ALPHA = State.basis((), Fraction(-1, 2))
-
-
-def _lower(v):
-    return mode_apply(_EMINUS_ALPHA, 0, v)
-
-
-def primary_space_basis(n):
-    """A basis of the primary vectors of weight n^2 in the theta-fixed
-    lattice algebra, built by lowering the extremal charge vector."""
-    if n == 0:
-        return [State.basis(())]
-    out = []
-    v = State.basis((), Fraction(n, 2))
-    for j in range(n + 1):
-        if j == n:
-            sign = ONE if n % 2 == 0 else -ONE
-            if theta(v) != v * sign:
-                raise ArithmeticError("unexpected reflection sign on the middle vector")
-            if n % 2 == 0:
-                out.append(v)
-        elif j % 2 == n % 2:
-            out.append(v + theta(v))
-        if j < n:
-            v = _lower(v)
-    for st in out:
-        if st.weight() != n * n or not is_primary(st):
-            raise ArithmeticError("multiplet member is not primary of weight %d" % (n * n))
-    return out
-
-
-def primary_multiplicity(n):
-    """dim of the weight n^2 primary space: floor(n/2) plus one if n is even."""
-    return n // 2 + (1 if n % 2 == 0 else 0)
-
-
 # sigma = exp(2 pi i h'(0)) in closed form.
 #
-# h' lies in the weight-one sl2 spanned by h and e^{+-a} (a = b/2).  With
-# H = sqrt2 h(0), e = e^{a}(0) and f = e^{-a}(0), which satisfy
-# [H, e] = 2e, [H, f] = -2f, [e, f] = H on these modules,
-#
-#     h'(0) = (sqrt3/18) (H + (1-i) e + (1+i) f).
-#
+# h'(0) = (sqrt3/18) M in the weight-one sl2 with basis H = sqrt2 h(0),
+# e = e^{a}(0), f = e^{-a}(0) (see the sl2 frame in `vertexengine`).
 # In the 2-dimensional representation M = [[1, 1-i], [1+i, -1]] has
 # M^2 = 3, so exp(2 pi i h'(0)) = exp(i (pi/3) M/sqrt3) = (1 + iM)/2
 # = [[(1+i)/2, (1+i)/2], [(i-1)/2, (1-i)/2]], whose Gauss (LDU) factors
@@ -283,13 +242,6 @@ def primary_multiplicity(n):
 # factors run as one `charge_chain`: v is packed onto integer coordinate
 # planes once, exp(e), t^H and exp(i f) act on the planes, and the
 # result is unpacked once.
-#
-# The same sl2 gives the spectrum of h'(0).  g = exp(c f) exp(u e) with
-# u = -(1-i) sqrt3/6 and c = (sqrt3-1)(1+i)/2 is [[1, u], [c, 1+cu]] in
-# the 2-dimensional representation, where g^-1 M g = sqrt3 H, so
-# g^-1 h'(0) g = H/6 on every weight space.
-_U = (I - ONE) * SQRT3 * sc(Fraction(1, 6))
-_C = (SQRT3 - ONE) * (ONE + I) * HALF
 
 
 def _t_power(q8):
@@ -322,16 +274,12 @@ def sigma(v):
 
 
 def _hprime_eigenspaces(basis):
-    """{lam: [g b]}: h'(0) eigenspaces on the span of a monomial basis.
-    g b has eigenvalue q8/12 for b of charge (q8/8) b (see above), and g
-    is invertible; each g b is certified exactly, ArithmeticError if not.
-    """
+    """{lam: [g b]}: h'(0) eigenspaces on the span of a monomial basis,
+    from the certified frame g (`hprime_eigenvector`), which is
+    invertible."""
     out = {}
     for b in basis:
-        lam = Fraction(next(iter(b.terms))[1], 12)
-        gb = charge_chain([(-4, _C), (4, _U)], b)
-        if mode_apply(named_vector("hprime"), 0, gb) != gb * sc(lam):
-            raise ArithmeticError("g b is not an h'(0) eigenvector for %s" % lam)
+        lam, gb = hprime_eigenvector(b)
         out.setdefault(lam, []).append(gb)
     return out
 
@@ -532,7 +480,7 @@ def twisted_sector(i, j, bound=None):
     hvec = named_vector("hprime") * sc(d)
     if bound is None:
         bound = Fraction(1, 36) + Fraction(5, 3) if i == 1 else Fraction(1, 9) + Fraction(5, 3)
-    bound = Fraction(bound)
+    bound = rat(bound)
     module = "V_L2" if i == 1 else "V_L2+a/2"
     graded = {}
     w = Fraction(0) if i == 1 else Fraction(1, 4)

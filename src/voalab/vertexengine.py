@@ -31,7 +31,9 @@ unpacked once per output monomial at the end.
 
 `charge_chain(factors, v)` runs a product of nilpotent exponentials
 exp(x e^{(a8/8) b}(0)) and charge-diagonal scales on the planes; the
-order-3 symmetry `sectors.sigma` is the chain exp(i f) t^H exp(e).
+order-3 symmetry `sectors.sigma` is the chain exp(i f) t^H exp(e), and
+the frame g = exp(c f) exp(u e), whose images of charge parts are the
+eigenvectors of h'(0) (`hprime_eigenvector`), is another.
 Virasoro modes skip the general expansion: `_virasoro_amps` applies
 L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock monomial.  The
 general route `mode_apply` is the test oracle of both.
@@ -43,7 +45,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .exactfield import BASIS_MUL, ONE, _norm, exp_two_pi_i, rat, sc
+from .exactfield import (
+    BASIS_MUL, HALF, I, ONE, SQRT2, SQRT3, _norm, exp_two_pi_i, rat, sc,
+)
 from .fockspace import State, mono_weight, named_vector, theta
 from .linalg import Echelon
 
@@ -635,9 +639,9 @@ def apply_word(word, v):
 
 
 # --------------------------------------------------------------------------
-# Zero-mode spectral decomposition (Krylov based, exact).  Callers:
-# `delta_apply`, which takes any Heisenberg-type shift vector, and
-# `zero_mode_exp` (the test oracle for sigma).
+# Zero-mode spectral decomposition (Krylov based, exact).  No code of
+# the package calls it: the tests use it as the oracle of sigma, of the
+# frame g and of `delta_apply`.
 
 
 def _root_bound(coeffs):
@@ -750,6 +754,41 @@ def zero_mode_exp(hvec, v):
 
 
 # --------------------------------------------------------------------------
+# The sl2 frame of h'(0), the only route to its eigenvectors.
+#
+# h' lies in the weight-one sl2 spanned by h and e^{+-a} (a = b/2).  With
+# H = sqrt2 h(0), e = e^{a}(0) and f = e^{-a}(0), which satisfy
+# [H, e] = 2e, [H, f] = -2f, [e, f] = H on these modules,
+# h'(0) = (sqrt3/18) M for M = H + (1-i) e + (1+i) f.  g = exp(c f) exp(u e)
+# with u = -(1-i) sqrt3/6 and c = (sqrt3-1)(1+i)/2 is [[1, u], [c, 1+cu]]
+# in the 2-dimensional representation, where g^-1 M g = sqrt3 H, so
+# g^-1 h'(0) g = H/6 on every weight space.  H is q8/2 on charge
+# (q8/8) b, so g maps the charge parts of g^-1 v = exp(-u e) exp(-c f) v
+# to eigenvectors of eigenvalue q8/12.
+_U = (I - ONE) * SQRT3 * sc(Fraction(1, 6))
+_C = (SQRT3 - ONE) * (ONE + I) * HALF
+
+
+def hprime_eigenvector(p):
+    """(q8/12, g p) for a nonzero state p of one charge (q8/8) b in
+    (1/4)Z b: g p is an eigenvector of h'(0) with eigenvalue q8/12,
+    certified by one h'(0) application (ArithmeticError if not)."""
+    lam = Fraction(next(iter(p.terms))[1], 12)
+    gp = charge_chain([(-4, _C), (4, _U)], p)
+    if mode_apply(named_vector("hprime"), 0, gp) != gp * sc(lam):
+        raise ArithmeticError("g p is not an h'(0) eigenvector for %s" % lam)
+    return lam, gp
+
+
+def _charge_parts(v):
+    """{q8: the part of v of charge (q8/8) b}."""
+    parts = {}
+    for m, c in v.terms.items():
+        parts.setdefault(m[1], {})[m] = c
+    return {q8: State(terms) for q8, terms in parts.items()}
+
+
+# --------------------------------------------------------------------------
 # Li shift operators and twisted modes.
 
 
@@ -761,14 +800,14 @@ class RationalPowerSeries:
     """
 
     def __init__(self, terms):
-        self.terms = [(Fraction(e), st) for e, st in terms if st]
+        self.terms = [(rat(e), st) for e, st in terms if st]
         self.terms.sort(key=lambda t: t[0])
         exps = [e for e, _ in self.terms]
         if len(set(exps)) != len(exps):
             raise ValueError("duplicate exponents in power series")
 
     def coefficient(self, e):
-        e = Fraction(e)
+        e = rat(e)
         for ee, st in self.terms:
             if ee == e:
                 return st
@@ -793,8 +832,11 @@ def delta_apply(hvec, v):
 
     Returns an exact RationalPowerSeries: z^{hvec(0)} applied after the
     exponential of the positive modes sum_k ((-1)^{k+1}/k) hvec(k) z^{-k}.
-    Raises ValueError unless hvec is a weight-1 primary of Heisenberg
-    type with rational level.
+    hvec is s h' (z^{hvec(0)} split by the frame g, eigenvalue s q8/12)
+    or t h (split by charge, eigenvalue t sqrt2 q8/4), s and t field
+    elements.  Raises ValueError for any other hvec, ModeLegalityError
+    for s h' on a charge outside (1/4)Z b, and ArithmeticError on an
+    eigenvalue that is not rational.
     """
     return _delta(hvec.key(), v.key())
 
@@ -805,20 +847,15 @@ def delta_apply(hvec, v):
 def _delta(hkey, vkey):
     """`delta_apply` on the states with the keys hkey and vkey."""
     hvec, v = State(dict(hkey)), State(dict(vkey))
-    if hvec.weight() != 1:
-        raise ValueError("shift vector must have weight 1")
-    for nn in (1, 2):
-        if virasoro_mode(nn, hvec):
-            raise ValueError("shift vector must be primary")
-    if mode_apply(hvec, 0, hvec) or mode_apply(hvec, 2, hvec) \
-            or mode_apply(hvec, 3, hvec):
-        raise ValueError("shift vector self-modes are not of Heisenberg type")
-    lvl = mode_apply(hvec, 1, hvec)
-    level = lvl.coefficient(())
-    if lvl != State.basis((), 0, level) or not level.is_rational():
-        raise ValueError("shift vector level must be rational")
+    # h and h' both hold h(-1)|0>, whose coefficient fixes the multiple
+    hp = named_vector("hprime")
+    t = hvec.coefficient((1,))
+    s = t * hp.coefficient((1,)).inv()
+    frame = hvec != named_vector("h") * t
+    if frame and hvec != hp * s:
+        raise ValueError("shift vector must be a multiple of h' or of h")
     pieces = {0: v}
-    current = {0: v}
+    current = {0: v} if v else {}
     j = 0
     while current:
         j += 1
@@ -839,10 +876,18 @@ def _delta(hkey, vkey):
             pieces[e] = st if acc is None else acc + st
     out = {}
     for e, st in pieces.items():
-        if not st:
-            continue
-        for lam, piece in zero_mode_decompose(hvec, st).items():
-            key = Fraction(e) + lam
+        if frame:
+            parts = _charge_parts(charge_chain([(4, -_U), (-4, -_C)], st))
+            split = [(s * sc(lam), gp)
+                     for lam, gp in map(hprime_eigenvector, parts.values())]
+        else:
+            # h(0) is sqrt2 q8/4 on charge (q8/8) b
+            split = [(t * SQRT2 * sc(Fraction(q8, 4)), p)
+                     for q8, p in _charge_parts(st).items()]
+        for lam, piece in split:
+            if not lam.is_rational():
+                raise ArithmeticError("shift eigenvalue %s is not rational" % lam)
+            key = e + lam.as_rational()
             acc = out.get(key)
             out[key] = piece if acc is None else acc + piece
     return RationalPowerSeries(sorted(out.items()))

@@ -5,23 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from voalab import sectors
+from voalab import sectors, vertexengine
 from voalab.exactfield import I, ONE, SQRT2, ZERO, sc, sixth_root
 from voalab.fockspace import (
-    State, graded_states, named_vector, partitions, theta_even_states,
+    State, graded_states, named_vector, partitions, theta, theta_even_states,
 )
 from voalab.linalg import Echelon, express_in_span, rank_of
+from voalab.structure import is_primary
 from voalab.sectors import (
     QSeries, brute_fixed_dims, char_L1, char_series,
     decompose_quarter_module, dim_full_lattice, eigenspace_char, graded_dim,
     klein_fixed_dim, module_catalog, partition_count,
-    partition_count_even_length, primary_multiplicity, primary_space_basis,
-    quarter_cube_is_minus_one, sector_top, sigma, sigma_eigendims,
-    sigma_trace, sigma_trace_brute, theta_trace, top_level_eigenvalue,
-    twisted_sector,
+    partition_count_even_length, quarter_cube_is_minus_one, sector_top,
+    sigma, sigma_eigendims, sigma_trace, sigma_trace_brute, theta_trace,
+    top_level_eigenvalue, twisted_sector,
 )
 from voalab.vertexengine import (
-    ModeLegalityError, charge_chain, mode_apply,
+    ModeLegalityError, charge_chain, delta_apply, mode_apply,
     zero_mode_decompose, zero_mode_exp,
 )
 
@@ -167,7 +167,7 @@ def test_exp_charge_mode_matches_mode_apply_series():
     states.append(rich)
     for a8 in (4, -4):
         u = State.basis((), Fraction(a8, 8))
-        for x in (ONE, I, sectors._U, sectors._C):
+        for x in (ONE, I, vertexengine._U, vertexengine._C):
             for v in states:
                 got = charge_chain([(a8, x)], v)
                 assert got == _mode_apply_series(u, x, v), (a8, x, v)
@@ -241,6 +241,44 @@ def test_sigma_rejects_odd_eighth_charges():
     for v in (odd, State.basis((1, 1)) + odd, State.basis((2,), Fraction(-3, 8))):
         with pytest.raises(ValueError, match="charge"):
             sigma(v)
+
+
+# Primary multiplets of square lowest weight.
+
+_EMINUS_ALPHA = State.basis((), Fraction(-1, 2))
+
+
+def _lower(v):
+    return mode_apply(_EMINUS_ALPHA, 0, v)
+
+
+def primary_space_basis(n):
+    """A basis of the primary vectors of weight n^2 in the theta-fixed
+    lattice algebra, built by lowering the extremal charge vector."""
+    if n == 0:
+        return [State.basis(())]
+    out = []
+    v = State.basis((), Fraction(n, 2))
+    for j in range(n + 1):
+        if j == n:
+            sign = ONE if n % 2 == 0 else -ONE
+            if theta(v) != v * sign:
+                raise ArithmeticError("unexpected reflection sign on the middle vector")
+            if n % 2 == 0:
+                out.append(v)
+        elif j % 2 == n % 2:
+            out.append(v + theta(v))
+        if j < n:
+            v = _lower(v)
+    for st in out:
+        if st.weight() != n * n or not is_primary(st):
+            raise ArithmeticError("multiplet member is not primary of weight %d" % (n * n))
+    return out
+
+
+def primary_multiplicity(n):
+    """dim of the weight n^2 primary space: floor(n/2) plus one if n is even."""
+    return n // 2 + (1 if n % 2 == 0 else 0)
 
 
 def test_primary_multiplets():
@@ -361,11 +399,14 @@ def test_hprime_eigenspaces_match_krylov_route():
 
 
 def test_hprime_certificate_fires(monkeypatch):
-    monkeypatch.setattr(sectors, "_U", -sectors._U)
+    monkeypatch.setattr(vertexengine, "_U", -vertexengine._U)
     with pytest.raises(ArithmeticError):
         sectors._hprime_eigenspaces(graded_states("V_L2", 1))
     with pytest.raises(ArithmeticError):
         twisted_sector(1, 1)
+    # an input no earlier call has put in the shift cache
+    with pytest.raises(ArithmeticError, match="eigenvector"):
+        delta_apply(named_vector("hprime"), named_vector("E") * sc(Fraction(5, 7)))
 
 
 def test_twisted_sector_mirror_dims():

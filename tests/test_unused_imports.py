@@ -1,10 +1,12 @@
-"""Every name a module of the package imports is used in that module.
-`__init__.py` is skipped: its imports are the public re-exports."""
+"""Every name a module of the package or of its tests imports is used
+in that module.  The package's `__init__.py` is skipped: its imports are
+the public re-exports."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "voalab"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "voalab"
 
 
 def unused_imports(path):
@@ -28,7 +30,8 @@ def unused_imports(path):
 
 def test_source_has_no_unused_imports():
     files = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    files += sorted(TESTS.glob("*.py"))
     assert files
-    hits = ["%s:%d: %s" % (path.name, line, name)
+    hits = ["%s:%d: %s" % (path.relative_to(SRC.parent.parent), line, name)
             for path in files for line, name in unused_imports(path)]
     assert not hits, hits

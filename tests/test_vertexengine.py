@@ -224,6 +224,72 @@ def test_delta_apply_series():
     assert a.coefficient(Fraction(1, 2)) == State()
 
 
+def _delta_by_krylov(hvec, v):
+    """Li's shift operator with z^{hvec(0)} split by the Krylov route
+    `zero_mode_decompose`: the oracle of `delta_apply`."""
+    pieces = {0: v}
+    current = {0: v}
+    j = 0
+    while current:
+        j += 1
+        nxt = {}
+        for e, st in current.items():
+            wmax = max(mono_weight(m) for m in st.terms)
+            k = 1
+            while k <= wmax:
+                img = mode_apply(hvec, k, st)
+                if img:
+                    img = img * sc(Fraction((-1) ** (k + 1), k * j))
+                    nxt[e - k] = nxt[e - k] + img if e - k in nxt else img
+                k += 1
+        current = {e: st for e, st in nxt.items() if st}
+        for e, st in current.items():
+            pieces[e] = pieces[e] + st if e in pieces else st
+    out = {}
+    for e, st in pieces.items():
+        for lam, piece in zero_mode_decompose(hvec, st).items():
+            key = e + lam
+            out[key] = out[key] + piece if key in out else piece
+    return RationalPowerSeries(sorted(out.items()))
+
+
+def test_delta_apply_matches_krylov_route():
+    hp = named_vector("hprime")
+    cases = []
+    # the catalog's pairs (eq-5.2 to eq-5.9), then further test inputs
+    for s in (hp, -hp):
+        cases += [(s, named_vector(n)) for n in ("omega", "y1", "y2")]
+        cases.append((s, s))
+        cases += [(s, named_vector(n))
+                  for n in ("x1", "E", "J", "w1", "w2", "u9")]
+    cases += [(named_vector("h"), ONE_V), (named_vector("h") * SQRT2, E)]
+    for hvec, v in cases:
+        got = delta_apply(hvec, v)
+        assert got == _delta_by_krylov(hvec, v), (hvec, v)
+        assert got.terms
+    for name in ("y1", "E", "omega"):
+        with pytest.raises(ValueError, match="multiple"):
+            delta_apply(named_vector(name), ONE_V)
+    assert delta_apply(hp, State()) == RationalPowerSeries([])
+
+
+def test_delta_apply_off_the_sixth_grid():
+    # h'/2 on the charge-1/4 top: eigenvalues +-1/12, which the Krylov
+    # root scan on (1/6)Z refuses
+    half = named_vector("hprime") * sc(Fraction(1, 2))
+    for v in (named_vector("w1"), named_vector("w2")):
+        with pytest.raises(ArithmeticError):
+            zero_mode_decompose(half, v)
+        got = delta_apply(half, v)
+        assert {e for e, _ in got} <= {Fraction(1, 12), Fraction(-1, 12)}
+        assert sum((st for _, st in got), State()) == v
+        for e, st in got:
+            assert mode_apply(half, 0, st) == st * sc(e)
+    # an irrational eigenvalue: h(0) is 2 sqrt2 on charge b
+    with pytest.raises(ArithmeticError, match="rational"):
+        delta_apply(named_vector("h"), E)
+
+
 def test_twisted_weight_eigenvector():
     hp = named_vector("hprime")
     y1 = named_vector("y1")
