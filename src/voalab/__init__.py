@@ -24,10 +24,6 @@ from .sectors import (
     module_catalog, multiplet_spectrum_table, sector_top, sigma,
     top_level_eigenvalue, twisted_sector,
 )
-from .paperlab import (
-    CheckResult, CheckSpec, DEFAULT_CONFIG, PAPER_MAP, Report, all_checks,
-    emit_report, get_check, run_checks,
-)
 
 __version__ = "0.1.0"
 
@@ -47,3 +43,23 @@ __all__ = [
     "CheckSpec", "DEFAULT_CONFIG", "PAPER_MAP", "Report", "all_checks",
     "emit_report", "get_check", "run_checks",
 ]
+
+# The catalog (`paperlab`) is the largest module and only `verify`,
+# `list` and library callers of the checks use it, so it loads on first
+# access of one of its names (PEP 562) and then binds the name here.
+_CATALOG = frozenset((
+    "CheckResult", "CheckSpec", "DEFAULT_CONFIG", "PAPER_MAP", "Report",
+    "all_checks", "emit_report", "get_check", "run_checks",
+))
+
+
+def __getattr__(name):
+    if name not in _CATALOG:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import paperlab
+    value = globals()[name] = getattr(paperlab, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()).union(__all__))

@@ -24,10 +24,12 @@ from .vertexengine import (
     KeyWidthError, ModeIndex, ModeLegalityError, mode_apply,
 )
 from .sectors import char_L1, char_series, eigenspace_char, graded_dim, module_catalog
-from . import paperlab
 
 
+# Only `verify` and `list` import the catalog, so `mode`, `pair`, `char`
+# and `table` never compile it.
 def _cmd_verify(args):
+    from . import paperlab
     selection = None
     if args.check:
         selection = list(args.check)
@@ -49,6 +51,7 @@ def _cmd_verify(args):
 
 
 def _cmd_list(args):
+    from . import paperlab
     specs = sorted(paperlab.all_checks(), key=lambda s: s.id)
     width = max(len(s.id) for s in specs)
     for s in specs:

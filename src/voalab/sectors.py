@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactfield import I, ONE, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power
+from .exactfield import (
+    I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power,
+)
 from .fockspace import (
     State, graded_monomials, graded_states, named_vector, theta,
     theta_even_states,
 )
-from .exprparse import parse_scalar_expr
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
 from .vertexengine import (
@@ -589,7 +590,7 @@ def decompose_quarter_module():
     if wd[0] or wx[1] or not mu or not nu:
         raise ArithmeticError("unexpected invariant zero-mode matrix")
     asq = mu * nu.inv()
-    a = parse_scalar_expr("r6*i")
+    a = SQRT6 * I
     if a * a != asq:
         raise ArithmeticError("extremal coefficient squared is not -6")
     gens = {1: dvec + xvec * a, -1: dvec - xvec * a}

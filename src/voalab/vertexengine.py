@@ -167,7 +167,9 @@ def _eminus(c):
     return [(s, group) for s, group in enumerate(groups) if group]
 
 
-@functools.cache
+# A full catalog run makes 546 distinct (pending, c_target) keys; the
+# bound sits well above that and caps what library callers can add.
+@functools.lru_cache(maxsize=1024)
 def _creation(pending, c_target):
     """Ways to realize total creation degree c_target.
 
@@ -301,8 +303,10 @@ def _pair_modes(udegs, a8, vkey, n):
 # A pure exponential operator (no derivative fields) meets the same
 # monomials again and again: in one catalog run sigma's series took
 # 19,716 hits against 1,134 misses, and the pure exponential pairs of
-# `mode_apply` 3,937 against 785.
-@functools.cache
+# `mode_apply` 3,937 against 785.  The keys come from the caller's
+# states, so the cache is bounded, above the 1,907 entries of a full
+# catalog run.
+@functools.lru_cache(maxsize=4096)
 def _pure_exp(a8, n, vkey):
     """`_pair_modes((), a8, vkey, n)`, memoized."""
     return _pair_modes((), a8, vkey, n)

@@ -363,6 +363,26 @@ def test_delta_cache_is_bounded():
     assert vertexengine._delta.cache_info().currsize <= cap
 
 
+def test_pure_exp_cache_is_bounded():
+    # e^{(a8/8)b}(n)|e^{(q8/8)b}> with creation degree
+    # c = -n - 1 - a8 q8 / 8 in 0..2: every pair is legal, and there are
+    # more keys than the bound holds
+    cache = vertexengine._pure_exp
+    cap = cache.cache_info().maxsize
+    assert cap
+    keys = [(a8, -1 - a8 * q8 // 8 - c, _pack((), q8))
+            for a8 in (8, -8, 16, -16, 24, -24, 32, -32)
+            for q8 in range(-127, 128) if abs(q8 + a8) < 128
+            for c in range(3)]
+    assert len(keys) > cap
+    for a8, n, vkey in keys:
+        assert cache(a8, n, vkey) == _pair_modes((), a8, vkey, n)
+    assert cache.cache_info().currsize <= cap
+    # the evicted first keys are computed again, to the same values
+    for a8, n, vkey in keys[:10]:
+        assert cache(a8, n, vkey) == _pair_modes((), a8, vkey, n)
+
+
 def test_twisted_mode_matches_per_contribution_route():
     hp = named_vector("hprime")
     y1 = named_vector("y1")
@@ -546,6 +566,22 @@ def test_packed_pair_modes_match_tuple_oracle():
                    for m, c in b.terms.items()})
     for n in (-1, 0, 1):
         assert assert_packed_matches_tuple_oracle(hp, n, small)
+
+
+def test_creation_cache_is_bounded():
+    # two pending derivative orders a <= b and creation degree a + b + r:
+    # more keys than the bound holds, each checked against the oracle
+    cache = vertexengine._creation
+    cap = cache.cache_info().maxsize
+    assert cap
+    keys = [((a, b), a + b + r) for b in range(1, 31) for a in range(1, b + 1)
+            for r in range(3)]
+    assert len(keys) > cap
+    for key in keys:
+        got = {(_unpack(extra)[0], s): c
+               for s, group in cache(*key) for extra, c in group}
+        assert got == _tuple_creation(*key), key
+    assert cache.cache_info().currsize <= cap
 
 
 def test_packed_key_width_guard():
