@@ -147,6 +147,16 @@ class State:
 VACUUM = State.basis(())
 
 
+def ratio(w, v):
+    """The scalar lam with w == v * lam, read off one coefficient of the
+    nonzero state v (ValueError if v is zero), or None if there is none."""
+    if not v:
+        raise ValueError("ratio needs a nonzero state")
+    m, c = next(iter(v.terms.items()))
+    lam = w.terms.get(m, ZERO) * c.inv()
+    return lam if w == v * lam else None
+
+
 def theta(v):
     """The lift of the (-1)-isometry: h -> -h, e^{qb} -> e^{-qb}."""
     return State({(degs, -q8): c if len(degs) % 2 == 0 else -c

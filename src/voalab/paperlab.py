@@ -27,8 +27,8 @@ from fractions import Fraction
 from .exactfield import ZERO, as_rational, sc, sixth_root, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import (
-    State, graded_states, lattice_component, named_vector, tau1, theta,
-    theta_even_states,
+    State, graded_states, lattice_component, named_vector, ratio, tau1,
+    theta, theta_even_states,
 )
 from .linalg import express_in_span, fixed_vectors, rank_of
 from .structure import (
@@ -37,15 +37,16 @@ from .structure import (
 )
 from .vertexengine import (
     ModeLegalityError, RationalPowerSeries, apply_word, delta_apply,
-    mode_apply, mode_apply_theta_even, twisted_weight, virasoro_mode,
+    mode_apply, mode_apply_theta_even, twisted_mode_apply, twisted_weight,
+    virasoro_mode,
 )
 from .sectors import (
     brute_fixed_dims, char_L1, decompose_quarter_module,
     eigenspace_char, graded_dim, klein_fixed_dim, module_catalog,
     multiplet_spectrum_table, partition_count, partition_count_even_length,
-    quarter_cube_is_minus_one, sector_top, sigma, sigma_trace,
-    sigma_trace_brute, top_level_eigenvalue, twisted_sector,
-    twisted_top_weight, verify_fixed_algebra_decomposition,
+    quarter_cube_is_minus_one, sector_top, shifted_weight, sigma,
+    sigma_trace, sigma_trace_brute, top_level_eigenvalue, twisted_sector,
+    verify_fixed_algebra_decomposition,
 )
 
 VERSION = "0.1.0"
@@ -181,26 +182,32 @@ def _scan_twisted_image(u, base, hvec, target):
     (1/6)Z and certifies the hit is unique up to scale."""
     hits = []
     for num in range(-24, 25):
-        n = Fraction(num, 6)
         try:
-            st, wt = twisted_top_weight(u, n, base, hvec)
+            st = twisted_mode_apply(u, Fraction(num, 6), base, hvec)
         except ModeLegalityError:
             continue
-        if st and wt == target:
+        if not st:
+            continue
+        wt = shifted_weight(st, hvec)
+        if wt is None:
+            raise ArithmeticError("state is not an eigenvector of the shifted grading")
+        if wt == target:
             hits.append(st)
     if not hits:
         raise ArithmeticError("no shifted mode lands at weight %s" % target)
-    if rank_of(hits) != 1:
+    if any(ratio(st, hits[0]) is None for st in hits[1:]):
         raise ArithmeticError("shifted modes at weight %s are not a line" % target)
     return hits[0]
 
 
 def _grade_of(ts, v):
-    """The grade of the sector piece containing v, or None."""
-    for g in sorted(ts["graded"]):
-        if express_in_span(ts["graded"][g], v) is not None:
-            return g
-    return None
+    """The grade of the sector piece containing v, or None: the shifted
+    L(0) weight of v if v lies on the module's grid and that is a grade."""
+    off = 0 if ts["module"] == "V_L2" else 2
+    if any((q8 - off) % 4 for _, q8 in v.terms):
+        return None
+    g = shifted_weight(v, ts["shift"])
+    return g if g in ts["graded"] else None
 
 
 # --------------------------------------------------------------------------
@@ -1025,16 +1032,16 @@ def _chk_graded_pieces(cfg):
     got = (
         ts1["dims"].get(lo1), (lo1 + third) in ts1["dims"],
         ts1["dims"].get(lo1 + 2 * third),
-        express_in_span(ts1["graded"][lo1 + 2 * third], y2) is not None,
+        _grade_of(ts1, y2) == lo1 + 2 * third,
         ts1["dims"].get(lo1 + 4 * third),
-        express_in_span(ts1["graded"][lo1 + 4 * third], y1) is not None,
+        _grade_of(ts1, y1) == lo1 + 4 * third,
         ts2["dims"].get(lo2),
-        express_in_span(ts2["graded"][lo2], w2) is not None,
+        _grade_of(ts2, w2) == lo2,
         ts2["dims"].get(lo2 + third),
-        express_in_span(ts2["graded"][lo2 + third], w1) is not None,
+        _grade_of(ts2, w1) == lo2 + third,
         (lo2 + 2 * third) in ts2["dims"],
         ts2["dims"].get(lo2 + 5 * third),
-        express_in_span(ts2["graded"][lo2 + 5 * third], gen53) is not None,
+        _grade_of(ts2, gen53) == lo2 + 5 * third,
     )
     want = (1, False, 1, True, 1, True, 1, True, 1, True, False, 1, True)
     return got, want
@@ -1055,14 +1062,14 @@ def _chk_t2_pieces(cfg):
     gen53 = _scan_twisted_image(y1, w1, -hp, lo2 + 5 * third)
     got = (
         ts1["dims"].get(lo1), (lo1 + third) in ts1["dims"],
-        express_in_span(ts1["graded"][lo1 + 2 * third], y1) is not None,
-        express_in_span(ts1["graded"][lo1 + 4 * third], y2) is not None,
+        _grade_of(ts1, y1) == lo1 + 2 * third,
+        _grade_of(ts1, y2) == lo1 + 4 * third,
         ts2["dims"].get(lo2),
-        express_in_span(ts2["graded"][lo2], w1) is not None,
-        express_in_span(ts2["graded"][lo2 + third], w2) is not None,
+        _grade_of(ts2, w1) == lo2,
+        _grade_of(ts2, w2) == lo2 + third,
         (lo2 + 2 * third) in ts2["dims"],
         ts2["dims"].get(lo2 + 5 * third),
-        express_in_span(ts2["graded"][lo2 + 5 * third], gen53) is not None,
+        _grade_of(ts2, gen53) == lo2 + 5 * third,
     )
     want = (1, False, True, True, 1, True, True, False, 1, True)
     return got, want

@@ -13,13 +13,13 @@ from .exactfield import (
     I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power,
 )
 from .fockspace import (
-    State, graded_monomials, graded_states, named_vector, theta,
+    State, graded_monomials, graded_states, named_vector, ratio, theta,
     theta_even_states,
 )
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
 from .vertexengine import (
-    charge_chain, hprime_eigenvector, mode_apply, twisted_mode_apply,
+    charge_chain, hprime_eigenvector, mode_apply, twisted_weight,
     virasoro_mode,
 )
 
@@ -437,16 +437,8 @@ def top_level_eigenvalue(u, sector_name):
     wt = u.weight()
     if not isinstance(wt, int):
         raise ValueError("operator weight must be integral")
-    img = mode_apply(u, wt - 1, top)
-    if not img:
-        return ZERO
-    for m, c in top.terms.items():
-        ci = img.terms.get(m)
-        if ci is None:
-            raise ArithmeticError("top vector is not an eigenvector")
-        lam = ci * c.inv()
-        break
-    if img != top * lam:
+    lam = ratio(mode_apply(u, wt - 1, top), top)
+    if lam is None:
         raise ArithmeticError("top vector is not an eigenvector")
     return lam
 
@@ -503,24 +495,16 @@ def twisted_sector(i, j, bound=None):
     }
 
 
-def twisted_top_weight(u, n, base, hvec):
-    """Apply a shifted mode and return (state, its shifted L(0) value)."""
-    st = twisted_mode_apply(u, n, base, hvec)
-    if not st:
-        return st, None
-    omega = named_vector("omega")
-    img = twisted_mode_apply(omega, 1, st, hvec)
-    if not img:
-        return st, Fraction(0)
-    ech = Echelon()
-    ech.insert(st)
-    dep = ech.insert(img)
-    if dep is None:
-        raise ArithmeticError("state is not an eigenvector of the shifted grading")
-    lam = dep.get(0, ZERO)
-    if not lam.is_rational():
+def shifted_weight(v, hvec):
+    """The rational g with twisted_weight(v, hvec) == g v, or None when
+    the nonzero state v is not an eigenvector of the shifted L(0).
+    Raises ArithmeticError when g is not rational."""
+    g = ratio(twisted_weight(v, hvec), v)
+    if g is None:
+        return None
+    if not g.is_rational():
         raise ArithmeticError("shifted weight is not rational")
-    return st, lam.as_rational()
+    return g.as_rational()
 
 
 # --------------------------------------------------------------------------
@@ -582,21 +566,16 @@ def decompose_quarter_module():
         if express_in_span(even94, v) is None:
             raise ArithmeticError("primary vector is outside the even model")
     W = named_vector("W")
-    wd = express_in_span([dvec, xvec], mode_apply(W, 8, dvec))
-    wx = express_in_span([dvec, xvec], mode_apply(W, 8, xvec))
-    if wd is None or wx is None:
-        raise ArithmeticError("invariant zero mode does not preserve the primary plane")
-    mu, nu = wd[1], wx[0]
-    if wd[0] or wx[1] or not mu or not nu:
-        raise ArithmeticError("unexpected invariant zero-mode matrix")
-    asq = mu * nu.inv()
+    mu = ratio(mode_apply(W, 8, dvec), xvec)
+    nu = ratio(mode_apply(W, 8, xvec), dvec)
+    if not mu or not nu:
+        raise ArithmeticError("the invariant zero mode does not swap the primary lines")
     a = SQRT6 * I
-    if a * a != asq:
+    if a * a * nu != mu:
         raise ArithmeticError("extremal coefficient squared is not -6")
     gens = {1: dvec + xvec * a, -1: dvec - xvec * a}
     for s, g in gens.items():
-        lam = a * nu * sc(s)
-        if mode_apply(W, 8, g) != g * lam:
+        if ratio(mode_apply(W, 8, g), g) != a * nu * sc(s):
             raise ArithmeticError("generator is not an invariant zero-mode eigenvector")
 
     # Cross-check with the symmetry eigenvectors: symmetrizing the two

@@ -48,7 +48,7 @@ from fractions import Fraction
 from .exactfield import (
     BASIS_MUL, HALF, I, ONE, SQRT2, SQRT3, _norm, exp_two_pi_i, rat, sc,
 )
-from .fockspace import State, mono_weight, named_vector, theta
+from .fockspace import State, mono_weight, named_vector, ratio, theta
 from .linalg import Echelon
 
 
@@ -851,13 +851,11 @@ def delta_apply(hvec, v):
 def _delta(hkey, vkey):
     """`delta_apply` on the states with the keys hkey and vkey."""
     hvec, v = State(dict(hkey)), State(dict(vkey))
-    # h and h' both hold h(-1)|0>, whose coefficient fixes the multiple
-    hp = named_vector("hprime")
-    t = hvec.coefficient((1,))
-    s = t * hp.coefficient((1,)).inv()
-    frame = hvec != named_vector("h") * t
-    if frame and hvec != hp * s:
+    s = ratio(hvec, named_vector("hprime"))
+    t = ratio(hvec, named_vector("h"))
+    if s is None and t is None:
         raise ValueError("shift vector must be a multiple of h' or of h")
+    frame = t is None
     pieces = {0: v}
     current = {0: v} if v else {}
     j = 0

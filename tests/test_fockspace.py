@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from voalab.exactfield import ZERO, sc, sqrt2_power
+from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sqrt2_power
 from voalab.fockspace import (
     NAMED_VECTORS, State, basis_monomials, graded_states, lattice_component,
-    named_vector, partitions, theta, theta_even_states, tau1,
+    named_vector, partitions, ratio, theta, theta_even_states, tau1,
 )
 from voalab.sectors import dim_full_lattice, graded_dim
 
@@ -124,3 +124,21 @@ def test_scalar_multiple_display():
     v = State.basis((1, 1)) * sqrt2_power(1)
     s = str(v)
     assert "h(-1)h(-1)|0>" in s
+
+
+def test_ratio():
+    v = State.basis((2,)) + State.basis((1, 1), 0, Fraction(-3, 2))
+    lam = ONE + SQRT3 * I
+    assert not lam.is_rational()
+    assert ratio(v * lam, v) == lam
+    assert ratio(v, v) == ONE
+    assert ratio(State(), v) == ZERO
+    # agrees with lam v on v's first term only
+    first = next(iter(v.terms))
+    w = State({m: (d * lam if m == first else d) for m, d in v.terms.items()})
+    assert ratio(w, v) is None
+    # a term outside v's support
+    assert ratio(v * lam + State.basis((3,)), v) is None
+    assert ratio(State.basis((3,)), v) is None
+    with pytest.raises(ValueError):
+        ratio(v, State())

@@ -7,11 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from voalab import paperlab
+from voalab import paperlab, sectors
+from voalab.fockspace import State, named_vector
+from voalab.linalg import express_in_span
 from voalab.paperlab import (
     CheckResult, CheckSpec, DEFAULT_CONFIG, Report, all_checks, emit_report,
     get_check, run_checks,
 )
+from voalab.vertexengine import hprime_eigenvector
 
 EXPECTED_FINDINGS = {
     "lemma-4.4-gram-normalization",
@@ -198,3 +201,51 @@ def test_report_and_result_types():
     assert isinstance(rep, Report)
     assert isinstance(rep.checks[0], CheckResult)
     assert rep.version == paperlab.VERSION
+
+
+def _piece_oracle(ts, v):
+    """The grade of the sector piece whose span holds v, by row reduction."""
+    for g in sorted(ts["graded"]):
+        if express_in_span(ts["graded"][g], v) is not None:
+            return g
+    return None
+
+
+def test_grade_of_matches_span_membership():
+    cfg = dict(DEFAULT_CONFIG)
+    one, E = named_vector("one"), named_vector("E")
+    y1, y2 = named_vector("y1"), named_vector("y2")
+    w1, w2 = named_vector("w1"), named_vector("w2")
+    hp = named_vector("hprime")
+    ts11, ts21 = paperlab._twisted(1, 1, cfg), paperlab._twisted(2, 1, cfg)
+    ts12, ts22 = paperlab._twisted(1, 2, cfg), paperlab._twisted(2, 2, cfg)
+    g169 = Fraction(16, 9)
+    gen21 = paperlab._scan_twisted_image(y2, w2, hp, g169)
+    gen22 = paperlab._scan_twisted_image(y1, w1, -hp, g169)
+    twelve = [(ts11, one), (ts11, y2), (ts11, y1),
+              (ts21, w2), (ts21, w1), (ts21, gen21),
+              (ts12, one), (ts12, y1), (ts12, y2),
+              (ts22, w1), (ts22, w2), (ts22, gen22)]
+    grades = [paperlab._grade_of(ts, v) for ts, v in twelve]
+    assert grades == [_piece_oracle(ts, v) for ts, v in twelve]
+    assert grades == [Fraction(1, 36), Fraction(25, 36), Fraction(49, 36),
+                      Fraction(1, 9), Fraction(4, 9), g169] * 2
+    # an eigenvector of h'(0) of weight 4 at grade 4 + 1/36, above the bound
+    _, above = hprime_eigenvector(State.basis((4,)))
+    assert sectors.shifted_weight(above, hp) == Fraction(145, 36) > ts11["bound"]
+    # not an eigenvector; off the V_L2+a/2 grid; above the bound; an odd
+    # charge, off both grids
+    eighth = State.basis((), Fraction(1, 8))
+    for ts, v in ((ts11, y1 + y2), (ts21, E), (ts22, E), (ts11, above),
+                  (ts11, eighth), (ts21, eighth)):
+        assert paperlab._grade_of(ts, v) is None
+        assert _piece_oracle(ts, v) is None
+
+
+def test_scan_twisted_image_refuses_a_non_eigenvector(monkeypatch):
+    # shifted_weight reads the shifted L(0) through sectors.twisted_weight
+    monkeypatch.setattr(sectors, "twisted_weight",
+                        lambda v, h: v + State.basis((7,)))
+    with pytest.raises(ArithmeticError, match="eigenvector"):
+        paperlab._scan_twisted_image(named_vector("y2"), named_vector("w2"),
+                                     named_vector("hprime"), Fraction(16, 9))

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from voalab import sectors, vertexengine
-from voalab.exactfield import I, ONE, SQRT2, ZERO, sc, sixth_root
+from voalab.exactfield import I, ONE, SQRT2, SQRT3, ZERO, sc, sixth_root
 from voalab.fockspace import (
-    State, graded_states, named_vector, partitions, theta, theta_even_states,
+    State, graded_states, named_vector, partitions, ratio, theta,
+    theta_even_states,
 )
 from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.structure import is_primary
@@ -17,12 +18,12 @@ from voalab.sectors import (
     decompose_quarter_module, dim_full_lattice, eigenspace_char, graded_dim,
     klein_fixed_dim, module_catalog, partition_count,
     partition_count_even_length, quarter_cube_is_minus_one, sector_top,
-    sigma, sigma_eigendims, sigma_trace, sigma_trace_brute, theta_trace,
+    shifted_weight, sigma, sigma_eigendims, sigma_trace, sigma_trace_brute, theta_trace,
     top_level_eigenvalue, twisted_sector,
 )
 from voalab.vertexengine import (
-    ModeLegalityError, charge_chain, delta_apply, mode_apply,
-    zero_mode_decompose, zero_mode_exp,
+    ModeLegalityError, charge_chain, delta_apply, hprime_eigenvector,
+    mode_apply, zero_mode_decompose, zero_mode_exp,
 )
 
 
@@ -407,6 +408,29 @@ def test_hprime_certificate_fires(monkeypatch):
     # an input no earlier call has put in the shift cache
     with pytest.raises(ArithmeticError, match="eigenvector"):
         delta_apply(named_vector("hprime"), named_vector("E") * sc(Fraction(5, 7)))
+
+
+def test_shifted_weight(monkeypatch):
+    hp = named_vector("hprime")
+    one, y1, y2 = named_vector("one"), named_vector("y1"), named_vector("y2")
+    assert shifted_weight(one, hp) == Fraction(1, 36)
+    assert shifted_weight(y2, hp) == Fraction(25, 36)
+    assert shifted_weight(y1, hp) == Fraction(49, 36)
+    assert shifted_weight(y1 + y2, hp) is None
+    # an irrational eigenvalue of the shifted L(0) is refused
+    monkeypatch.setattr(sectors, "twisted_weight", lambda v, h: v * (SQRT3 * I))
+    with pytest.raises(ArithmeticError, match="rational"):
+        shifted_weight(one, hp)
+
+
+def test_quarter_charge_tops_are_frame_images():
+    # fockspace hard-codes w1 and w2; the frame g builds the same lines
+    # from |+-b/4>, so a change to either copy of the constant shows here
+    for q, top, lam in ((Fraction(1, 4), "w1", Fraction(1, 6)),
+                        (Fraction(-1, 4), "w2", Fraction(-1, 6))):
+        got, gb = hprime_eigenvector(State.basis((), q))
+        assert got == lam
+        assert ratio(gb, named_vector(top))
 
 
 def test_twisted_sector_mirror_dims():
