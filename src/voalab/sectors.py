@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactfield import (
-    I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power,
+    HALF, I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power,
 )
 from .fockspace import (
     State, graded_monomials, graded_states, named_vector, ratio, theta,
@@ -234,15 +234,16 @@ def klein_fixed_dim(w):
 # M^2 = 3, so exp(2 pi i h'(0)) = exp(i (pi/3) M/sqrt3) = (1 + iM)/2
 # = [[(1+i)/2, (1+i)/2], [(i-1)/2, (1-i)/2]], whose Gauss (LDU) factors
 # [[1, 0], [i, 1]] diag(t, 1/t) [[1, 1], [0, 1]] with t = (1+i)/2 are
-# exp(i f) t^H exp(e).  Each weight space of V_L2 + V_L2+a/2 is a
+# exp(i f) t^H exp(e).  Since t^-H f t^H = t^2 f and t^2 = i/2, moving
+# t^H to the left gives exp(i f) t^H = t^H exp(-f/2), so
+# sigma = t^H exp(-f/2) exp(e): both exponentials have rational
+# coefficients.  Each weight space of V_L2 + V_L2+a/2 is a
 # finite-dimensional sl2 module, where an identity in SL2 holds as well,
-# so the product gives sigma there.  H is the integer q8/2 on a term of
-# charge (q8/8) b, so t^H scales it by t^(q8/2), and 1/t = 1-i
-# (`_t_power`).  Each exponential is a finite sum because e and f move
-# the charge by +-a at fixed weight (a8 = 4 for e, -4 for f).  The three
-# factors run as one `charge_chain`: v is packed onto integer coordinate
-# planes once, exp(e), t^H and exp(i f) act on the planes, and the
-# result is unpacked once.
+# so the product gives sigma there.  Each exponential is a finite sum
+# because e and f move the charge by +-a at fixed weight (a8 = 4 for e,
+# -4 for f); the two run as one `charge_chain` on integer coordinate
+# planes.  H is the integer q8/2 on a term of charge (q8/8) b, so t^H
+# then scales each output term by t^(q8/2), and 1/t = 1-i (`_t_power`).
 
 
 def _t_power(q8):
@@ -261,17 +262,18 @@ def sigma(v):
 
     Defined on charges in (1/4)Z b, that is on V_L2 + V_L2+a/2; raises
     ValueError on any term of charge k/8 b with k odd.  It is computed as
-    exp(i f) t^H exp(e), two exponentials of the zero modes e, f of
-    e^{+-a} and a charge-diagonal factor, t = (1+i)/2 (the sl2 derivation
-    is above), run as one `charge_chain` on integer coordinate planes.
-    It is checked in the tests against the Krylov route
-    zero_mode_exp(named_vector("hprime"), v).
+    t^H exp(-f/2) exp(e): two exponentials of the zero modes e, f of
+    e^{+-a}, run as one `charge_chain` on integer coordinate planes,
+    then the charge-diagonal factor t^H, t = (1+i)/2, on the output
+    terms (the sl2 derivation is above).  It is checked in the tests
+    against the Krylov route zero_mode_exp(named_vector("hprime"), v).
     """
     odd = sorted({Fraction(q8, 8) for (_, q8) in v.terms if q8 % 2})
     if odd:
         raise ValueError("sigma needs charges in (1/4)Z b; got charge %s"
                          % ", ".join("%sb" % q for q in odd))
-    return charge_chain([(-4, I), _t_power, (4, ONE)], v)
+    w = charge_chain([(-4, -HALF), (4, ONE)], v)
+    return State({m: c * _t_power(m[1]) for m, c in w.terms.items()})
 
 
 def _hprime_eigenspaces(basis):

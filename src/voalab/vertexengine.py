@@ -30,10 +30,11 @@ a state is packed once, stays on the planes from step to step, and is
 unpacked once per output monomial at the end.
 
 `charge_chain(factors, v)` runs a product of nilpotent exponentials
-exp(x e^{(a8/8) b}(0)) and charge-diagonal scales on the planes; the
-order-3 symmetry `sectors.sigma` is the chain exp(i f) t^H exp(e), and
+exp(x e^{(a8/8) b}(0)) on the planes, and nothing else: the order-3
+symmetry `sectors.sigma` = t^H exp(-f/2) exp(e) is the chain
+exp(-f/2) exp(e) followed by a charge-wise scale of its output, and
 the frame g = exp(c f) exp(u e), whose images of charge parts are the
-eigenvectors of h'(0) (`hprime_eigenvector`), is another.
+eigenvectors of h'(0) (`hprime_eigenvector`), is another chain.
 Virasoro modes skip the general expansion: `_virasoro_amps` applies
 L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock monomial.  The
 general route `mode_apply` is the test oracle of both.
@@ -479,22 +480,18 @@ def mode_apply_theta_even(u, n, v):
 
 
 def charge_chain(factors, v):
-    """The product of charge-mode factors applied to v, the rightmost
-    factor first (as written: charge_chain([f2, f1], v) is f2 f1 v).
+    """The product of charge-mode exponentials applied to v, the
+    rightmost factor first (as written: charge_chain([f2, f1], v) is
+    f2 f1 v).
 
-    A factor is either a pair (a8, x), the exponential
-    exp(x e^{(a8/8) b}(0)) of a zero mode nilpotent on v (as those of
-    e^{+-a}, a8 = +-4, are: they move the charge at fixed weight), or a
-    function from q8 to a field element, the charge-diagonal scale that
-    multiplies each term of charge (q8/8) b by that element.  Raises
-    ModeLegalityError on a term whose charge admits no such zero mode.
+    Each factor is a pair (a8, x), the exponential exp(x e^{(a8/8) b}(0))
+    of a zero mode nilpotent on v (as those of e^{+-a}, a8 = +-4, are:
+    they move the charge at fixed weight).  Raises ModeLegalityError on
+    a term whose charge admits no such zero mode.
     """
     den, planes = _to_planes(v)
-    for factor in reversed(factors):
-        if callable(factor):
-            den, planes = _scale_planes(factor, den, planes)
-        else:
-            den, planes = _exp_planes(*factor, den, planes)
+    for a8, x in reversed(factors):
+        den, planes = _exp_planes(a8, x, den, planes)
     return _from_planes(planes, den)
 
 
@@ -529,30 +526,6 @@ def _exp_planes(a8, x, den, planes):
             for key, c in plane.items():
                 into[key] = get(key, 0) + c * f
     return _trim(den, acc)
-
-
-def _scale_planes(scale, den, planes):
-    """The charge-diagonal scale on the state held by planes over den:
-    each term of charge (q8/8) b times the field element scale(q8), as
-    (den, planes)."""
-    facs = {}
-    for plane in planes.values():
-        for key in plane:
-            q = key & 255
-            if q not in facs:
-                facs[q] = scale(q - _QBIAS)
-    dd = math.lcm(*(s.den for s in facs.values()))
-    facs = {q: [(j, xj * (dd // s.den)) for j, xj in enumerate(s.num) if xj]
-            for q, s in facs.items()}
-    nxt = [{} for _ in range(8)]
-    for p, plane in planes.items():
-        row = BASIS_MUL[p]
-        for key, c in plane.items():
-            for j, xj in facs[key & 255]:
-                m, f = row[j]
-                into = nxt[m]
-                into[key] = into.get(key, 0) + c * f * xj
-    return _trim(den * dd, dict(enumerate(nxt)))
 
 
 # --------------------------------------------------------------------------
@@ -902,11 +875,20 @@ def twisted_mode_apply(u, n, v, hvec):
     vector Delta(hvec, z) u, so each shift term contributes its plain
     mode at a shifted index; all of them run as one `_apply_planes`
     call.  Index incompatibilities are tolerated per term; if nothing at
-    all is compatible, that is an error.
+    all is compatible, that is an error.  A shift by s h' needs v in
+    V_L2 + V_L2+a/2: the shifted u then has e^{+-a} terms, whose fields
+    have half-integer powers of z on a charge k/8 b with k odd, so
+    ModeLegalityError names any such charge of v rather than return a
+    partial sum.  Shifts by t h take every charge.
     """
     n = ModeIndex(n)
     ops = [op for e, w in delta_apply(hvec, u)
            for op in _mode_ops(w, ModeIndex(n + e))]
+    odd = sorted({Fraction(q8, 8) for (_, q8) in v.terms if q8 % 2})
+    if odd and ratio(hvec, named_vector("h")) is None:
+        raise ModeLegalityError(
+            "twisted modes for the h' shift need charges in (1/4)Z b;"
+            " got charge %s" % ", ".join("%sb" % q for q in odd))
     den, planes = _to_planes(v)
     den, planes, legal, total = _apply_planes(ops, den, planes)
     if total and not legal:
@@ -915,5 +897,6 @@ def twisted_mode_apply(u, n, v, hvec):
 
 
 def twisted_weight(v, hvec):
-    """Apply the twisted L(0) for the hvec twist."""
+    """Apply the twisted L(0) for the hvec twist (ModeLegalityError on a
+    charge of v outside (1/4)Z b when hvec is a nonzero multiple of h')."""
     return twisted_mode_apply(named_vector("omega"), 1, v, hvec)

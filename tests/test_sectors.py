@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from voalab import sectors, vertexengine
-from voalab.exactfield import I, ONE, SQRT2, SQRT3, ZERO, sc, sixth_root
+from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sixth_root
 from voalab.fockspace import (
     State, graded_states, named_vector, partitions, ratio, theta,
     theta_even_states,
@@ -182,8 +182,10 @@ def _t_power_by_scalars(k):
 
 
 def _sigma_by_states(v):
-    """sigma as exp(e), then t^H on States, then exp(i f): three separate
-    steps, each unpacked back to a State."""
+    """sigma as exp(e), then t^H on States, then exp(i f): the Gauss
+    order exp(i f) t^H exp(e), with t^H in the middle, in three separate
+    steps, each unpacked back to a State.  It is the second route that
+    tests sectors.sigma, which runs t^H exp(-f/2) exp(e) instead."""
     v = charge_chain([(4, ONE)], v)
     v = State({m: c * _t_power_by_scalars(m[1] // 2)
                for m, c in v.terms.items()})
@@ -205,23 +207,15 @@ def test_sigma_chain_matches_state_route():
 
 
 def test_t_power_scale_matches_scalar_powers():
-    c = ONE + SQRT2 * I - sc(Fraction(3, 5))
-    mixed = State()
     for k in range(-4, 5):
         assert sectors._t_power(2 * k) == _t_power_by_scalars(k), k
-        v = State.basis((2, 1), Fraction(k, 4), c) \
-            + State.basis((), Fraction(k, 4), I)
-        assert charge_chain([sectors._t_power], v) == \
-            v * _t_power_by_scalars(k), k
-        mixed = mixed + v * sc(k + 7)
-    expected = State({m: x * _t_power_by_scalars(m[1] // 2)
-                      for m, x in mixed.terms.items()})
-    assert charge_chain([sectors._t_power], mixed) == expected
 
 
 def test_sigma_gauss_factorization():
     # exp(i f) t^H exp(e) in the 2-dimensional representation is
-    # [[1, 0], [i, 1]] diag(t, 1/t) [[1, 1], [0, 1]] = (1 + iM)/2
+    # [[1, 0], [i, 1]] diag(t, 1/t) [[1, 1], [0, 1]] = (1 + iM)/2, and
+    # t^-H f t^H = (i/2) f turns it into t^H exp(-f/2) exp(e), the order
+    # sectors.sigma runs
     def mul(a, b):
         return [[a[r][0] * b[0][c] + a[r][1] * b[1][c] for c in range(2)]
                 for r in range(2)]
@@ -230,11 +224,16 @@ def test_sigma_gauss_factorization():
     assert t * (ONE - I) == ONE
     m = [[ONE, ONE - I], [ONE + I, -ONE]]
     assert mul(m, m) == [[sc(3), ZERO], [ZERO, sc(3)]]
-    ldu = mul(mul([[ONE, ZERO], [I, ONE]], [[t, ZERO], [ZERO, ONE - I]]),
-              [[ONE, ONE], [ZERO, ONE]])
     identity = [[ONE, ZERO], [ZERO, ONE]]
-    assert ldu == [[(identity[r][c] + I * m[r][c]) * half for c in range(2)]
-                   for r in range(2)]
+    sigma2 = [[(identity[r][c] + I * m[r][c]) * half for c in range(2)]
+              for r in range(2)]
+    t_h, t_minus_h = [[t, ZERO], [ZERO, ONE - I]], [[ONE - I, ZERO], [ZERO, t]]
+    exp_e = [[ONE, ONE], [ZERO, ONE]]
+    ldu = mul(mul([[ONE, ZERO], [I, ONE]], t_h), exp_e)
+    assert ldu == sigma2
+    f = [[ZERO, ZERO], [ONE, ZERO]]
+    assert mul(mul(t_minus_h, f), t_h) == [[x * I * half for x in row] for row in f]
+    assert mul(mul(t_h, [[ONE, ZERO], [-half, ONE]]), exp_e) == sigma2
 
 
 def test_sigma_rejects_odd_eighth_charges():
@@ -417,6 +416,15 @@ def test_shifted_weight(monkeypatch):
     assert shifted_weight(y2, hp) == Fraction(25, 36)
     assert shifted_weight(y1, hp) == Fraction(49, 36)
     assert shifted_weight(y1 + y2, hp) is None
+    # off the (1/4)Z b grid the h' shift is refused, not answered with
+    # the partial sum that drops the shifted omega's e^{+-a} terms
+    eighth = State.basis((), Fraction(1, 8))
+    for v in (eighth, State.basis((), Fraction(1, 4)) + eighth):
+        with pytest.raises(ModeLegalityError, match="charge 1/8b"):
+            shifted_weight(v, hp)
+    # a shift by h takes every charge: 1/16 + 1/2 + h(0) = 9/16 + sqrt2/4
+    with pytest.raises(ArithmeticError, match="rational"):
+        shifted_weight(eighth, named_vector("h"))
     # an irrational eigenvalue of the shifted L(0) is refused
     monkeypatch.setattr(sectors, "twisted_weight", lambda v, h: v * (SQRT3 * I))
     with pytest.raises(ArithmeticError, match="rational"):

@@ -294,6 +294,17 @@ def test_twisted_weight_eigenvector():
     hp = named_vector("hprime")
     y1 = named_vector("y1")
     assert twisted_weight(y1, hp) == y1 * sc(Fraction(49, 36))
+    # charges outside (1/4)Z b: the h' shift refuses them, an h shift
+    # gives 1/16 + 1/2 + sqrt2/4 on |b/8> and 1/4 + 1/2 + sqrt2/2 on |b/4>
+    eighth, quarter = State.basis((), Fraction(1, 8)), State.basis((), Fraction(1, 4))
+    for v in (eighth, quarter + eighth):
+        with pytest.raises(ModeLegalityError, match="charge 1/8b"):
+            twisted_weight(v, hp)
+    h = named_vector("h")
+    low = sc(Fraction(9, 16)) + SQRT2 * sc(Fraction(1, 4))
+    assert twisted_weight(eighth, h) == eighth * low
+    assert twisted_weight(quarter + eighth, h) == \
+        eighth * low + quarter * (sc(Fraction(3, 4)) + SQRT2 * sc(Fraction(1, 2)))
     with pytest.raises(ModeLegalityError):
         twisted_mode_apply(E, Fraction(1, 5), ONE_V, hp)
 
