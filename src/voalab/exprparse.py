@@ -91,7 +91,8 @@ class _Parser:
     def expect(self, kind):
         t = self.next()
         if t[0] != kind:
-            raise ExprError("expected %s, got %r" % (kind, t[1]))
+            got = "end of expression" if t[0] == "end" else repr(t[1])
+            raise ExprError("expected %s, got %s" % (kind, got))
         return t
 
     def parse(self):
@@ -145,6 +146,8 @@ class _Parser:
                 return named_vector(val)
             except KeyError:
                 raise ExprError("unknown name %r" % val)
+        if kind == "end":
+            raise ExprError("unexpected end of expression")
         raise ExprError("unexpected token %r" % (val,))
 
     def monomial(self):

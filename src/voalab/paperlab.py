@@ -24,7 +24,7 @@ import random
 import time
 from fractions import Fraction
 
-from .exactfield import ZERO, as_rational, sc, sixth_root, sqrt2_power
+from .exactfield import ZERO, as_rational, sc, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import (
     State, graded_states, lattice_component, named_vector, ratio, tau1,
@@ -415,6 +415,39 @@ def emit_report(report, fmt="text"):
 
 
 # --------------------------------------------------------------------------
+# The one-line identities are table rows (id, description, anchor, covers,
+# operands, expected).  operands is (call, *args) with call one of sigma,
+# mode, norm (the pairing of a state with itself), shift (delta_apply)
+# and vector (the state itself); each string argument is an exprparse
+# state.  expected is an exprparse string, or for a shift the
+# (exponent, state) pairs of its series.  Nothing is parsed until the
+# check runs.
+
+
+def _row_values(call, args, expected):
+    """(computed, expected) of one table row."""
+    a = [parse_state_expr(x) if isinstance(x, str) else x for x in args]
+    if call == "sigma":
+        return sigma(*a), parse_state_expr(expected)
+    if call == "mode":
+        return mode_apply(*a), parse_state_expr(expected)
+    if call == "norm":
+        return pair(a[0], a[0]), parse_scalar_expr(expected)
+    if call == "shift":
+        return delta_apply(*a), RationalPowerSeries(
+            [(e, parse_state_expr(x)) for e, x in expected])
+    if call == "vector":
+        return a[0], parse_state_expr(expected)
+    raise ValueError("unknown row call %r" % call)
+
+
+def _register_rows(tag, rows):
+    for id, description, anchor, covers, (call, *args), expected in rows:
+        _check(id, description, anchor, tags=(tag,), covers=covers)(
+            lambda cfg, c=call, a=args, e=expected: _row_values(c, a, e))
+
+
+# --------------------------------------------------------------------------
 # Criterion 1: the twelve bracket identities of the two weight 4
 # generators against the cataloged weight 4..7 composites.
 
@@ -467,20 +500,12 @@ _register_brackets()
 # eigenvectors.
 
 
-@_check("lemma-3.2-sigma-J",
-        "the symmetry sends J to -(1/2) J + (9/2) E",
-        "lemma-3.2", tags=("criterion-2",))
-def _chk_sigma_j(cfg):
-    J, E = named_vector("J"), named_vector("E")
-    return sigma(J), J * sc(Fraction(-1, 2)) + E * sc(Fraction(9, 2))
-
-
-@_check("lemma-3.2-sigma-E",
-        "the symmetry sends E to -(1/6) J - (1/2) E",
-        "lemma-3.2", tags=("criterion-2",))
-def _chk_sigma_e(cfg):
-    J, E = named_vector("J"), named_vector("E")
-    return sigma(E), J * sc(Fraction(-1, 6)) + E * sc(Fraction(-1, 2))
+_register_rows("criterion-2", (
+    ("lemma-3.2-sigma-J", "the symmetry sends J to -(1/2) J + (9/2) E",
+     "lemma-3.2", (), ("sigma", "J"), "-1/2*J + 9/2*E"),
+    ("lemma-3.2-sigma-E", "the symmetry sends E to -(1/6) J - (1/2) E",
+     "lemma-3.2", (), ("sigma", "E"), "-1/6*J - 1/2*E"),
+))
 
 
 @_check("eq-3.9-eigvec-parse",
@@ -493,20 +518,14 @@ def _chk_eigvec_parse(cfg):
             (True, True))
 
 
-@_check("eq-3.1-sigma-X1",
-        "the symmetry multiplies X1 by the primitive cube root",
-        "eq-3.1", tags=("criterion-2",))
-def _chk_sigma_x1(cfg):
-    X1 = named_vector("X1")
-    return sigma(X1), X1 * sixth_root(2)
-
-
-@_check("eq-3.1-sigma-X2",
-        "the symmetry multiplies X2 by the conjugate cube root",
-        "eq-3.1", tags=("criterion-2",))
-def _chk_sigma_x2(cfg):
-    X2 = named_vector("X2")
-    return sigma(X2), X2 * sixth_root(4)
+_register_rows("criterion-2", (
+    ("eq-3.1-sigma-X1",
+     "the symmetry multiplies X1 by the primitive cube root",
+     "eq-3.1", (), ("sigma", "X1"), "(-1 + r3*i)/2*X1"),
+    ("eq-3.1-sigma-X2",
+     "the symmetry multiplies X2 by the conjugate cube root",
+     "eq-3.1", (), ("sigma", "X2"), "(-1 - r3*i)/2*X2"),
+))
 
 
 @_check("sec3-sigma-order3",
@@ -534,82 +553,30 @@ def _chk_u9_primary(cfg):
             (9, True, True))
 
 
-@_check("lemma-3.8-W-u9",
-        "J(-2)E - E(-2)J equals -2 sqrt(2) times the weight 9 generator",
-        "lemma-3.8", tags=("criterion-3",))
-def _chk_w_u9(cfg):
-    W = named_vector("W")
-    u9 = named_vector("u9")
-    return W, u9 * (sqrt2_power(3) * sc(-1))
-
-
-@_check("lemma-3.8-u9-norm",
-        "the weight 9 generator has squared norm 5400",
-        "lemma-3.8", tags=("criterion-3",))
-def _chk_u9_norm(cfg):
-    u9 = named_vector("u9")
-    return pair(u9, u9), sc(5400)
-
-
-@_check("eq-3.12-W8J",
-        "the top mode of W sends J to -10800 E",
-        "eq-3.12", tags=("criterion-3",))
-def _chk_w8j(cfg):
-    W, J, E = named_vector("W"), named_vector("J"), named_vector("E")
-    return mode_apply(W, 8, J), E * sc(-10800)
-
-
-@_check("eq-3.12-W8E",
-        "the top mode of W sends E to 400 J",
-        "eq-3.12", tags=("criterion-3",))
-def _chk_w8e(cfg):
-    W, J, E = named_vector("W"), named_vector("J"), named_vector("E")
-    return mode_apply(W, 8, E), J * sc(400)
-
-
-@_check("eq-3.13-W8X1",
-        "the top mode of W multiplies X1 by -1200 sqrt(3) i",
-        "eq-3.13", tags=("criterion-3",), covers=("lemma-3.5",))
-def _chk_w8x1(cfg):
-    W, X1 = named_vector("W"), named_vector("X1")
-    return mode_apply(W, 8, X1), X1 * parse_scalar_expr("-1200*r3*i")
-
-
-@_check("eq-3.13-W8X2",
-        "the top mode of W multiplies X2 by 1200 sqrt(3) i",
-        "eq-3.13", tags=("criterion-3",))
-def _chk_w8x2(cfg):
-    W, X2 = named_vector("W"), named_vector("X2")
-    return mode_apply(W, 8, X2), X2 * parse_scalar_expr("1200*r3*i")
-
-
-@_check("sec3-u9-8E",
-        "the top mode of the weight 9 generator sends E to -100 sqrt(2) J",
-        "s3-vectors", tags=("criterion-3",))
-def _chk_u9_8e(cfg):
-    u9, E, J = named_vector("u9"), named_vector("E"), named_vector("J")
-    return mode_apply(u9, 8, E), J * parse_scalar_expr("-100*r2")
-
-
-@_check("sec3-E-norm", "E has squared norm 2", "s2-conventions",
-        tags=("criterion-3",))
-def _chk_e_norm(cfg):
-    E = named_vector("E")
-    return pair(E, E), sc(2)
-
-
-@_check("sec3-J-norm", "J has squared norm 54", "s3-vectors",
-        tags=("criterion-3",))
-def _chk_j_norm(cfg):
-    J = named_vector("J")
-    return pair(J, J), sc(54)
-
-
-@_check("eq-3.14-W-norm", "W has squared norm 43200", "eq-3.14",
-        tags=("criterion-3",))
-def _chk_w_norm(cfg):
-    W = named_vector("W")
-    return pair(W, W), sc(43200)
+_register_rows("criterion-3", (
+    ("lemma-3.8-W-u9",
+     "J(-2)E - E(-2)J equals -2 sqrt(2) times the weight 9 generator",
+     "lemma-3.8", (), ("vector", "W"), "-2*r2*u9"),
+    ("lemma-3.8-u9-norm", "the weight 9 generator has squared norm 5400",
+     "lemma-3.8", (), ("norm", "u9"), "5400"),
+    ("eq-3.12-W8J", "the top mode of W sends J to -10800 E",
+     "eq-3.12", (), ("mode", "W", 8, "J"), "-10800*E"),
+    ("eq-3.12-W8E", "the top mode of W sends E to 400 J",
+     "eq-3.12", (), ("mode", "W", 8, "E"), "400*J"),
+    ("eq-3.13-W8X1", "the top mode of W multiplies X1 by -1200 sqrt(3) i",
+     "eq-3.13", ("lemma-3.5",), ("mode", "W", 8, "X1"), "-1200*r3*i*X1"),
+    ("eq-3.13-W8X2", "the top mode of W multiplies X2 by 1200 sqrt(3) i",
+     "eq-3.13", (), ("mode", "W", 8, "X2"), "1200*r3*i*X2"),
+    ("sec3-u9-8E",
+     "the top mode of the weight 9 generator sends E to -100 sqrt(2) J",
+     "s3-vectors", (), ("mode", "u9", 8, "E"), "-100*r2*J"),
+    ("sec3-E-norm", "E has squared norm 2", "s2-conventions", (),
+     ("norm", "E"), "2"),
+    ("sec3-J-norm", "J has squared norm 54", "s3-vectors", (),
+     ("norm", "J"), "54"),
+    ("eq-3.14-W-norm", "W has squared norm 43200", "eq-3.14", (),
+     ("norm", "W"), "43200"),
+))
 
 
 # --------------------------------------------------------------------------
@@ -890,80 +857,35 @@ def _chk_ratio(cfg):
 # Criterion 7: the shift operator and the shifted sectors.
 
 
-def _rps(pairs):
-    return RationalPowerSeries([(Fraction(e), st) for e, st in pairs])
-
-
-@_check("eq-5.2-shift-omega",
-        "the shift of the conformal vector is omega + z^-1 h' + "
-        "(1/36) z^-2 vacuum",
-        "eq-5.2", tags=("criterion-7",))
-def _chk_shift_omega(cfg):
-    hp = named_vector("hprime")
-    omega, one = named_vector("omega"), named_vector("one")
-    return (delta_apply(hp, omega),
-            _rps([(0, omega), (-1, hp), (-2, one * sc(Fraction(1, 36)))]))
-
-
-@_check("eq-5.3-shift-hprime",
-        "the shift of h' is h' + (1/18) z^-1 vacuum",
-        "eq-5.3", tags=("criterion-7",))
-def _chk_shift_hprime(cfg):
-    hp, one = named_vector("hprime"), named_vector("one")
-    return (delta_apply(hp, hp),
-            _rps([(0, hp), (-1, one * sc(Fraction(1, 18)))]))
-
-
-@_check("eq-5.4-shift-y1",
-        "the shift of y1 is the pure power z^(1/3) y1",
-        "eq-5.4", tags=("criterion-7",), covers=("lemma-5.2",))
-def _chk_shift_y1(cfg):
-    hp, y1 = named_vector("hprime"), named_vector("y1")
-    return delta_apply(hp, y1), _rps([(Fraction(1, 3), y1)])
-
-
-@_check("eq-5.5-shift-y2",
-        "the shift of y2 is the pure power z^(-1/3) y2",
-        "eq-5.5", tags=("criterion-7",))
-def _chk_shift_y2(cfg):
-    hp, y2 = named_vector("hprime"), named_vector("y2")
-    return delta_apply(hp, y2), _rps([(Fraction(-1, 3), y2)])
-
-
-@_check("eq-5.6-opposite-shift-omega",
-        "the opposite shift of the conformal vector is omega - z^-1 h' + "
-        "(1/36) z^-2 vacuum",
-        "eq-5.6", tags=("criterion-7",))
-def _chk_opp_shift_omega(cfg):
-    hp = named_vector("hprime")
-    omega, one = named_vector("omega"), named_vector("one")
-    return (delta_apply(-hp, omega),
-            _rps([(0, omega), (-1, -hp), (-2, one * sc(Fraction(1, 36)))]))
-
-
-@_check("eq-5.7-opposite-shift-hprime",
-        "the opposite shift of -h' is -h' + (1/18) z^-1 vacuum",
-        "eq-5.7", tags=("criterion-7",))
-def _chk_opp_shift_hprime(cfg):
-    hp, one = named_vector("hprime"), named_vector("one")
-    return (delta_apply(-hp, -hp),
-            _rps([(0, -hp), (-1, one * sc(Fraction(1, 18)))]))
-
-
-@_check("eq-5.8-opposite-shift-y1",
-        "the opposite shift of y1 is the pure power z^(-1/3) y1",
-        "eq-5.8", tags=("criterion-7",))
-def _chk_opp_shift_y1(cfg):
-    hp, y1 = named_vector("hprime"), named_vector("y1")
-    return delta_apply(-hp, y1), _rps([(Fraction(-1, 3), y1)])
-
-
-@_check("eq-5.9-opposite-shift-y2",
-        "the opposite shift of y2 is the pure power z^(1/3) y2",
-        "eq-5.9", tags=("criterion-7",))
-def _chk_opp_shift_y2(cfg):
-    hp, y2 = named_vector("hprime"), named_vector("y2")
-    return delta_apply(-hp, y2), _rps([(Fraction(1, 3), y2)])
+_register_rows("criterion-7", (
+    ("eq-5.2-shift-omega",
+     "the shift of the conformal vector is omega + z^-1 h' + "
+     "(1/36) z^-2 vacuum",
+     "eq-5.2", (), ("shift", "hprime", "omega"),
+     ((0, "omega"), (-1, "hprime"), (-2, "1/36*one"))),
+    ("eq-5.3-shift-hprime", "the shift of h' is h' + (1/18) z^-1 vacuum",
+     "eq-5.3", (), ("shift", "hprime", "hprime"),
+     ((0, "hprime"), (-1, "1/18*one"))),
+    ("eq-5.4-shift-y1", "the shift of y1 is the pure power z^(1/3) y1",
+     "eq-5.4", ("lemma-5.2",), ("shift", "hprime", "y1"), (("1/3", "y1"),)),
+    ("eq-5.5-shift-y2", "the shift of y2 is the pure power z^(-1/3) y2",
+     "eq-5.5", (), ("shift", "hprime", "y2"), (("-1/3", "y2"),)),
+    ("eq-5.6-opposite-shift-omega",
+     "the opposite shift of the conformal vector is omega - z^-1 h' + "
+     "(1/36) z^-2 vacuum",
+     "eq-5.6", (), ("shift", "-hprime", "omega"),
+     ((0, "omega"), (-1, "-hprime"), (-2, "1/36*one"))),
+    ("eq-5.7-opposite-shift-hprime",
+     "the opposite shift of -h' is -h' + (1/18) z^-1 vacuum",
+     "eq-5.7", (), ("shift", "-hprime", "-hprime"),
+     ((0, "-hprime"), (-1, "1/18*one"))),
+    ("eq-5.8-opposite-shift-y1",
+     "the opposite shift of y1 is the pure power z^(-1/3) y1",
+     "eq-5.8", (), ("shift", "-hprime", "y1"), (("-1/3", "y1"),)),
+    ("eq-5.9-opposite-shift-y2",
+     "the opposite shift of y2 is the pure power z^(1/3) y2",
+     "eq-5.9", (), ("shift", "-hprime", "y2"), (("1/3", "y2"),)),
+))
 
 
 @_check("sec5-hprime-axioms",

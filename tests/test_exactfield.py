@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from voalab.exactfield import (
-    I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, exp_two_pi_i,
+    I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, as_rational, exp_two_pi_i,
     from_basis_products, is_rational, rat, sc, sixth_root, sqrt2_power,
 )
 
@@ -130,3 +130,63 @@ def test_rationality():
 def test_scalar_str_is_stable():
     assert str(sc(5400)) == "5400"
     assert "2" in str(sqrt2_power(1))
+
+
+# An independent model of the field: Q(i, sqrt2, sqrt3) is Q(zeta) for
+# zeta a primitive 24th root of unity, held as rational polynomials in
+# zeta modulo Phi_24 = x^8 - x^4 + 1, with i = zeta^6,
+# sqrt2 = zeta^3 + zeta^21 and sqrt3 = zeta^2 + zeta^22.
+
+
+def _cyc_mul(a, b):
+    out = [Fraction(0)] * 15
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[j + k] += x * y
+    for d in range(14, 7, -1):  # x^8 = x^4 - 1
+        out[d - 4] += out[d]
+        out[d - 8] -= out[d]
+    return out[:8]
+
+
+def _zeta(*powers):
+    """The sum of zeta**p over the given powers."""
+    out = [Fraction(0)] * 8
+    for p in powers:
+        z = [Fraction(1)] + [Fraction(0)] * 7
+        for _ in range(p % 24):
+            z = _cyc_mul(z, [0, 1, 0, 0, 0, 0, 0, 0])
+        out = [x + y for x, y in zip(out, z)]
+    return out
+
+
+_R2, _R3, _I = _zeta(3, 21), _zeta(2, 22), _zeta(6)
+_R6 = _cyc_mul(_R2, _R3)
+_CYC_BASIS = (_zeta(0), _R2, _R3, _R6, _I, _cyc_mul(_R2, _I),
+              _cyc_mul(_R3, _I), _cyc_mul(_R6, _I))
+
+
+def _cyc(x):
+    """The Scalar x as a polynomial in zeta, read off its coordinates."""
+    out = [Fraction(0)] * 8
+    for c, b in zip(x.co, _CYC_BASIS):
+        out = [o + c * y for o, y in zip(out, b)]
+    return out
+
+
+def test_field_matches_the_cyclotomic_model():
+    for gen, square in ((_R2, 2), (_R3, 3), (_I, -1)):
+        assert _cyc_mul(gen, gen) == [square] + [0] * 7
+    rng = random.Random(2024)
+    elems = [Scalar([rng.choice((0, rng.randint(-9, 9))) for _ in range(8)],
+                    rng.randint(1, 12)) for _ in range(40)]
+    pairs = [(a, b) for a in BASIS for b in BASIS]
+    pairs += [(a, rng.choice(elems)) for a in elems]
+    for a, b in pairs:
+        assert _cyc(a * b) == _cyc_mul(_cyc(a), _cyc(b))
+    for a in elems:
+        if a:
+            assert _cyc_mul(_cyc(a), _cyc(a.inv())) == _zeta(0)
+    for k in range(-6, 12):
+        assert _cyc(sixth_root(k)) == _zeta(4 * k)
+        assert _cyc(exp_two_pi_i(Fraction(k, 6))) == _zeta(4 * k)

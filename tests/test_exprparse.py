@@ -50,3 +50,13 @@ def test_errors():
                 "h(-0)|0>", "|1/3b>", "|xb>", "|1/0b>", "1/0"]:
         with pytest.raises(ExprError):
             parse_state_expr(bad)
+
+
+def test_errors_name_the_end_of_the_expression():
+    for bad in ["", "E +", "2*", "1/2/"]:
+        with pytest.raises(ExprError, match="^unexpected end of expression$"):
+            parse_state_expr(bad)
+    with pytest.raises(ExprError, match="^expected \\), got end of expression$"):
+        parse_state_expr("(E")
+    with pytest.raises(ExprError, match="^unexpected token '\\*'$"):
+        parse_state_expr("* E")

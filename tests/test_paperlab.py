@@ -1,6 +1,7 @@
 """The check catalog: registry shape, selection, statuses, and report
 emission."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -8,13 +9,15 @@ from fractions import Fraction
 import pytest
 
 from voalab import paperlab, sectors
+from voalab.exactfield import sc, sixth_root, sqrt2_power
+from voalab.exprparse import parse_scalar_expr
 from voalab.fockspace import State, named_vector
 from voalab.linalg import express_in_span
 from voalab.paperlab import (
     CheckResult, CheckSpec, DEFAULT_CONFIG, Report, all_checks, emit_report,
     get_check, run_checks,
 )
-from voalab.vertexengine import hprime_eigenvector
+from voalab.vertexengine import RationalPowerSeries, hprime_eigenvector
 
 EXPECTED_FINDINGS = {
     "lemma-4.4-gram-normalization",
@@ -23,6 +26,16 @@ EXPECTED_FINDINGS = {
 }
 
 CRITERIA = tuple("criterion-%d" % k for k in range(1, 11))
+
+# sha256 of the JSON list of [id, description, anchor, tags, cost, finding,
+# covers] of every check sorted by id, and of the ids in registration
+# order joined by newlines.  The report digest covers only ids, statuses
+# and the two value strings; this covers the rest of each spec, and the
+# order is the item order of the catalog-fast benchmark workload.
+REGISTRY_SHA256 = (
+    "2662393a9df11bd4ba9ff8d14623b497ecf94e2be06699995333fac4708346cf")
+ORDER_SHA256 = (
+    "648c56c677ff74456801ff1443f2d4c58b5b2de76c546568a9c3e8106db2081a")
 
 
 def test_registry_shape():
@@ -37,6 +50,15 @@ def test_registry_shape():
         for t in c.tags:
             assert t in CRITERIA, (c.id, t)
     assert {c.id for c in checks if c.finding} == EXPECTED_FINDINGS
+
+
+def test_registry_fields_and_order_are_pinned():
+    rows = [[c.id, c.description, c.anchor, list(c.tags), c.cost, c.finding,
+             list(c.covers)] for c in sorted(all_checks(), key=lambda c: c.id)]
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == REGISTRY_SHA256
+    order = "\n".join(c.id for c in all_checks()).encode()
+    assert hashlib.sha256(order).hexdigest() == ORDER_SHA256
 
 
 def test_every_check_is_tagged_except_meta():
@@ -201,6 +223,54 @@ def test_report_and_result_types():
     assert isinstance(rep, Report)
     assert isinstance(rep.checks[0], CheckResult)
     assert rep.version == paperlab.VERSION
+
+
+def _hand_built_expectations():
+    """The expected values as the catalog built them by hand before its
+    one-line identities became table rows."""
+    J, E, W, u9 = (named_vector(n) for n in ("J", "E", "W", "u9"))
+    X1, X2 = named_vector("X1"), named_vector("X2")
+    hp, omega, one = (named_vector(n) for n in ("hprime", "omega", "one"))
+    y1, y2 = named_vector("y1"), named_vector("y2")
+
+    def rps(pairs):
+        return RationalPowerSeries([(Fraction(e), st) for e, st in pairs])
+
+    return {
+        "lemma-3.2-sigma-J": J * sc(Fraction(-1, 2)) + E * sc(Fraction(9, 2)),
+        "lemma-3.2-sigma-E": J * sc(Fraction(-1, 6)) + E * sc(Fraction(-1, 2)),
+        "eq-3.1-sigma-X1": X1 * sixth_root(2),
+        "eq-3.1-sigma-X2": X2 * sixth_root(4),
+        "lemma-3.8-W-u9": u9 * (sqrt2_power(3) * sc(-1)),
+        "lemma-3.8-u9-norm": sc(5400),
+        "eq-3.12-W8J": E * sc(-10800),
+        "eq-3.12-W8E": J * sc(400),
+        "eq-3.13-W8X1": X1 * parse_scalar_expr("-1200*r3*i"),
+        "eq-3.13-W8X2": X2 * parse_scalar_expr("1200*r3*i"),
+        "sec3-u9-8E": J * parse_scalar_expr("-100*r2"),
+        "sec3-E-norm": sc(2),
+        "sec3-J-norm": sc(54),
+        "eq-3.14-W-norm": sc(43200),
+        "eq-5.2-shift-omega":
+            rps([(0, omega), (-1, hp), (-2, one * sc(Fraction(1, 36)))]),
+        "eq-5.3-shift-hprime": rps([(0, hp), (-1, one * sc(Fraction(1, 18)))]),
+        "eq-5.4-shift-y1": rps([(Fraction(1, 3), y1)]),
+        "eq-5.5-shift-y2": rps([(Fraction(-1, 3), y2)]),
+        "eq-5.6-opposite-shift-omega":
+            rps([(0, omega), (-1, -hp), (-2, one * sc(Fraction(1, 36)))]),
+        "eq-5.7-opposite-shift-hprime":
+            rps([(0, -hp), (-1, one * sc(Fraction(1, 18)))]),
+        "eq-5.8-opposite-shift-y1": rps([(Fraction(-1, 3), y1)]),
+        "eq-5.9-opposite-shift-y2": rps([(Fraction(1, 3), y2)]),
+    }
+
+
+def test_table_rows_equal_their_hand_built_expectations():
+    cfg = dict(DEFAULT_CONFIG)
+    for id, value in _hand_built_expectations().items():
+        computed, expected = get_check(id).thunk(cfg)
+        assert type(expected) is type(value) and expected == value, id
+        assert computed == expected, id
 
 
 def _piece_oracle(ts, v):

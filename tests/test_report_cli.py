@@ -128,6 +128,15 @@ def test_mode_and_pair_report_malformed_expressions(capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_mode_reports_an_expression_that_ends_early(capsys):
+    for v, message in [("", "unexpected end of expression"),
+                       ("(E", "expected ), got end of expression")]:
+        code, out, err = run_cli(["mode", "--u", "E", "--n", "3", "--v", v],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == "error: %s\n" % message
+
+
 def test_pair_command(capsys):
     code, out, _ = run_cli(["pair", "--u", "J", "--v", "J"], capsys)
     assert code == 0
