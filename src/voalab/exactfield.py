@@ -175,8 +175,9 @@ class Scalar:
 
     def mul_rat_sqrt2(self, r, e):
         """self * r * sqrt2**e in one pass, for rational r and int e,
-        building no intermediate field elements.  `sqrt2_power` and the
-        tests' per-contribution oracle of the mode engine use it.
+        building no intermediate field elements.  `sqrt2_power`,
+        `vertexengine._mode_ops` and the tests' per-contribution oracle of
+        the mode engine use it.
         """
         if type(r) is int:
             rn, rd = r, 1

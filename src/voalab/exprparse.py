@@ -156,7 +156,10 @@ class _Parser:
                 and self.toks[self.pos + 1][0] == "(":
             self.next()
             self.expect("(")
-            k = self.expect("int")[1] if self.next()[0] == "-" else 0
+            sign = self.next()[0]
+            if sign == "end":
+                raise ExprError("unexpected end of expression")
+            k = self.expect("int")[1] if sign == "-" else 0
             if k < 1:
                 raise ExprError("h modes in expressions must be creation modes"
                                 " h(-k), k >= 1")

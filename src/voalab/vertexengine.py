@@ -10,16 +10,23 @@ For efficiency the expansion of one monomial pair runs on integers.
 Inside the engine a monomial is a packed key, one int holding the
 charge and a 6-bit count per part (`_pack`), so merging monomials is an
 integer addition; a packed monomial of degree above 63 or with
-|q8| >= 128 raises KeyWidthError.  `_pair_modes` returns one pair's
-expansion as (den, even, odd): two integer maps keyed by the packed
-output monomial over one positive denominator, the amplitude being
-(even + sqrt2 odd) / den (the even part of each power of sqrt2 is
-folded into the integer).  The creation-side combinatorics are memoized
-independently of the lattice charge.
+|q8| >= 128 raises KeyWidthError.
+
+The engine holds the coordinate of a monomial with an odd number of
+parts divided by sqrt2.  In this parity basis the monomial with k parts
+stands for sqrt2^(k mod 2) h(-d_1)...h(-d_k) e^{(q8/8) b}, a rational
+multiple of the lattice monomial a(-d_1)...a(-d_k) e^{(q8/8) b}
+(a = sqrt2 h, <a, a> = 2), so every mode amplitude is rational.
+`_pair_modes` returns one pair's expansion as (den, amps): one integer
+map keyed by the packed output monomial over one positive denominator.
+The creation-side combinatorics are memoized independently of the
+lattice charge.
 
 A state inside the engine is a set of integer coordinate planes
 {packed monomial: int}, one per basis element of the field, over one
-common denominator.  One kernel, `_apply_planes`, applies a sum of
+common denominator, in the parity basis: sqrt2 enters and leaves only
+where `_to_planes` and `_from_planes` convert a State and `_mode_ops`
+the coefficients of u.  One kernel, `_apply_planes`, applies a sum of
 operators x A to the planes, A given by its amplitudes in the format of
 `_pair_modes` and x a field element; it is the only loop that routes
 amplitudes onto the planes.  `mode_apply` (one operator per term of u),
@@ -204,10 +211,11 @@ def _pair_modes(udegs, a8, vkey, n):
     mode index is incompatible with the charge pairing.
 
     u's monomial is (udegs, a8) with udegs a tuple; v's monomial is the
-    packed key vkey.  Returns (den, even, odd): even and odd map each
-    packed output key (charge q8 + a8) to a nonzero integer, and the
-    pair contributes (even + sqrt2 odd) / den there, over one positive
-    denominator den.  The caller supplies the monomial coefficients.
+    packed key vkey.  Returns (den, amps): amps maps each packed output
+    key (charge q8 + a8) to a nonzero integer, and in the parity basis
+    (module docstring) the pair contributes amps / den there, over one
+    positive denominator den.  The caller supplies the monomial
+    coefficients, in the parity basis too.
 
     Every factor of the charge pairings 2a = a8/4 and 2q = q8/4 raises
     the sqrt2 exponent e by one, so the running amplitude is an integer
@@ -269,13 +277,23 @@ def _pair_modes(udegs, a8, vkey, n):
 
     # Phase three: fill in creation modes and the exponential cloud.  A
     # contribution at sqrt2 exponent e and creation degree c is an
-    # integer over 4^e c!; bring them all over 4^emax cmax!, where
-    # sqrt2^e = 2^(e >> 1) sqrt2^(e & 1) leaves at most one sqrt2.
+    # integer over 4^e c!; bring them all over 4^emax cmax!.  The parity
+    # basis multiplies it by sqrt2^((ku & 1) + (kv & 1) - (kout & 1)),
+    # ku, kv and kout the part counts of u, v and the output, and
+    # kout = e + ku + kv mod 2: the parts of rem and pend, the u fields
+    # still to route and e keep the parity of their sum through every
+    # step (phase one moves j parts into e, the charge channel a u field
+    # into e, the pending channel a u field into pend, the annihilation
+    # channel drops a u field and a part of rem, and a cloud of s parts
+    # adds s parts and s to e).  So the whole power of sqrt2 is
+    # 2^((e + kuv) >> 1) with kuv = (ku & 1) + (kv & 1): one shift per
+    # cloud group, never negative, and no sqrt2 is left over.
     live = [(rem, pend, c, e2, amp)
             for (rem, pend, c, e2), amp in states.items() if amp and c >= 0]
-    even, odd = {}, {}
+    amps = {}
     if live:
         _check_width(sum(d * m for d, m in parts) + sum(udegs) + c0, q8 + a8)
+        kuv = (len(udegs) & 1) + (sum(m for _, m in parts) & 1)
         cmax = max(t[2] for t in live)
         emax = max(t[3] for t in live) + (cmax if a8 else 0)
         for rem, pend, c_target, e2, amp in live:
@@ -287,18 +305,16 @@ def _pair_modes(udegs, a8, vkey, n):
                 groups = groups[:1] if groups and not groups[0][0] else ()
             for s, group in groups:
                 e = e2 + s
-                plane = odd if e & 1 else even
-                f = amp * a8 ** s << 2 * (emax - e) + (e >> 1)
-                get = plane.get
+                f = amp * a8 ** s << 2 * (emax - e) + (e + kuv >> 1)
+                get = amps.get
                 for extra, cx in group:
                     key = rem + extra
-                    plane[key] = get(key, 0) + cx * f
+                    amps[key] = get(key, 0) + cx * f
         den = math.factorial(cmax) << 2 * emax
     else:
         den = 1
-    g = math.gcd(den, *even.values(), *odd.values())
-    return (den // g, {key: amp // g for key, amp in even.items() if amp},
-            {key: amp // g for key, amp in odd.items() if amp})
+    g = math.gcd(den, *amps.values())
+    return den // g, {key: amp // g for key, amp in amps.items() if amp}
 
 
 # A pure exponential operator (no derivative fields) meets the same
@@ -319,34 +335,47 @@ def _pure_exp(a8, n, vkey):
 # {basis index: plane} of the nonempty planes only.  Between the steps
 # of a chain the planes have no zero entry (`_trim`), so a zero state
 # has no planes.
+#
+# _ROUTE[k & 1][j] = (m, f): a coordinate on the basis element e_j of a
+# monomial with k parts, times sqrt2^(k & 1), is f times a coordinate
+# on e_m.  Multiplying by sqrt2 converts both ways, over a doubled
+# denominator on the way in: a parity coordinate is c / sqrt2 =
+# c sqrt2 / 2, and c is sqrt2 times it.
+_ROUTE = (tuple((j, 1) for j in range(8)), BASIS_MUL[1])
 
 
 def _to_planes(v):
-    """(den, planes) holding v: its coordinates over their common
-    denominator, keyed by packed monomial."""
-    terms = v.terms
-    den = math.lcm(*[c.den for c in terms.values()])
+    """(den, planes) holding v: its parity-basis coordinates over their
+    common denominator, keyed by packed monomial."""
+    terms = [(len(degs) & 1, _pack(degs, q8), c)
+             for (degs, q8), c in v.terms.items()]
+    den = math.lcm(*[c.den << k1 for k1, _, c in terms])
     planes = {}
-    for (degs, q8), c in terms.items():
-        key = _pack(degs, q8)
-        f = den // c.den
-        for k, x in enumerate(c.num):
+    for k1, key, c in terms:
+        f = den // (c.den << k1)
+        route = _ROUTE[k1]
+        for j, x in enumerate(c.num):
             if x:
-                planes.setdefault(k, {})[key] = x * f
+                m, g = route[j]
+                planes.setdefault(m, {})[key] = x * f * g
     return den, planes
 
 
 def _from_planes(planes, den):
     """The State held by planes over den: one field element per packed
-    monomial, unpacked here and only here."""
+    monomial, unpacked and brought out of the parity basis here and only
+    here."""
     used = sorted(planes.items())
     out = {}
     for key in dict.fromkeys(key for _, plane in used for key in plane):
+        degs, q8 = _unpack(key)
+        route = _ROUTE[len(degs) & 1]
         num = [0] * 8
-        for k, plane in used:
-            num[k] = plane.get(key, 0)
+        for j, plane in used:
+            m, g = route[j]
+            num[m] = g * plane.get(key, 0)
         if any(num):
-            out[_unpack(key)] = _norm(tuple(num), den)
+            out[degs, q8] = _norm(tuple(num), den)
     return State(out)
 
 
@@ -376,9 +405,9 @@ def _apply_planes(ops, den, planes):
     key in the format of `_pair_modes`, or None where A is undefined,
     and x is a field element; legal and total count the (op, monomial)
     pairs where A is defined and all of them.  A term c e_p goes to
-    sum_j x_j c e_p e_j (even + sqrt2 odd) / (d x.den), where e_p e_j
-    and sqrt2 e_p e_j are signed basis elements (`BASIS_MUL`): every
-    contribution is an integer product added to one plane.
+    sum_j x_j c e_p e_j amps / (d x.den), where e_p e_j is a signed basis
+    element (`BASIS_MUL`): every x_j routes to one plane, and every
+    contribution is an integer product added to it.
     """
     keys = {}
     for plane in planes.values():
@@ -393,7 +422,7 @@ def _apply_planes(ops, den, planes):
             amp = amps(key)
             if amp is not None:
                 legal += 1
-                if amp[1] or amp[2]:
+                if amp[1]:
                     table[key] = amp
                     d = amp[0] * xden
                     if dd % d:
@@ -402,41 +431,33 @@ def _apply_planes(ops, den, planes):
         if table:
             work.append((table, xden, x.num))
     nxt = {}
-    sqrt2 = BASIS_MUL[1]
     for table, xden, xnum in work:
         for p, plane in planes.items():
-            # per coordinate x_j of x: the planes that e_p x_j and
-            # sqrt2 e_p x_j land on, and the integer factors there
+            # per coordinate x_j of x: the plane that e_p x_j lands on,
+            # and the integer factor there
             row = BASIS_MUL[p]
             outs = []
             for j, xj in enumerate(xnum):
-                if not xj:
-                    continue
-                m, f = row[j]
-                mo, fo = sqrt2[m]
-                outs.append((nxt.setdefault(m, {}), f * xj,
-                             nxt.setdefault(mo, {}), f * fo * xj))
+                if xj:
+                    m, f = row[j]
+                    outs.append((nxt.setdefault(m, {}), f * xj))
             for key, c in plane.items():
                 amp = table.get(key)
                 if amp is None:
                     continue
-                d, even, odd = amp
+                d, amps = amp
                 c *= dd // (d * xden)
-                for pe, fe, po, fo in outs:
-                    fe *= c
-                    get = pe.get
-                    for out, a in even.items():
-                        pe[out] = get(out, 0) + fe * a
-                    if odd:
-                        fo *= c
-                        get = po.get
-                        for out, a in odd.items():
-                            po[out] = get(out, 0) + fo * a
+                for into, f in outs:
+                    f *= c
+                    get = into.get
+                    for out, a in amps.items():
+                        into[out] = get(out, 0) + f * a
     return den * dd, nxt, legal, total
 
 
 def _mode_ops(u, n):
-    """The `_apply_planes` ops of the n-th mode of u, one per term."""
+    """The `_apply_planes` ops of the n-th mode of u, one per term, each
+    with the parity-basis coefficient of its term."""
     ops = []
     for (udegs, a8), cu in u.terms.items():
         # u's monomial is never packed: only a part 0 or its charge can
@@ -444,6 +465,8 @@ def _mode_ops(u, n):
         # through the output degree that `_pair_modes` checks
         _check_parts(udegs)
         _check_width(0, a8)
+        if len(udegs) & 1:
+            cu = cu.mul_rat_sqrt2(1, -1)
         if udegs:
             amps = functools.partial(_pair_modes, udegs, a8, n=n)
         else:
@@ -534,15 +557,17 @@ def _exp_planes(a8, x, den, planes):
 
 def _virasoro_amps(n, vkey):
     """L(n) on the packed monomial vkey = h(-d_1)...h(-d_k) e^{(q8/8) b},
-    in the output format of `_pair_modes`: (den, even, odd), keyed by
-    packed monomial.
+    in the output format of `_pair_modes`: (den, amps), keyed by packed
+    monomial, in the parity basis.
 
     L(n) = p h(n) + (1/2) sum_{j != 0, n} :h(j) h(n-j): for n != 0, where
     h(0) acts by p = sqrt2 q8 / 4 and [h(j), h(-d)] = j delta_{j,d}, so
     h(j) takes j times the multiplicity of the part j.  Every amplitude
-    is an integer over 4 (the charge term is q8 over 4 at sqrt2
-    exponent 1; the diagonal j = n - j carries the 1/2).  Every output
-    has degree deg v - n, which must fit the key width.
+    is an integer over 4 (the diagonal j = n - j carries the 1/2).  The
+    charge term moves the part count k of v by one, so the parity basis
+    turns its sqrt2 q8 / 4 into q8 / 4 for even k and 2 q8 / 4 for odd
+    k; the other terms keep the parity of k and their amplitude.  Every
+    output has degree deg v - n, which must fit the key width.
     """
     parts = _parts(vkey)
     deg = sum(d * m for d, m in parts)
@@ -550,35 +575,35 @@ def _virasoro_amps(n, vkey):
     if n == 0:
         w16 = 16 * deg + q8 * q8
         g = math.gcd(16, w16)
-        return 16 // g, ({vkey: w16 // g} if w16 else {}), {}
+        return 16 // g, ({vkey: w16 // g} if w16 else {})
     _check_width(deg - n, q8)
     parts.reverse()
     counts = dict(parts)
-    even, odd = {}, {}
+    amps = {}
     if q8:
+        p = q8 << (sum(counts.values()) & 1)
         if n < 0:
-            odd[vkey + _PART[-n]] = q8
+            amps[vkey + _PART[-n]] = p
         elif n in counts:
-            odd[vkey - _PART[n]] = q8 * n * counts[n]
+            amps[vkey - _PART[n]] = p * n * counts[n]
     # h(-(d - n)) h(d): annihilate a part d, create the part d - n.
     for d, m in parts:
         if d > n:
-            even[vkey - _PART[d] + _PART[d - n]] = 4 * d * m
+            amps[vkey - _PART[d] + _PART[d - n]] = 4 * d * m
     if n >= 2:
         # h(j) h(n - j): annihilate the parts j <= n - j.
         for d, m in parts:
             k = n - d
             if k == d and m > 1:
-                even[vkey - 2 * _PART[d]] = 2 * d * d * m * (m - 1)
+                amps[vkey - 2 * _PART[d]] = 2 * d * d * m * (m - 1)
             elif k > d and k in counts:
-                even[vkey - _PART[d] - _PART[k]] = 4 * d * k * m * counts[k]
+                amps[vkey - _PART[d] - _PART[k]] = 4 * d * k * m * counts[k]
     elif n <= -2:
         # h(-j) h(n + j): create the parts j <= -n - j.
         for j in range(1, -n // 2 + 1):
-            even[vkey + _PART[j] + _PART[-n - j]] = 2 if 2 * j == -n else 4
-    g = math.gcd(4, *even.values(), *odd.values())
-    return (4 // g, {key: amp // g for key, amp in even.items()},
-            {key: amp // g for key, amp in odd.items()})
+            amps[vkey + _PART[j] + _PART[-n - j]] = 2 if 2 * j == -n else 4
+    g = math.gcd(4, *amps.values())
+    return 4 // g, {key: amp // g for key, amp in amps.items()}
 
 
 def virasoro_mode(n, v):

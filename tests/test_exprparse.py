@@ -53,7 +53,7 @@ def test_errors():
 
 
 def test_errors_name_the_end_of_the_expression():
-    for bad in ["", "E +", "2*", "1/2/"]:
+    for bad in ["", "E +", "2*", "1/2/", "h(", "h(-1)h("]:
         with pytest.raises(ExprError, match="^unexpected end of expression$"):
             parse_state_expr(bad)
     with pytest.raises(ExprError, match="^expected \\), got end of expression$"):

@@ -309,9 +309,17 @@ def test_twisted_weight_eigenvector():
         twisted_mode_apply(E, Fraction(1, 5), ONE_V, hp)
 
 
+def _parity_exponent(udegs, vdegs, degs):
+    """t such that the h-basis amplitude of a pair is its parity-basis
+    amplitude times sqrt2^t: (k & 1) - (ku & 1) - (kv & 1) for the part
+    counts of the output, u and v."""
+    return (len(degs) & 1) - (len(udegs) & 1) - (len(vdegs) & 1)
+
+
 def per_contribution(u, n, v):
     """mode_apply by the per-contribution route: each pair amplitude is
-    promoted to a Scalar by mul_rat_sqrt2 and summed as Scalars.
+    taken from the parity basis to the h basis, promoted to a Scalar by
+    mul_rat_sqrt2 and summed as Scalars.
 
     Returns (state, number of legal pairs, output monomials touched).
     """
@@ -323,12 +331,12 @@ def per_contribution(u, n, v):
             if pair is None:
                 continue
             legal += 1
-            den, even, odd = pair
+            den, amps = pair
             cc = cu * cv
-            for e, amps in ((0, even), (1, odd)):
-                for key, amp in amps.items():
-                    m = _unpack(key)
-                    out[m] = out.get(m, ZERO) + cc.mul_rat_sqrt2(Fraction(amp, den), e)
+            for key, amp in amps.items():
+                m = _unpack(key)
+                e = _parity_exponent(udegs, vdegs, m[0])
+                out[m] = out.get(m, ZERO) + cc.mul_rat_sqrt2(Fraction(amp, den), e)
     return State({m: c for m, c in out.items() if c}), legal, set(out)
 
 
@@ -536,10 +544,26 @@ def _tuple_pair_modes(udegs, a8, vdegs, q8, n):
             {key: amp // g for key, amp in odd.items()})
 
 
+def _h_basis(udegs, vdegs, den, amps):
+    """The tuple oracle's (den, even, odd) form of the parity-basis map
+    amps / den of one pair: the h-basis amplitude is amps / den times
+    sqrt2^t (`_parity_exponent`), so it lands in the even or the odd map
+    by the parity of t alone, which is the parity rule the oracle checks.
+    Over 2 den, 2 sqrt2^t = 2^((t + 2) >> 1) sqrt2^(t & 1) for t >= -2."""
+    even, odd = {}, {}
+    for key, a in amps.items():
+        m = _unpack(key)
+        t = _parity_exponent(udegs, vdegs, m[0])
+        (odd if t & 1 else even)[m] = a << (t + 2 >> 1)
+    g = math.gcd(2 * den, *even.values(), *odd.values())
+    return (2 * den // g, {m: a // g for m, a in even.items()},
+            {m: a // g for m, a in odd.items()})
+
+
 def assert_packed_matches_tuple_oracle(u, n, v):
     """Every term pair of u(n)v: the packed `_pair_modes` and the tuple
-    oracle agree on legality, den and the decoded even/odd maps.
-    Returns the number of pairs compared."""
+    oracle agree on legality, den and the even/odd maps of the h basis
+    (`_h_basis`).  Returns the number of pairs compared."""
     n = ModeIndex(n)
     count = 0
     for udegs, a8 in u.terms:
@@ -549,10 +573,7 @@ def assert_packed_matches_tuple_oracle(u, n, v):
             if want is None:
                 assert got is None
                 continue
-            den, even, odd = got
-            decoded = (den, {_unpack(k): a for k, a in even.items()},
-                       {_unpack(k): a for k, a in odd.items()})
-            assert decoded == want, (udegs, a8, vdegs, q8, n)
+            assert _h_basis(udegs, vdegs, *got) == want, (udegs, a8, vdegs, q8, n)
             count += 1
     return count
 
@@ -577,6 +598,28 @@ def test_packed_pair_modes_match_tuple_oracle():
                    for m, c in b.terms.items()})
     for n in (-1, 0, 1):
         assert assert_packed_matches_tuple_oracle(hp, n, small)
+    # a seeded family over every charge class: q8 in each residue mod 8,
+    # a8 in {0, +-1, +-2, +-3, +-4, +-8}, u with 0..3 derivative fields,
+    # v up to weight 8 (deg + q8^2/16), each at a legal integer or
+    # fractional n and at an illegal one
+    rng = random.Random(20261019)
+    residues, kinds = set(), set()
+    for _ in range(400):
+        a8 = rng.choice((0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8))
+        q8 = rng.randint(-11, 11)
+        udegs = tuple(sorted((rng.randint(1, 4)
+                              for _ in range(rng.randint(0, 3))), reverse=True))
+        vdegs = rng.choice(list(partitions(
+            rng.randint(0, (128 - q8 * q8) // 16))))
+        c0 = rng.randint(-sum(udegs) - sum(vdegs) - 1, 3)
+        n = ModeIndex(-1 - c0 - Fraction(a8 * q8, 8))
+        u = State.basis(udegs, Fraction(a8, 8))
+        v = State.basis(vdegs, Fraction(q8, 8))
+        assert assert_packed_matches_tuple_oracle(u, n, v) == 1
+        assert assert_packed_matches_tuple_oracle(u, n + Fraction(1, 3), v) == 0
+        residues.add(q8 % 8)
+        kinds.add(type(n))
+    assert residues == set(range(8)) and kinds == {int, Fraction}
 
 
 def test_creation_cache_is_bounded():
