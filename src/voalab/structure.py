@@ -5,24 +5,28 @@ monomial h(-n_1)...h(-n_s) e^{qb} with h(-n_1)...h(-n_s) e^{-qb} to the
 partition factor prod_d d^{m_d} m_d!, up to sign.  Since it is diagonal
 in the Fock basis, every use of it (`pair`, `gram_rational`, the Gram
 systems of `decompose_over`, the orthogonality check in `build_u16`)
-runs on integer Fock coordinates: a state is converted once to integer
-rows, one per field coordinate, over one common denominator (the dual
-side at the conjugate monomials, times the signed zlam), a pairing is a
-plain-int dot product, and each value becomes one field element at the
-end.  `decompose_over` hands the integer Gram system to `solve_square`
-and sums its combination on the same rows.
+runs on the mode engine's own state format: each state is taken once
+onto its integer coordinate planes over one common denominator
+(`vertexengine._to_planes`, in the parity basis), and the form sums
+w_key x y over the entries x of one side and y of the other at the
+conjugate key, with an integer weight w_key per packed key.  Each value
+becomes one field element at the end.  `decompose_over` hands the
+integer Gram system to `solve_square` and sums its combination on the
+planes.  The packed key's layout stays inside `vertexengine`: this
+module reads keys only through `_unpack` and `_conjugate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
 
-from .exactfield import ZERO, Scalar, basis_products, from_basis_products, sc
+from .exactfield import BASIS_MUL, ZERO, _norm, from_basis_products, sc
 from .fockspace import State, named_vector, lattice_component, partitions
 from .linalg import express_in_span, solve_square
-from .vertexengine import apply_word, mode_apply, mode_apply_theta_even, virasoro_mode
+from .vertexengine import (
+    _conjugate, _from_planes, _sum_planes, _to_planes, _unpack, apply_word,
+    mode_apply, mode_apply_theta_even, virasoro_mode,
+)
 
 
 def zlam(degs):
@@ -41,87 +45,61 @@ def zlam(degs):
 
 
 # --------------------------------------------------------------------------
-# The form on integer Fock coordinates: (degs, q8) meets only (degs, -q8),
-# with weight (-1)^(len(degs) + q8/4) zlam(degs).
+# The form on the engine's coordinate planes.  It pairs the packed key of
+# (degs, q8) only with its conjugate key, (degs, -q8), so both sides have
+# the same part count k, and in the parity basis (see `vertexengine`) a
+# pair of odd-k coordinates carries sqrt2 sqrt2 = 2: the weight of a key
+# is (-1)^(k + q8/4) zlam(degs) 2^(k & 1), an integer.
 
 
-def _index(vectors):
-    """Positions of the monomials of the vectors, and the signed weight of
-    each position (None where q8 % 4 != 0 and the form is undefined)."""
-    positions, weights = {}, []
-    for v in vectors:
-        for m in v.terms:
-            if m not in positions:
-                positions[m] = len(weights)
-                degs, q8 = m
-                if q8 % 4:
-                    weights.append(None)
-                else:
-                    w = zlam(degs)
-                    weights.append(-w if (len(degs) + q8 // 4) % 2 else w)
-    return positions, weights
+def _weight(key):
+    """The form's integer weight on the packed key against its conjugate
+    key; ValueError where q8 % 4 != 0 and the form is undefined."""
+    degs, q8 = _unpack(key)
+    if q8 % 4:
+        raise ValueError("form undefined between charge-%s/8 sectors" % q8)
+    k = len(degs)
+    w = zlam(degs) << (k & 1)
+    return -w if (k + q8 // 4) & 1 else w
 
 
-def _rows(v, index, dual):
-    """(den, {coordinate: integer row over the index}) with v = row / den.
+def _columns(states):
+    """{packed key: {plane p: [(i, entry)]}} of the states (den, planes)."""
+    cols = {}
+    for i, (_, planes) in enumerate(states):
+        for p, plane in planes.items():
+            for key, x in plane.items():
+                cols.setdefault(key, {}).setdefault(p, []).append((i, x))
+    return cols
 
-    The primal side places each term at its own monomial, which must be
-    in the index.  The dual side places each term at its conjugate
-    monomial, skips terms whose conjugate is not indexed, and raises
-    ValueError where a q8 % 4 != 0 term meets its conjugate.
+
+def _products(left, right):
+    """{(p, q): M} for two lists of states (den, planes): the integer
+    matrices with sum_{p, q} M[i][j] e_p e_q the form of left_i and
+    right_j times both their denominators.
+
+    The column form of a sparse product: each key of the left states
+    meets the entries of the right states at its conjugate key, and
+    w_key x y is added for each pair of entries.
     """
-    positions, weights = index
-    den = lcm(*[c.den for c in v.terms.values()])
-    n = len(weights)
-    rows = {}
-    for (degs, q8), c in v.terms.items():
-        if dual:
-            pos = positions.get((degs, -q8))
-            if pos is None:
-                continue
-            f = weights[pos]
-            if f is None:
-                raise ValueError("form undefined between charge-%s/8 sectors" % -q8)
-            f *= den // c.den
-        else:
-            pos = positions[degs, q8]
-            f = den // c.den
-        for p, x in enumerate(c.num):
-            if x:
-                row = rows.get(p)
-                if row is None:
-                    row = rows[p] = [0] * n
-                row[pos] = x * f
-    return den, rows
-
-
-def _terms(pu, dv):
-    """The (p, q, plain-int dot product) terms of a primal and a dual
-    conversion over one index."""
-    return [(p, q, sum(map(mul, a, b))) for p, a in pu[1].items() for q, b in dv[1].items()]
-
-
-def _form(pu, dv):
-    """The form of a primal and a dual conversion over one index."""
-    return from_basis_products(_terms(pu, dv), pu[0] * dv[0])
-
-
-def _int_form(pu, dv):
-    """The form of a primal and a dual conversion times both their
-    denominators, an integer; ArithmeticError where it is irrational."""
-    terms = _terms(pu, dv)
-    num = basis_products(terms)
-    if any(num[1:]):
-        raise ArithmeticError("form value %s is not rational"
-                              % from_basis_products(terms, pu[0] * dv[0]))
-    return num[0]
-
-
-def _pairings(u, vectors):
-    """[pair(u, v) for v in vectors], with u converted once."""
-    index = _index([u])
-    pu = _rows(u, index, False)
-    return [_form(pu, _rows(v, index, True)) for v in vectors]
+    cols = _columns(right)
+    mats = {}
+    for key, col in (cols if left is right else _columns(left)).items():
+        dual = cols.get(_conjugate(key))
+        if dual is None:
+            continue
+        w = _weight(key)
+        for p, xs in col.items():
+            for q, ys in dual.items():
+                rows = mats.get((p, q))
+                if rows is None:
+                    rows = mats[p, q] = [[0] * len(right) for _ in left]
+                for i, x in xs:
+                    row = rows[i]
+                    x *= w
+                    for j, y in ys:
+                        row[j] += x * y
+    return mats
 
 
 def pair(u, v):
@@ -130,34 +108,43 @@ def pair(u, v):
     The adjoint of h(n) is -h(-n), so a matched pair of length-l
     monomials contributes (-1)^l zlam; a charge exponential pairs with
     its opposite and contributes the parity of its weight.  Computed on
-    integer Fock coordinates; the value may be irrational, and ValueError
-    is raised only when a term with q8 % 4 != 0 meets its conjugate.
+    the engine's integer coordinate planes of u and v, so both are packed
+    and a state beyond the key width raises KeyWidthError, as
+    `mode_apply` does.  The value may be irrational, and ValueError is
+    raised when a term with q8 % 4 != 0 meets its conjugate.
     """
-    return _pairings(u, [v])[0]
+    pu, pv = _to_planes(u), _to_planes(v)
+    terms = [(p, q, m[0][0]) for (p, q), m in _products([pu], [pv]).items()]
+    return from_basis_products(terms, pu[0] * pv[0])
 
 
-def _gram(vectors):
-    """(index, primal rows, N) for the vectors v_i = row_i / d_i: N is the
-    integer matrix <row_i, row_j>, so the Gram matrix is N_ij / (d_i d_j).
+def _gram(left, right):
+    """The integer matrix N of two lists of states (den, planes): the
+    form of left_i and right_j is N_ij / (d_i d_j), d the denominators.
     Raises ArithmeticError if any entry is irrational."""
-    index = _index(vectors)
-    prim = [_rows(v, index, False) for v in vectors]
-    dual = [_rows(v, index, True) for v in vectors]
-    n = len(vectors)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            out[i][j] = out[j][i] = _int_form(prim[i], dual[j])
-    return index, prim, out
+    coords = {}
+    for (p, q), m in _products(left, right).items():
+        c, f = BASIS_MUL[p][q]
+        acc = coords.get(c)
+        coords[c] = ([[f * x for x in row] for row in m] if acc is None else
+                     [[a + f * x for a, x in zip(ra, row)] for ra, row in zip(acc, m)])
+    irrational = [(i, j) for c, m in coords.items() if c
+                  for i, row in enumerate(m) for j, x in enumerate(row) if x]
+    if irrational:
+        i, j = irrational[0]
+        value = _norm(tuple(coords[c][i][j] if c in coords else 0 for c in range(8)),
+                      left[i][0] * right[j][0])
+        raise ArithmeticError("form value %s is not rational" % value)
+    return coords.get(0) or [[0] * len(right) for _ in left]
 
 
 def gram_rational(vectors):
     """The Gram matrix as Fractions; raises ArithmeticError if any entry
-    is irrational.  Each vector is converted to integer coordinates once."""
-    _, prim, num = _gram(vectors)
-    dens = [d for d, _ in prim]
+    is irrational.  Each vector is converted to the planes once."""
+    states = [_to_planes(v) for v in vectors]
+    dens = [d for d, _ in states]
     return [[Fraction(x, di * dj) for x, dj in zip(row, dens)]
-            for row, di in zip(num, dens)]
+            for row, di in zip(_gram(states, states), dens)]
 
 
 def is_primary(v):
@@ -208,54 +195,35 @@ class DecompositionResult:
         return iter((self.coefficients, self.residual))
 
 
-def _combination(index, prim, coeffs):
-    """sum_j x_j v_j for rational coefficients x_j and v_j = row_j / d_j
-    given by their primal rows, summed on integers: one Scalar per
-    monomial at the end."""
-    scaled = [x / d for x, (d, _) in zip(coeffs, prim)]
-    den = lcm(*[c.denominator for c in scaled])
-    acc = {}
-    for c, (_, rows) in zip(scaled, prim):
-        k = c.numerator * (den // c.denominator)
-        if k:
-            for p, row in rows.items():
-                a = acc.get(p)
-                acc[p] = ([k * x for x in row] if a is None
-                          else [s + k * x for s, x in zip(a, row)])
-    terms = {}
-    for m, pos in index[0].items():
-        num = [acc[p][pos] if p in acc else 0 for p in range(8)]
-        if any(num):
-            terms[m] = Scalar(num, den)
-    return State(terms)
-
-
 def decompose_over(target, vectors, blocks=None):
     """Resolve target against the given vectors, block by block.
 
     blocks is a list of index lists whose spans are mutually orthogonal
     (default: one block).  Within each block the component is found by
-    solving the Gram system exactly on integers.  Writing v_j = row_j / d_j
-    and the target as t / d_t, N_ij = <row_i, row_j> and R_i = <row_i, t>
-    are integers from `_gram`'s kernel; `solve_square` solves N y = R and
-    x_j = y_j d_j / d_t, and the block's combination is summed on the same
-    integer rows.  A block whose N or R has an irrational entry, or whose
-    N is singular modulo the lifting prime (see `solve_square`), falls
-    back to `express_in_span`, so the answer stays exact.  The returned
-    residual is target minus the combination of the returned
-    coefficients, so a zero residual certifies the answer independently
-    of the orthogonality assumption.
+    solving the Gram system exactly on integers.  The target and the
+    vectors are taken onto the engine's coordinate planes once, v_j
+    held over d_j and the target over d_t; `_gram` gives the integer
+    N_ij = d_i d_j <v_i, v_j> and R_i = d_i d_t <v_i, target>,
+    `solve_square` solves N y = R and x_j = y_j d_j / d_t, and the
+    block's combination is summed on the planes.  A block whose N or R
+    has an irrational entry, or whose N is singular modulo the lifting
+    prime (see `solve_square`), falls back to `express_in_span`, so the
+    answer stays exact.  The returned residual is target minus the
+    combination of the returned coefficients, so a zero residual
+    certifies the answer independently of the orthogonality assumption.
     """
     if blocks is None:
         blocks = [list(range(len(vectors)))]
     coeffs = [ZERO] * len(vectors)
     combo = State()
+    t = _to_planes(target)
     for block in blocks:
         vs = [vectors[i] for i in block]
+        states = [_to_planes(v) for v in vs]
         try:
-            index, prim, num = _gram(vs)
-            dt = _rows(target, index, True)
-            sol = solve_square(num, [[_int_form(p, dt) for p in prim]])[0]
+            num = _gram(states, states)
+            rhs = [row[0] for row in _gram(states, [t])]
+            sol = solve_square(num, [rhs])[0]
         except ArithmeticError:
             expr = express_in_span(vs, target)
             if expr is None:
@@ -265,10 +233,11 @@ def decompose_over(target, vectors, blocks=None):
                 if c:
                     combo = combo + v * c
             continue
-        xs = [y * Fraction(p[0], dt[0]) for p, y in zip(prim, sol)]
+        xs = [y * Fraction(d, t[0]) for (d, _), y in zip(states, sol)]
         for i, x in zip(block, xs):
             coeffs[i] = sc(x)
-        combo = combo + _combination(index, prim, xs)
+        den, planes = _sum_planes([(x / d, p) for x, (d, p) in zip(xs, states)])
+        combo = combo + _from_planes(planes, den)
     return DecompositionResult(coeffs, target - combo)
 
 
@@ -293,7 +262,7 @@ def build_u16():
         raise ArithmeticError("stripped vector is not primary")
     if lattice_component(u16, 2) != E2 * 27:
         raise ArithmeticError("unexpected charge-2 tail")
-    if any(_pairings(u16, states)):
+    if any(_gram([_to_planes(u16)], [_to_planes(v) for v in states])[0]):
         raise ArithmeticError("stripped vector is not orthogonal to the vacuum module")
     return u16
 

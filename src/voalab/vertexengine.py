@@ -84,6 +84,8 @@ def ModeIndex(n):
 # the part d is a shift and a mask.  A degree sum(d_i) of at most 63
 # bounds every part and every count by 63, so no field ever carries into
 # the next; a larger degree, or |q8| >= 128, raises KeyWidthError.
+# The layout stays in this module: the invariant form of `structure`
+# reads keys through `_unpack` and `_conjugate`.
 
 MAX_DEGREE = 63
 _QBIAS = 128
@@ -136,12 +138,22 @@ def _parts(key):
     return out
 
 
+def _charge(key):
+    """The charge q8 of a packed key."""
+    return (key & 255) - _QBIAS
+
+
+def _conjugate(key):
+    """The packed key of the same parts at the opposite charge -q8."""
+    return key - 2 * _charge(key)
+
+
 def _unpack(key):
     """The monomial (degs, q8) of a packed key."""
     degs = []
     for d, m in reversed(_parts(key)):
         degs += [d] * m
-    return tuple(degs), (key & 255) - _QBIAS
+    return tuple(degs), _charge(key)
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +239,7 @@ def _pair_modes(udegs, a8, vkey, n):
     of D, and of the output charge, guards every output key: a pair
     with output beyond the key width raises KeyWidthError.
     """
-    q8 = (vkey & 255) - _QBIAS
+    q8 = _charge(vkey)
     # The lowest creation degree is c0 = -n - 1 - a8 q8 / 8, and the pair
     # is legal when it is an integer; for n = p / d that is
     # (-8 (p + d) - a8 q8 d) / 8d.
@@ -397,6 +409,23 @@ def _trim(den, planes):
     return den, out
 
 
+def _sum_planes(terms):
+    """(den, planes) holding sum_j r_j v_j for the (r_j, planes_j) in
+    terms, r_j rational and v_j held by planes_j over 1: one integer sum
+    over the common denominator of the r_j; the planes may hold zeros."""
+    den = math.lcm(*(r.denominator for r, _ in terms))
+    acc = {}
+    for r, planes in terms:
+        f = r.numerator * (den // r.denominator)
+        if f:
+            for p, plane in planes.items():
+                into = acc.setdefault(p, {})
+                get = into.get
+                for key, c in plane.items():
+                    into[key] = get(key, 0) + c * f
+    return den, acc
+
+
 def _apply_planes(ops, den, planes):
     """The sum of operators x A applied to the state held by planes over
     den, as (den, planes, legal, total); the planes may hold zeros.
@@ -526,29 +555,20 @@ def _exp_planes(a8, x, den, planes):
     term, on the memoized `_pure_exp(a8, 0, key)` of each monomial.
     """
     ops = [(functools.partial(_pure_exp, a8, 0), x)]
-    terms = [(den, planes)]
+    terms = [(Fraction(1, den), planes)]
     k = 0
     while planes:
         k += 1
         den, nxt, legal, total = _apply_planes(ops, den, planes)
         if legal < total:
-            q8 = next((key & 255) - _QBIAS for plane in planes.values()
+            q8 = next(_charge(key) for plane in planes.values()
                       for key in plane if _pure_exp(a8, 0, key) is None)
             raise ModeLegalityError(
                 "zero mode of e^(%s b) is not defined on charge %s"
                 % (Fraction(a8, 8), Fraction(q8, 8)))
         den, planes = _trim(den * k, nxt)
-        terms.append((den, planes))
-    den = math.lcm(*(d for d, _ in terms))
-    acc = {}
-    for d, step in terms:
-        f = den // d
-        for p, plane in step.items():
-            into = acc.setdefault(p, {})
-            get = into.get
-            for key, c in plane.items():
-                into[key] = get(key, 0) + c * f
-    return _trim(den, acc)
+        terms.append((Fraction(1, den), planes))
+    return _trim(*_sum_planes(terms))
 
 
 # --------------------------------------------------------------------------
@@ -571,7 +591,7 @@ def _virasoro_amps(n, vkey):
     """
     parts = _parts(vkey)
     deg = sum(d * m for d, m in parts)
-    q8 = (vkey & 255) - _QBIAS
+    q8 = _charge(vkey)
     if n == 0:
         w16 = 16 * deg + q8 * q8
         g = math.gcd(16, w16)

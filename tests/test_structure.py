@@ -1,19 +1,23 @@
 """Invariant form, primaries, vacuum module words, and the stripped
 weight-16 generator."""
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 
-from voalab import linalg, structure
+from voalab import linalg, paperlab, structure
 from voalab.exactfield import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, sc
-from voalab.fockspace import State, graded_states, named_vector, theta, tau1
+from voalab.fockspace import (
+    State, basis_monomials, graded_states, named_vector, theta, tau1,
+)
 from voalab.linalg import fixed_vectors
 from voalab.structure import (
     build_u16, c_functional, decompose_over, gram_rational, is_primary,
     pair, vacuum_words, word_states, zlam,
 )
-from voalab.vertexengine import virasoro_mode
+from voalab.vertexengine import KeyWidthError, virasoro_mode
 
 ONE_V = named_vector("one")
 OMEGA = named_vector("omega")
@@ -56,6 +60,15 @@ def test_pair_rejects_illegal_charge():
         pair(u, v)
     # same-sign charges never meet, so this stays defined
     assert pair(u, u) == ZERO
+
+
+def test_pair_refuses_states_beyond_the_key_width():
+    # the form runs on the packed keys of the mode engine
+    for big in (State.basis((64,)), State.basis((1,) * 64), State.basis((), 16)):
+        for u, v in ((big, big), (big, ONE_V), (ONE_V, big)):
+            with pytest.raises(KeyWidthError):
+                pair(u, v)
+    assert pair(State.basis((63,)), State.basis((63,))) == sc(-63)
 
 
 def _pair_per_term(u, v):
@@ -107,10 +120,113 @@ def test_pair_matches_per_term_route_on_quarter_charges():
     assert pair(lo, lo) == ZERO
 
 
+def _seeded_states(seed):
+    """Seeded states with irrational coordinates whose Gram is rational.
+
+    Each group of states sits at its own weight, so two groups never
+    pair, and is one of the factors 1, sqrt3, i times states with
+    rational coordinates on monomials with an even part count and sqrt2
+    times rational ones on monomials with an odd part count.  The
+    charges are 0, +-b/2 and +-b.
+    """
+    rng = random.Random(seed)
+    states = []
+    for weight, factor in ((5, ONE), (6, SQRT3), (7, I)):
+        monos = basis_monomials(weight, [0, Fraction(1, 2), Fraction(-1, 2), 1, -1])
+        for _ in range(4):
+            terms = {}
+            for m in rng.sample(monos, 8):
+                c = sc(Fraction(rng.choice([-5, -3, -1, 1, 2, 4]), rng.choice([1, 2, 3, 7])))
+                terms[m] = c * factor * (SQRT2 if len(m[0]) % 2 else ONE)
+            states.append(State(terms))
+    return states
+
+
 def test_gram_rational_matches_per_term_route():
-    states = word_states(vacuum_words(12), ONE_V)
-    expected = [[_pair_per_term(u, v).as_rational() for v in states] for u in states]
-    assert gram_rational(states) == expected
+    seeded = _seeded_states(20261019)
+    for states in (word_states(vacuum_words(12), ONE_V), seeded):
+        expected = [[_pair_per_term(u, v).as_rational() for v in states] for u in states]
+        assert gram_rational(states) == expected
+    # the seeded family: both parities on every charge, and a nonsingular
+    # Gram, so its own combinations resolve on the integer Gram system
+    assert {(len(degs) % 2, q8) for v in seeded for degs, q8 in v.terms} \
+        == {(k, q8) for k in (0, 1) for q8 in (0, 4, -4, 8, -8)}
+    coeffs = [sc(Fraction(k - 5, k % 3 + 1)) for k in range(len(seeded))]
+    target = State()
+    for c, v in zip(coeffs, seeded):
+        target = target + v * c
+    dec = decompose_over(target, seeded)
+    assert dec.exact
+    assert dec.coefficients == coeffs
+
+
+def _shapovalov_gram(words, h):
+    """The Gram matrix of the vectors L(-p_1)...L(-p_s) v_h, one per part
+    tuple, from the Virasoro relations alone (Kac-Raina, Bombay
+    Lectures, 1987): the route that never sees a Fock monomial.
+
+    v_h is a highest-weight vector of weight h at c = 1 with
+    (v_h, v_h) = 1, L(n) is adjoint to L(-n), and L(-1) v_h = 0 when
+    h = 0 (L(-1) v_0 spans the radical of the form there).  A state is
+    a dict {part tuple: Fraction}; part tuples need not be descending.
+    """
+
+    def create(m, word):
+        return None if (h == 0 and m == 1 and not word) else (m,) + word
+
+    @functools.cache
+    def lower(n, word):
+        """L(n) L(-word[0])...L(-word[-1]) v_h for n >= 0, as a tuple of
+        (word, Fraction) pairs."""
+        if n == 0:
+            return ((word, Fraction(h + sum(word))),)
+        if not word:
+            return ()
+        m, rest = word[0], word[1:]
+        out = {}
+        # L(n) L(-m) = L(-m) L(n) + (n + m) L(n - m) + (n^3 - n)/12 delta_{n,m}
+        for w, x in lower(n, rest):
+            w = create(m, w)
+            if w is not None:
+                out[w] = out.get(w, 0) + x
+        if n >= m:
+            for w, x in lower(n - m, rest):
+                out[w] = out.get(w, 0) + (n + m) * x
+        else:
+            w = create(m - n, rest)
+            if w is not None:
+                out[w] = out.get(w, 0) + n + m
+        if n == m:
+            out[rest] = out.get(rest, 0) + Fraction(n ** 3 - n, 12)
+        return tuple((w, x) for w, x in out.items() if x)
+
+    def form(lam, mu):
+        state = {mu: Fraction(1)}
+        for p in lam:
+            nxt = {}
+            for w, x in state.items():
+                for w2, y in lower(p, w):
+                    nxt[w2] = nxt.get(w2, 0) + x * y
+            state = nxt
+        return state.get((), 0)
+
+    return [[form(lam, mu) for mu in words] for lam in words]
+
+
+def test_form_matches_the_shapovalov_gram():
+    # the vacuum module, h = 0
+    for n in (12, 16):
+        words = vacuum_words(n)
+        assert gram_rational(word_states(words, ONE_V)) == _shapovalov_gram(words, 0)
+    # the module of the weight-16 primary: the printed degree-4 system,
+    # and the Fock Gram at degree 6 over the norm kappa of u16
+    u16 = named_vector("u16")
+    words = vacuum_words(4, min_part=1)
+    assert _shapovalov_gram(words, 16) == [list(row) for row in paperlab._GRAM_PRINTED]
+    words = vacuum_words(6, min_part=1)
+    fock = gram_rational(word_states(words, u16))
+    assert [[x / paperlab._KAPPA for x in row] for row in fock] \
+        == _shapovalov_gram(words, 16)
 
 
 def test_decompose_over_irrational_gram_falls_back(monkeypatch):
