@@ -316,25 +316,6 @@ ZETA6 = _raw((1, 0, 0, 0, 0, 0, 1, 0), 2)
 _SIXTH = (ONE, ZETA6, ZETA3, -ONE, -ZETA6, -ZETA3)
 
 
-def basis_products(terms):
-    """The 8 integer coordinates of sum(s * e_p * e_q) over the (p, q, s)
-    in terms, e_0..e_7 the coordinate basis and each s an integer."""
-    out = [0] * 8
-    for p, q, s in terms:
-        m, f = BASIS_MUL[p][q]
-        out[m] += f * s
-    return out
-
-
-def from_basis_products(terms, den):
-    """The Scalar sum(s * e_p * e_q) / den over the (p, q, s) in terms.
-
-    den is a positive integer: the form kernel sums plain-int products
-    of coordinates and brings them into the field here, once.
-    """
-    return _norm(tuple(basis_products(terms)), den)
-
-
 def sixth_root(k):
     """zeta6**k for the principal sixth root of unity zeta6 = e^{pi i/3}."""
     return _SIXTH[k % 6]

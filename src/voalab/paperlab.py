@@ -43,10 +43,9 @@ from .vertexengine import (
 from .sectors import (
     brute_fixed_dims, char_L1, decompose_quarter_module,
     eigenspace_char, graded_dim, klein_fixed_dim, module_catalog,
-    multiplet_spectrum_table, partition_count, partition_count_even_length,
-    quarter_cube_is_minus_one, sector_top, shifted_weight, sigma,
-    sigma_trace, sigma_trace_brute, top_level_eigenvalue, twisted_sector,
-    verify_fixed_algebra_decomposition,
+    multiplet_spectrum_table, partition_count, quarter_cube_is_minus_one,
+    sector_top, shifted_weight, sigma, sigma_trace, sigma_trace_brute,
+    top_level_eigenvalue, twisted_sector, verify_fixed_algebra_decomposition,
 )
 
 VERSION = "0.1.0"
@@ -1170,15 +1169,13 @@ def _chk_quarter_cube(cfg):
 # Criterion 9: character identities.
 
 
-@_check("hei1-m1",
-        "the charge 1 ladder character q^4 / phi(q) resolves into the "
-        "c=1 characters of squares 4, 9, 16, ...",
-        "hei1", tags=("criterion-9",))
-def _chk_hei1_m1(cfg):
+def _ladder(cfg, n0):
+    """The charge ladder character q^(n0^2) / phi(q) against the sum of
+    the c=1 characters of squares n0^2, (n0 + 1)^2, ..."""
     n_max = cfg["characters"]
-    lhs = [partition_count(w - 4) for w in range(n_max + 1)]
+    lhs = [partition_count(w - n0 * n0) for w in range(n_max + 1)]
     acc = [0] * (n_max + 1)
-    n = 2
+    n = n0
     while True:
         piece = char_L1(n, n_max)
         acc = [a + piece.coefficient(w) for w, a in enumerate(acc)]
@@ -1186,6 +1183,14 @@ def _chk_hei1_m1(cfg):
             break
         n += 1
     return lhs, acc
+
+
+@_check("hei1-m1",
+        "the charge 1 ladder character q^4 / phi(q) resolves into the "
+        "c=1 characters of squares 4, 9, 16, ...",
+        "hei1", tags=("criterion-9",))
+def _chk_hei1_m1(cfg):
+    return _ladder(cfg, 2)
 
 
 @_check("hei1-m2",
@@ -1193,17 +1198,7 @@ def _chk_hei1_m1(cfg):
         "c=1 characters of squares 16, 25, ...",
         "hei1", tags=("criterion-9",))
 def _chk_hei1_m2(cfg):
-    n_max = cfg["characters"]
-    lhs = [partition_count(w - 16) for w in range(n_max + 1)]
-    acc = [0] * (n_max + 1)
-    n = 4
-    while True:
-        piece = char_L1(n, n_max)
-        acc = [a + piece.coefficient(w) for w, a in enumerate(acc)]
-        if n * n > n_max:
-            break
-        n += 1
-    return lhs, acc
+    return _ladder(cfg, 4)
 
 
 @_check("hei2-decomposition",
@@ -1213,14 +1208,7 @@ def _chk_hei1_m2(cfg):
 def _chk_hei2(cfg):
     w_max = min(10, cfg["characters"])
     got = [len(theta_even_states("V_Zb", w)) for w in range(w_max + 1)]
-    want = []
-    for w in range(w_max + 1):
-        total = partition_count_even_length(w)
-        m = 1
-        while 4 * m * m <= w:
-            total += partition_count(w - 4 * m * m)
-            m += 1
-        want.append(total)
+    want = [graded_dim("V_Zb+", w) for w in range(w_max + 1)]
     return got, want
 
 

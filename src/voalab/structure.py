@@ -8,40 +8,28 @@ systems of `decompose_over`, the orthogonality check in `build_u16`)
 runs on the mode engine's own state format: each state is taken once
 onto its integer coordinate planes over one common denominator
 (`vertexengine._to_planes`, in the parity basis), and the form sums
-w_key x y over the entries x of one side and y of the other at the
-conjugate key, with an integer weight w_key per packed key.  Each value
-becomes one field element at the end.  `decompose_over` hands the
-integer Gram system to `solve_square` and sums its combination on the
-planes.  The packed key's layout stays inside `vertexengine`: this
-module reads keys only through `_unpack` and `_conjugate`.
+w_key f x y over the entries x of one side on plane p and y of the
+other on plane q at the conjugate key, straight into the integer matrix
+of the field coordinate c with e_p e_q = f e_c.  The integer weight
+w_key is read off the key's parts and charge.  Each value becomes one
+field element at the end.  `decompose_over` hands the integer Gram
+system to `solve_square` and sums its combination on the planes.  The
+packed key's layout stays inside `vertexengine`: this module reads keys
+only through `_parts`, `_charge` and `_conjugate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .exactfield import BASIS_MUL, ZERO, _norm, from_basis_products, sc
+from .exactfield import BASIS_MUL, ZERO, _norm, sc
 from .fockspace import State, named_vector, lattice_component, partitions
 from .linalg import express_in_span, solve_square
 from .vertexengine import (
-    _conjugate, _from_planes, _sum_planes, _to_planes, _unpack, apply_word,
-    mode_apply, mode_apply_theta_even, virasoro_mode,
+    _charge, _conjugate, _from_planes, _parts, _sum_planes, _to_planes,
+    apply_word, mode_apply, mode_apply_theta_even, virasoro_mode,
 )
-
-
-def zlam(degs):
-    """The partition normalization prod_d d^{mult_d} mult_d!.
-
-    degs is sorted, so the k-th repeat of a part d contributes d * k.
-    """
-    out = 1
-    run = 0
-    prev = None
-    for d in degs:
-        run = run + 1 if d == prev else 1
-        prev = d
-        out *= d * run
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -49,17 +37,21 @@ def zlam(degs):
 # (degs, q8) only with its conjugate key, (degs, -q8), so both sides have
 # the same part count k, and in the parity basis (see `vertexengine`) a
 # pair of odd-k coordinates carries sqrt2 sqrt2 = 2: the weight of a key
-# is (-1)^(k + q8/4) zlam(degs) 2^(k & 1), an integer.
+# is (-1)^(k + q8/4) prod_d d^{m_d} m_d! 2^(k & 1), an integer.
 
 
 def _weight(key):
     """The form's integer weight on the packed key against its conjugate
-    key; ValueError where q8 % 4 != 0 and the form is undefined."""
-    degs, q8 = _unpack(key)
+    key, read off its parts [(d, m_d)] and its charge q8; ValueError
+    where q8 % 4 != 0 and the form is undefined."""
+    q8 = _charge(key)
     if q8 % 4:
         raise ValueError("form undefined between charge-%s/8 sectors" % q8)
-    k = len(degs)
-    w = zlam(degs) << (k & 1)
+    w, k = 1, 0
+    for d, m in _parts(key):
+        w *= d ** m * factorial(m)
+        k += m
+    w <<= k & 1
     return -w if (k + q8 // 4) & 1 else w
 
 
@@ -74,66 +66,70 @@ def _columns(states):
 
 
 def _products(left, right):
-    """{(p, q): M} for two lists of states (den, planes): the integer
-    matrices with sum_{p, q} M[i][j] e_p e_q the form of left_i and
-    right_j times both their denominators.
+    """{c: M} for two lists of states (den, planes): the integer matrices
+    with sum_c M[i][j] e_c the form of left_i and right_j times both
+    their denominators, e_c the field coordinates; a coordinate that no
+    pair of entries reaches has no matrix.
 
     The column form of a sparse product: each key of the left states
     meets the entries of the right states at its conjugate key, and
-    w_key x y is added for each pair of entries.
+    w_key f x y is added to the matrix of c for each pair of entries x
+    on plane p and y on plane q, e_p e_q = f e_c (`BASIS_MUL`).
     """
     cols = _columns(right)
-    mats = {}
+    coords = {}
     for key, col in (cols if left is right else _columns(left)).items():
         dual = cols.get(_conjugate(key))
         if dual is None:
             continue
         w = _weight(key)
         for p, xs in col.items():
+            mul = BASIS_MUL[p]
             for q, ys in dual.items():
-                rows = mats.get((p, q))
+                c, f = mul[q]
+                rows = coords.get(c)
                 if rows is None:
-                    rows = mats[p, q] = [[0] * len(right) for _ in left]
+                    rows = coords[c] = [[0] * len(right) for _ in left]
+                fw = f * w
                 for i, x in xs:
                     row = rows[i]
-                    x *= w
+                    x *= fw
                     for j, y in ys:
                         row[j] += x * y
-    return mats
+    return coords
+
+
+def _entry(coords, i, j, den):
+    """The field element sum_c coords[c][i][j] e_c / den."""
+    return _norm(tuple(coords[c][i][j] if c in coords else 0 for c in range(8)), den)
 
 
 def pair(u, v):
     """The invariant symmetric bilinear form, normalized by (1, 1) = 1.
 
     The adjoint of h(n) is -h(-n), so a matched pair of length-l
-    monomials contributes (-1)^l zlam; a charge exponential pairs with
-    its opposite and contributes the parity of its weight.  Computed on
-    the engine's integer coordinate planes of u and v, so both are packed
-    and a state beyond the key width raises KeyWidthError, as
-    `mode_apply` does.  The value may be irrational, and ValueError is
-    raised when a term with q8 % 4 != 0 meets its conjugate.
+    monomials contributes (-1)^l prod_d d^{m_d} m_d!; a charge
+    exponential pairs with its opposite and contributes the parity of
+    its weight.  Computed on the engine's integer coordinate planes of u
+    and v as one entry of `_products`, so both are packed and a state
+    beyond the key width raises KeyWidthError, as `mode_apply` does.
+    The value may be irrational, and ValueError is raised when a term
+    with q8 % 4 != 0 meets its conjugate.
     """
     pu, pv = _to_planes(u), _to_planes(v)
-    terms = [(p, q, m[0][0]) for (p, q), m in _products([pu], [pv]).items()]
-    return from_basis_products(terms, pu[0] * pv[0])
+    return _entry(_products([pu], [pv]), 0, 0, pu[0] * pv[0])
 
 
 def _gram(left, right):
     """The integer matrix N of two lists of states (den, planes): the
     form of left_i and right_j is N_ij / (d_i d_j), d the denominators.
     Raises ArithmeticError if any entry is irrational."""
-    coords = {}
-    for (p, q), m in _products(left, right).items():
-        c, f = BASIS_MUL[p][q]
-        acc = coords.get(c)
-        coords[c] = ([[f * x for x in row] for row in m] if acc is None else
-                     [[a + f * x for a, x in zip(ra, row)] for ra, row in zip(acc, m)])
+    coords = _products(left, right)
     irrational = [(i, j) for c, m in coords.items() if c
                   for i, row in enumerate(m) for j, x in enumerate(row) if x]
     if irrational:
         i, j = irrational[0]
-        value = _norm(tuple(coords[c][i][j] if c in coords else 0 for c in range(8)),
-                      left[i][0] * right[j][0])
+        value = _entry(coords, i, j, left[i][0] * right[j][0])
         raise ArithmeticError("form value %s is not rational" % value)
     return coords.get(0) or [[0] * len(right) for _ in left]
 

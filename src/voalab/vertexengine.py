@@ -85,7 +85,8 @@ def ModeIndex(n):
 # bounds every part and every count by 63, so no field ever carries into
 # the next; a larger degree, or |q8| >= 128, raises KeyWidthError.
 # The layout stays in this module: the invariant form of `structure`
-# reads keys through `_unpack` and `_conjugate`.
+# reads keys through `_parts`, `_charge` and `_conjugate` and folds its
+# sums into the eight field coordinates in one place.
 
 MAX_DEGREE = 63
 _QBIAS = 128

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from voalab.exactfield import (
-    I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, as_rational, exp_two_pi_i,
-    from_basis_products, is_rational, rat, sc, sixth_root, sqrt2_power,
+    BASIS_MUL, I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, as_rational,
+    exp_two_pi_i, is_rational, rat, sc, sixth_root, sqrt2_power,
 )
 
 BASIS = (ONE, SQRT2, SQRT3, SQRT6, I, SQRT2 * I, SQRT3 * I, SQRT6 * I)
@@ -31,13 +31,21 @@ def assert_normalised_coords(x):
     assert sum((sc(c) * b for c, b in zip(co, BASIS)), ZERO) == x
 
 
-def test_from_basis_products_matches_field_products():
-    for p, a in enumerate(BASIS):
-        for q, b in enumerate(BASIS):
-            assert from_basis_products([(p, q, 3)], 2) == a * b * sc(Fraction(3, 2))
-    # sqrt2 * sqrt2 cancels the rational term; the result is normalised
-    assert from_basis_products([(1, 1, 1), (0, 0, -2), (4, 0, 6)], 4) == I * sc(Fraction(3, 2))
-    assert from_basis_products([], 1) == ZERO
+def test_basis_mul_matches_field_products():
+    # e_p = sqrt(r) i^s with r = (1, 2, 3, 6)[p % 4] and s = p // 4
+    radicands = (1, 2, 3, 6)
+    unit = [Scalar([int(j == p) for j in range(8)]) for p in range(8)]
+    assert unit == list(BASIS)
+    for p in range(8):
+        for q in range(8):
+            m, f = BASIS_MUL[p][q]
+            assert unit[p] * unit[q] == f * unit[m]
+            # the table on its own: sqrt(r_p r_q) = |f| sqrt(r_m), i i = -1
+            assert radicands[p % 4] * radicands[q % 4] == f * f * radicands[m % 4]
+            assert m // 4 == (p // 4) ^ (q // 4)
+            assert (f < 0) == (p >= 4 and q >= 4)
+    assert BASIS_MUL[4][4] == (0, -1) and I * I == -ONE
+    assert BASIS_MUL[5][6] == (3, -1) and (SQRT2 * I) * (SQRT3 * I) == -SQRT6
 
 
 def test_basic_constants():

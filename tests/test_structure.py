@@ -15,7 +15,7 @@ from voalab.fockspace import (
 from voalab.linalg import fixed_vectors
 from voalab.structure import (
     build_u16, c_functional, decompose_over, gram_rational, is_primary,
-    pair, vacuum_words, word_states, zlam,
+    pair, vacuum_words, word_states,
 )
 from voalab.vertexengine import KeyWidthError, virasoro_mode
 
@@ -23,6 +23,21 @@ ONE_V = named_vector("one")
 OMEGA = named_vector("omega")
 E = named_vector("E")
 J = named_vector("J")
+
+
+def zlam(degs):
+    """The partition normalization prod_d d^{mult_d} mult_d!.
+
+    degs is sorted, so the k-th repeat of a part d contributes d * k.
+    """
+    out = 1
+    run = 0
+    prev = None
+    for d in degs:
+        run = run + 1 if d == prev else 1
+        prev = d
+        out *= d * run
+    return out
 
 
 def test_zlam_oscillator_norms():
