@@ -27,8 +27,8 @@ from fractions import Fraction
 from .exactfield import ZERO, as_rational, sc, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import (
-    State, graded_states, lattice_component, named_vector, ratio, tau1,
-    theta, theta_even_states,
+    State, graded_states, lattice_component, named_vector, tau1, theta,
+    theta_even_states,
 )
 from .linalg import express_in_span, fixed_vectors, rank_of
 from .structure import (
@@ -36,9 +36,8 @@ from .structure import (
     vacuum_words, word_states,
 )
 from .vertexengine import (
-    ModeLegalityError, RationalPowerSeries, apply_word, delta_apply,
-    mode_apply, mode_apply_theta_even, twisted_mode_apply, twisted_weight,
-    virasoro_mode,
+    RationalPowerSeries, apply_word, delta_apply, mode_apply,
+    mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
 )
 from .sectors import (
     brute_fixed_dims, char_L1, decompose_quarter_module,
@@ -175,28 +174,25 @@ def _random_state(rng, name, w, nterms=3):
     return acc
 
 
-def _scan_twisted_image(u, base, hvec, target):
-    """The image of base under some shifted mode of u that lands exactly
-    at the target shifted weight.  Scans a window of candidate indices in
-    (1/6)Z and certifies the hit is unique up to scale."""
-    hits = []
-    for num in range(-24, 25):
-        try:
-            st = twisted_mode_apply(u, Fraction(num, 6), base, hvec)
-        except ModeLegalityError:
-            continue
-        if not st:
-            continue
-        wt = shifted_weight(st, hvec)
-        if wt is None:
-            raise ArithmeticError("state is not an eigenvector of the shifted grading")
-        if wt == target:
-            hits.append(st)
-    if not hits:
+def _twisted_image(u, base, hvec, target):
+    """The image of base under the shifted mode of u that lands at the
+    target shifted weight.  A shifted mode u_n moves the shifted weight
+    by wt u - n - 1, so that mode is n = wt u - 1 + g(base) - target;
+    the image's own shifted weight certifies it (ArithmeticError on a
+    zero image, a non-eigenvector or a wrong weight)."""
+    g = shifted_weight(base, hvec)
+    if g is None:
+        raise ArithmeticError("base is not an eigenvector of the shifted grading")
+    st = twisted_mode_apply(u, u.weight() - 1 + g - target, base, hvec)
+    if not st:
         raise ArithmeticError("no shifted mode lands at weight %s" % target)
-    if any(ratio(st, hits[0]) is None for st in hits[1:]):
-        raise ArithmeticError("shifted modes at weight %s are not a line" % target)
-    return hits[0]
+    wt = shifted_weight(st, hvec)
+    if wt is None:
+        raise ArithmeticError("state is not an eigenvector of the shifted grading")
+    if wt != target:
+        raise ArithmeticError("shifted mode lands at weight %s, not %s"
+                              % (wt, target))
+    return st
 
 
 def _grade_of(ts, v):
@@ -949,7 +945,7 @@ def _chk_graded_pieces(cfg):
     w1, w2 = named_vector("w1"), named_vector("w2")
     hp = named_vector("hprime")
     third = Fraction(1, 3)
-    gen53 = _scan_twisted_image(y2, w2, hp, lo2 + 5 * third)
+    gen53 = _twisted_image(y2, w2, hp, lo2 + 5 * third)
     got = (
         ts1["dims"].get(lo1), (lo1 + third) in ts1["dims"],
         ts1["dims"].get(lo1 + 2 * third),
@@ -980,7 +976,7 @@ def _chk_t2_pieces(cfg):
     w1, w2 = named_vector("w1"), named_vector("w2")
     hp = named_vector("hprime")
     third = Fraction(1, 3)
-    gen53 = _scan_twisted_image(y1, w1, -hp, lo2 + 5 * third)
+    gen53 = _twisted_image(y1, w1, -hp, lo2 + 5 * third)
     got = (
         ts1["dims"].get(lo1), (lo1 + third) in ts1["dims"],
         _grade_of(ts1, y1) == lo1 + 2 * third,
@@ -1008,8 +1004,8 @@ def _chk_twelve_weights(cfg):
     ts11, ts21 = _twisted(1, 1, cfg), _twisted(2, 1, cfg)
     ts12, ts22 = _twisted(1, 2, cfg), _twisted(2, 2, cfg)
     g169 = Fraction(16, 9)
-    gen21 = _scan_twisted_image(y2, w2, hp, g169)
-    gen22 = _scan_twisted_image(y1, w1, -hp, g169)
+    gen21 = _twisted_image(y2, w2, hp, g169)
+    gen22 = _twisted_image(y1, w1, -hp, g169)
     got = (
         _grade_of(ts11, one), _grade_of(ts11, y2), _grade_of(ts11, y1),
         _grade_of(ts21, w2), _grade_of(ts21, w1), _grade_of(ts21, gen21),

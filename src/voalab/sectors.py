@@ -7,6 +7,7 @@ irreducible modules of the fixed-point algebra.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exactfield import (
@@ -27,11 +28,10 @@ from .vertexengine import (
 # Partition counts and graded dimensions.
 
 _P = [1]
-_PE = [1]   # partitions with an even number of parts
 
 
 def _extend_partitions(n):
-    """Grow the partition tables to cover n."""
+    """Grow the partition table to cover n."""
     while len(_P) <= n:
         m = len(_P)
         # p(m) via the pentagonal recurrence.
@@ -51,32 +51,39 @@ def _extend_partitions(n):
         _P.append(total)
 
 
-def partition_count(n, min_part=1):
+def partition_count(n):
     if n < 0:
         return 0
     _extend_partitions(n)
-    if min_part <= 1:
-        return _P[n]
-    if min_part == 2:
-        return _P[n] - (_P[n - 1] if n >= 1 else 0)
-    raise ValueError("unsupported min_part %r" % min_part)
+    return _P[n]
 
 
 def partition_count_even_length(n):
-    """Partitions of n with an even number of parts."""
+    """Partitions of n with an even number of parts.
+
+    prod 1/(1 + q^k) = prod (1 - q^k) prod 1/(1 - q^{2k}) counts even
+    minus odd lengths, so by Euler's pentagonal theorem the difference
+    is t(n) = sum_j (-1)^j p((n - j(3j - 1)/2) / 2), over the j in Z
+    with n - j(3j - 1)/2 even and nonnegative; the count is (p + t)/2.
+    """
     if n < 0:
         return 0
-    while len(_PE) <= n:
-        m = len(_PE)
-        # dp over (total, parity): count partitions with largest part <= k.
-        dp = [[0, 0] for _ in range(m + 1)]
-        dp[0][0] = 1
-        for part in range(1, m + 1):
-            for t in range(part, m + 1):
-                dp[t][0] += dp[t - part][1]
-                dp[t][1] += dp[t - part][0]
-        _PE.append(dp[m][0])
-    return _PE[n]
+    t = 0
+    k = 0
+    while k * (3 * k - 1) // 2 <= n:
+        for j in {k, -k}:
+            g = j * (3 * j - 1) // 2
+            if g <= n and not (n - g) % 2:
+                t += (-1) ** k * partition_count((n - g) // 2)
+        k += 1
+    return (partition_count(n) + t) // 2
+
+
+def _charge_sum(w, c):
+    """sum_{k >= 1, k^2 <= w} c(k) p(w - k^2): the charged part of a
+    trace whose scalar c(k) on the charges +-k depends only on k."""
+    return sum(c(k) * partition_count(w - k * k)
+               for k in range(1, math.isqrt(max(w, 0)) + 1))
 
 
 def graded_dim(name, w):
@@ -92,11 +99,8 @@ def graded_dim(name, w):
             return partition_count_even_length(n)
         if name == "M(1)-":
             return partition_count(n) - partition_count_even_length(n)
-        charged = 0
-        m = 1
-        while 4 * m * m <= n:
-            charged += partition_count(n - 4 * m * m)
-            m += 1
+        # the charges m b, of weight 4m^2 = (2m)^2, one reflection pair each
+        charged = _charge_sum(n, lambda k: 1 - k % 2)
         if name == "V_Zb+":
             return partition_count_even_length(n) + charged
         return partition_count(n) - partition_count_even_length(n) + charged
@@ -176,12 +180,7 @@ def char_L1(n, n_max):
 
 def dim_full_lattice(w):
     """dim of the weight-w piece of the full rank-one lattice algebra."""
-    total = partition_count(w)
-    k = 1
-    while k * k <= w:
-        total += 2 * partition_count(w - k * k)
-        k += 1
-    return total
+    return partition_count(w) + _charge_sum(w, lambda k: 2)
 
 
 def theta_trace(w):
@@ -191,12 +190,7 @@ def theta_trace(w):
 
 def tau1_trace(w):
     """Trace of the charge-parity involution (sign (-1)^k on charge 4k)."""
-    total = partition_count(w)
-    k = 1
-    while k * k <= w:
-        total += 2 * (-1) ** k * partition_count(w - k * k)
-        k += 1
-    return total
+    return partition_count(w) + _charge_sum(w, lambda k: 2 * (-1) ** k)
 
 
 def sigma_trace(w):
@@ -208,12 +202,8 @@ def sigma_trace(w):
     integer covers them all.  sigma_trace_brute certifies this at low
     weight against the actual symmetry.
     """
-    total = partition_count(w)
-    k = 1
-    while k * k <= w:
-        total += (2 if k % 3 == 0 else -1) * partition_count(w - k * k)
-        k += 1
-    return total
+    return partition_count(w) + _charge_sum(
+        w, lambda k: 2 if k % 3 == 0 else -1)
 
 
 def klein_fixed_dim(w):

@@ -32,16 +32,20 @@ operators x A to the planes, A given by its amplitudes in the format of
 amplitudes onto the planes.  `mode_apply` (one operator per term of u),
 `twisted_mode_apply` (one call over all the shift terms), the Virasoro
 words of `apply_word` (one call per letter; `virasoro_mode` is the
-one-letter word) and the exponentials of `charge_chain` all run on it:
+one-letter word) and the exponentials of `_exp_planes` all run on it:
 a state is packed once, stays on the planes from step to step, and is
 unpacked once per output monomial at the end.
 
-`charge_chain(factors, v)` runs a product of nilpotent exponentials
-exp(x e^{(a8/8) b}(0)) on the planes, and nothing else: the order-3
-symmetry `sectors.sigma` = t^H exp(-f/2) exp(e) is the chain
-exp(-f/2) exp(e) followed by a charge-wise scale of its output, and
-the frame g = exp(c f) exp(u e), whose images of charge parts are the
-eigenvectors of h'(0) (`hprime_eigenvector`), is another chain.
+`_exp_planes` is the one exponential: exp of a sum of ops, nilpotent
+on the state, one `_apply_planes` call per series term.
+`charge_chain(factors, v)` runs a product of exponentials
+exp(x e^{(a8/8) b}(0)) through it: the order-3 symmetry
+`sectors.sigma` = t^H exp(-f/2) exp(e) is the chain exp(-f/2) exp(e)
+followed by a charge-wise scale of its output, and the frame
+g = exp(c f) exp(u e), whose images of charge parts are the
+eigenvectors of h'(0) (`hprime_eigenvector`), is another chain.  Li's
+shift `delta_apply` runs exp(sum_k ((-1)^{k+1}/k) hvec(k)) through it,
+one call per weight-homogeneous part of its input.
 Virasoro modes skip the general expansion: `_virasoro_amps` applies
 L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock monomial.  The
 general route `mode_apply` is the test oracle of both.
@@ -331,11 +335,9 @@ def _pair_modes(udegs, a8, vkey, n):
 
 
 # A pure exponential operator (no derivative fields) meets the same
-# monomials again and again: in one catalog run sigma's series took
-# 19,716 hits against 1,134 misses, and the pure exponential pairs of
-# `mode_apply` 3,937 against 785.  The keys come from the caller's
-# states, so the cache is bounded, above the 1,907 entries of a full
-# catalog run.
+# monomials again and again: one full catalog run takes 24,174 hits
+# against 1,679 misses.  The keys come from the caller's states, so the
+# cache is bounded, above those 1,679 entries.
 @functools.lru_cache(maxsize=4096)
 def _pure_exp(a8, n, vkey):
     """`_pair_modes((), a8, vkey, n)`, memoized."""
@@ -544,29 +546,30 @@ def charge_chain(factors, v):
     """
     den, planes = _to_planes(v)
     for a8, x in reversed(factors):
-        den, planes = _exp_planes(a8, x, den, planes)
+        ops = [(functools.partial(_pure_exp, a8, 0), x)]
+        den, planes = _exp_planes(ops, den, planes)
     return _from_planes(planes, den)
 
 
-def _exp_planes(a8, x, den, planes):
-    """exp(x e^{(a8/8) b}(0)) on the state held by planes over den, as
-    (den, planes).
+def _exp_planes(ops, den, planes):
+    """exp(X) on the state held by planes over den, as (den, planes), for
+    X the sum of the `_apply_planes` ops, nilpotent on that state.
 
-    The series sum_k x^k / k! e(0)^k v is one `_apply_planes` call per
-    term, on the memoized `_pure_exp(a8, 0, key)` of each monomial.
+    The series sum_k X^k v / k! is one `_apply_planes` call per term.
+    Raises ModeLegalityError, naming the charge, where an op is
+    undefined on a monomial of some term.
     """
-    ops = [(functools.partial(_pure_exp, a8, 0), x)]
     terms = [(Fraction(1, den), planes)]
     k = 0
     while planes:
         k += 1
         den, nxt, legal, total = _apply_planes(ops, den, planes)
         if legal < total:
-            q8 = next(_charge(key) for plane in planes.values()
-                      for key in plane if _pure_exp(a8, 0, key) is None)
-            raise ModeLegalityError(
-                "zero mode of e^(%s b) is not defined on charge %s"
-                % (Fraction(a8, 8), Fraction(q8, 8)))
+            q8 = next(_charge(key) for amps, _ in ops
+                      for plane in planes.values() for key in plane
+                      if amps(key) is None)
+            raise ModeLegalityError("exponentiated mode is not defined on"
+                                    " charge %s" % Fraction(q8, 8))
         den, planes = _trim(den * k, nxt)
         terms.append((Fraction(1, den), planes))
     return _trim(*_sum_planes(terms))
@@ -803,12 +806,12 @@ def hprime_eigenvector(p):
     return lam, gp
 
 
-def _charge_parts(v):
-    """{q8: the part of v of charge (q8/8) b}."""
+def _split(v, key):
+    """{key(m): the part of v on the monomials m with that key}."""
     parts = {}
     for m, c in v.terms.items():
-        parts.setdefault(m[1], {})[m] = c
-    return {q8: State(terms) for q8, terms in parts.items()}
+        parts.setdefault(key(m), {})[m] = c
+    return {k: State(terms) for k, terms in parts.items()}
 
 
 # --------------------------------------------------------------------------
@@ -854,7 +857,9 @@ def delta_apply(hvec, v):
     """Li's shift operator Delta(hvec, z) applied to v.
 
     Returns an exact RationalPowerSeries: z^{hvec(0)} applied after the
-    exponential of the positive modes sum_k ((-1)^{k+1}/k) hvec(k) z^{-k}.
+    exponential of the positive modes sum_k ((-1)^{k+1}/k) hvec(k) z^{-k},
+    which runs on the coordinate planes as one `_exp_planes` call per
+    weight-homogeneous part of v.
     hvec is s h' (z^{hvec(0)} split by the frame g, eigenvalue s q8/12)
     or t h (split by charge, eigenvalue t sqrt2 q8/4), s and t field
     elements.  Raises ValueError for any other hvec, ModeLegalityError
@@ -864,7 +869,7 @@ def delta_apply(hvec, v):
     return _delta(hvec.key(), v.key())
 
 
-# A full catalog run shifts 8 distinct (hvec, v) pairs (214 hits); the
+# A full catalog run shifts 8 distinct (hvec, v) pairs (40 hits); the
 # keys are arbitrary user states, so the cache is bounded.
 @functools.lru_cache(maxsize=64)
 def _delta(hkey, vkey):
@@ -875,36 +880,30 @@ def _delta(hkey, vkey):
     if s is None and t is None:
         raise ValueError("shift vector must be a multiple of h' or of h")
     frame = t is None
-    pieces = {0: v}
-    current = {0: v} if v else {}
-    j = 0
-    while current:
-        j += 1
-        nxt = {}
-        for e, st in current.items():
-            wmax = max(mono_weight(m) for m in st.terms)
-            k = 1
-            while k <= wmax:
-                img = mode_apply(hvec, k, st)
-                if img:
-                    img = img * sc(Fraction((-1) ** (k + 1), k * j))
-                    acc = nxt.get(e - k)
-                    nxt[e - k] = img if acc is None else acc + img
-                k += 1
-        current = {e: st for e, st in nxt.items() if st}
-        for e, st in current.items():
-            acc = pieces.get(e)
-            pieces[e] = st if acc is None else acc + st
+    # exp(sum_k ((-1)^{k+1}/k) hvec(k) z^{-k}) on each weight-w part of v:
+    # hvec(k) lowers the weight and the power of z by k alike, so an
+    # output monomial of weight wt sits at z^{wt - w}, and hvec(k) with
+    # k > w vanishes on the part
+    pieces = {}
+    for w, part in _split(v, mono_weight).items():
+        ops = [(amps, x * sc(Fraction((-1) ** (k + 1), k)))
+               for k in range(1, math.floor(w) + 1)
+               for amps, x in _mode_ops(hvec, k)]
+        den, planes = _exp_planes(ops, *_to_planes(part))
+        for m, c in _from_planes(planes, den).terms.items():
+            pieces.setdefault(mono_weight(m) - w, {})[m] = c
     out = {}
-    for e, st in pieces.items():
+    for e, terms in pieces.items():
+        st = State(terms)
         if frame:
-            parts = _charge_parts(charge_chain([(4, -_U), (-4, -_C)], st))
+            parts = _split(charge_chain([(4, -_U), (-4, -_C)], st),
+                           lambda m: m[1])
             split = [(s * sc(lam), gp)
                      for lam, gp in map(hprime_eigenvector, parts.values())]
         else:
             # h(0) is sqrt2 q8/4 on charge (q8/8) b
             split = [(t * SQRT2 * sc(Fraction(q8, 4)), p)
-                     for q8, p in _charge_parts(st).items()]
+                     for q8, p in _split(st, lambda m: m[1]).items()]
         for lam, piece in split:
             if not lam.is_rational():
                 raise ArithmeticError("shift eigenvalue %s is not rational" % lam)

@@ -17,7 +17,10 @@ from voalab.paperlab import (
     CheckResult, CheckSpec, DEFAULT_CONFIG, Report, all_checks, emit_report,
     get_check, run_checks,
 )
-from voalab.vertexengine import RationalPowerSeries, hprime_eigenvector
+from voalab.vertexengine import (
+    ModeLegalityError, RationalPowerSeries, hprime_eigenvector,
+    twisted_mode_apply,
+)
 
 EXPECTED_FINDINGS = {
     "lemma-4.4-gram-normalization",
@@ -290,8 +293,8 @@ def test_grade_of_matches_span_membership():
     ts11, ts21 = paperlab._twisted(1, 1, cfg), paperlab._twisted(2, 1, cfg)
     ts12, ts22 = paperlab._twisted(1, 2, cfg), paperlab._twisted(2, 2, cfg)
     g169 = Fraction(16, 9)
-    gen21 = paperlab._scan_twisted_image(y2, w2, hp, g169)
-    gen22 = paperlab._scan_twisted_image(y1, w1, -hp, g169)
+    gen21 = paperlab._twisted_image(y2, w2, hp, g169)
+    gen22 = paperlab._twisted_image(y1, w1, -hp, g169)
     twelve = [(ts11, one), (ts11, y2), (ts11, y1),
               (ts21, w2), (ts21, w1), (ts21, gen21),
               (ts12, one), (ts12, y1), (ts12, y2),
@@ -312,10 +315,61 @@ def test_grade_of_matches_span_membership():
         assert _piece_oracle(ts, v) is None
 
 
-def test_scan_twisted_image_refuses_a_non_eigenvector(monkeypatch):
-    # shifted_weight reads the shifted L(0) through sectors.twisted_weight
+def _scan_twisted_images(u, base, hvec):
+    """{n: (image, its shifted weight)} over the nonzero images of base
+    under the shifted modes u_n, n in (1/6)Z with |n| <= 4: the search
+    that is the oracle of `paperlab._twisted_image`."""
+    out = {}
+    for num in range(-24, 25):
+        n = Fraction(num, 6)
+        try:
+            st = twisted_mode_apply(u, n, base, hvec)
+        except ModeLegalityError:
+            continue
+        if st:
+            out[n] = st, sectors.shifted_weight(st, hvec)
+    return out
+
+
+def test_twisted_image_matches_the_index_scan():
+    y1, y2 = named_vector("y1"), named_vector("y2")
+    w1, w2 = named_vector("w1"), named_vector("w2")
+    hp = named_vector("hprime")
+    g169 = Fraction(16, 9)
+    scan = _scan_twisted_images(y2, w2, hp)
+    assert {n: wt for n, (_, wt) in scan.items()} == {
+        Fraction(-11, 3): Fraction(34, 9), Fraction(-8, 3): Fraction(25, 9),
+        Fraction(-5, 3): g169}
+    # the catalog's four calls: lemma-5.3, sec5-T2 and the twelve weights
+    for u, base, hvec in ((y2, w2, hp), (y1, w1, -hp)):
+        hits = [st for st, wt in _scan_twisted_images(u, base, hvec).values()
+                if wt == g169]
+        assert len(hits) == 1
+        assert paperlab._twisted_image(u, base, hvec, g169) == hits[0]
+    # y2(-2/3) w2 is legal and zero: the grade 7/9 is empty (Lemma 5.3)
+    with pytest.raises(ArithmeticError, match="no shifted mode"):
+        paperlab._twisted_image(y2, w2, hp, Fraction(7, 9))
+
+
+def test_twisted_image_refuses_a_non_eigenvector(monkeypatch):
+    y1, y2 = named_vector("y1"), named_vector("y2")
+    with pytest.raises(ArithmeticError, match="base is not an eigenvector"):
+        paperlab._twisted_image(y2, y1 + y2, named_vector("hprime"),
+                                Fraction(16, 9))
+    # shifted_weight reads the shifted L(0) through sectors.twisted_weight;
+    # the base stays an eigenvector, the image does not
+    real = sectors.twisted_weight
+    w2 = named_vector("w2")
+    monkeypatch.setattr(
+        sectors, "twisted_weight",
+        lambda v, h: real(v, h) if v == w2 else v + State.basis((7,)))
+    with pytest.raises(ArithmeticError, match="state is not an eigenvector"):
+        paperlab._twisted_image(y2, w2, named_vector("hprime"),
+                                Fraction(16, 9))
+    # an image the grading puts elsewhere: its weight, read off the
+    # patched L(0) as 1, is not the target
     monkeypatch.setattr(sectors, "twisted_weight",
-                        lambda v, h: v + State.basis((7,)))
-    with pytest.raises(ArithmeticError, match="eigenvector"):
-        paperlab._scan_twisted_image(named_vector("y2"), named_vector("w2"),
-                                     named_vector("hprime"), Fraction(16, 9))
+                        lambda v, h: real(v, h) if v == w2 else v)
+    with pytest.raises(ArithmeticError, match="not 16/9"):
+        paperlab._twisted_image(y2, w2, named_vector("hprime"),
+                                Fraction(16, 9))

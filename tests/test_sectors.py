@@ -30,10 +30,12 @@ from voalab.vertexengine import (
 def test_partition_counts():
     assert [partition_count(n) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
     assert partition_count(10) == 42
-    assert partition_count(6, min_part=2) == 4
-    for n in range(13):
+    # partitions of 6 with no part 1: 6, 4+2, 3+3, 2+2+2
+    assert partition_count(6) - partition_count(5) == 4
+    for n in range(41):
         brute = sum(1 for p in partitions(n) if len(p) % 2 == 0)
-        assert partition_count_even_length(n) == brute
+        assert partition_count_even_length(n) == brute, n
+    assert partition_count_even_length(-1) == 0
 
 
 def test_graded_dims():

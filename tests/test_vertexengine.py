@@ -262,6 +262,9 @@ def test_delta_apply_matches_krylov_route():
         cases.append((s, s))
         cases += [(s, named_vector(n))
                   for n in ("x1", "E", "J", "w1", "w2", "u9")]
+        # weight-mixed inputs: one exponential per weight-homogeneous part
+        cases += [(s, named_vector(a) + named_vector(b))
+                  for a, b in (("omega", "y1"), ("hprime", "J"), ("u9", "E"))]
     cases += [(named_vector("h"), ONE_V), (named_vector("h") * SQRT2, E)]
     for hvec, v in cases:
         got = delta_apply(hvec, v)
@@ -271,6 +274,9 @@ def test_delta_apply_matches_krylov_route():
         with pytest.raises(ValueError, match="multiple"):
             delta_apply(named_vector(name), ONE_V)
     assert delta_apply(hp, State()) == RationalPowerSeries([])
+    # h'(1) has e^{+-a} terms, which have no integral mode on charge b/8
+    with pytest.raises(ModeLegalityError, match="1/8"):
+        delta_apply(hp, State.basis((1,), Fraction(1, 8)))
 
 
 def test_delta_apply_off_the_sixth_grid():
