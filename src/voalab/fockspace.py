@@ -53,12 +53,32 @@ def mono_str(m):
 
 
 class State:
-    """A finite K-linear combination of Fock monomials."""
+    """A finite K-linear combination of Fock monomials.
 
-    __slots__ = ("terms",)
+    `terms` maps each monomial (degs, q8) to its nonzero Scalar
+    coefficient.  A State the mode engine returns is packed instead: it
+    holds `packed`, the engine's trimmed integer coordinate planes
+    (den, planes) (see `vertexengine`), and builds `terms` from them
+    when `terms` is first read.  The zero test, negation and scaling
+    run on the planes, and so do == and + when both sides are packed;
+    `vertexengine._to_planes` takes a packed State's planes as they are.
+    A State never changes once made: no code writes into `terms`.
+    """
 
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
+    __slots__ = ("_terms", "packed")
+
+    def __init__(self, terms=None, packed=None):
+        if terms is None and packed is None:
+            terms = {}
+        self._terms = terms
+        self.packed = packed
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            from .vertexengine import _unpack_planes
+            self._terms = _unpack_planes(*self.packed)
+        return self._terms
 
     @classmethod
     def basis(cls, degs, q=0, coeff=ONE):
@@ -68,14 +88,29 @@ class State:
         return cls({mono(degs, to_q8(q)): coeff})
 
     def __bool__(self):
-        return bool(self.terms)
+        if self.packed is not None:
+            return bool(self.packed[1])
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
+        if self.packed is not None and other.packed is not None:
+            # trimmed planes are unique to their state
+            return self.packed == other.packed
         return self.terms == other.terms
 
     def __add__(self, other):
+        # a State never changes, so a sum with zero can be its other side
+        if not other:
+            return self
+        if not self:
+            return other
+        if self.packed is not None and other.packed is not None:
+            from .vertexengine import _sum_planes, _trim
+            (d1, p1), (d2, p2) = self.packed, other.packed
+            return State(packed=_trim(*_sum_planes(
+                [(Fraction(1, d1), p1), (Fraction(1, d2), p2)])))
         terms = dict(self.terms)
         for m, c in other.terms.items():
             acc = terms.get(m)
@@ -90,12 +125,17 @@ class State:
         return self + (-other)
 
     def __neg__(self):
+        if self.packed is not None:
+            return self.scale(-ONE)
         return State({m: -c for m, c in self.terms.items()})
 
     def scale(self, s):
         s = sc(s) if not isinstance(s, Scalar) else s
         if not s:
             return State()
+        if self.packed is not None:
+            from .vertexengine import _scale_planes
+            return State(packed=_scale_planes(s, *self.packed))
         return State({m: c * s for m, c in self.terms.items()})
 
     def __mul__(self, s):

@@ -20,6 +20,7 @@ only through `_parts`, `_charge` and `_conjugate`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
 
@@ -27,7 +28,7 @@ from .exactfield import BASIS_MUL, ZERO, _norm, sc
 from .fockspace import State, named_vector, lattice_component, partitions
 from .linalg import express_in_span, solve_square
 from .vertexengine import (
-    _charge, _conjugate, _from_planes, _parts, _sum_planes, _to_planes,
+    _charge, _conjugate, _parts, _sum_planes, _to_planes, _trim,
     apply_word, mode_apply, mode_apply_theta_even, virasoro_mode,
 )
 
@@ -74,11 +75,14 @@ def _products(left, right):
     The column form of a sparse product: each key of the left states
     meets the entries of the right states at its conjugate key, and
     w_key f x y is added to the matrix of c for each pair of entries x
-    on plane p and y on plane q, e_p e_q = f e_c (`BASIS_MUL`).
+    on plane p and y on plane q, e_p e_q = f e_c (`BASIS_MUL`).  The
+    form is symmetric, and so is each matrix of a Gram (left is right):
+    that fill adds only the entries j >= i and mirrors them.
     """
     cols = _columns(right)
+    sym = left is right
     coords = {}
-    for key, col in (cols if left is right else _columns(left)).items():
+    for key, col in (cols if sym else _columns(left)).items():
         dual = cols.get(_conjugate(key))
         if dual is None:
             continue
@@ -94,8 +98,14 @@ def _products(left, right):
                 for i, x in xs:
                     row = rows[i]
                     x *= fw
-                    for j, y in ys:
+                    # ys is ascending in j: a symmetric fill takes j >= i
+                    for j, y in (ys[bisect_left(ys, (i,)):] if sym else ys):
                         row[j] += x * y
+    if sym:
+        for rows in coords.values():
+            for i, row in enumerate(rows):
+                for j in range(i):
+                    row[j] = rows[j][i]
     return coords
 
 
@@ -232,8 +242,8 @@ def decompose_over(target, vectors, blocks=None):
         xs = [y * Fraction(d, t[0]) for (d, _), y in zip(states, sol)]
         for i, x in zip(block, xs):
             coeffs[i] = sc(x)
-        den, planes = _sum_planes([(x / d, p) for x, (d, p) in zip(xs, states)])
-        combo = combo + _from_planes(planes, den)
+        combo = combo + State(packed=_trim(*_sum_planes(
+            [(x / d, p) for x, (d, p) in zip(xs, states)])))
     return DecompositionResult(coeffs, target - combo)
 
 

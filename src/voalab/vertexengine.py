@@ -19,22 +19,26 @@ multiple of the lattice monomial a(-d_1)...a(-d_k) e^{(q8/8) b}
 (a = sqrt2 h, <a, a> = 2), so every mode amplitude is rational.
 `_pair_modes` returns one pair's expansion as (den, amps): one integer
 map keyed by the packed output monomial over one positive denominator.
-The creation-side combinatorics are memoized independently of the
-lattice charge.
+Every operator takes its pair expansions from one bounded memo,
+`_expansion`, which does not store an expansion with more than 256
+output keys.  The creation-side combinatorics are memoized
+independently of the lattice charge.
 
 A state inside the engine is a set of integer coordinate planes
 {packed monomial: int}, one per basis element of the field, over one
 common denominator, in the parity basis: sqrt2 enters and leaves only
-where `_to_planes` and `_from_planes` convert a State and `_mode_ops`
-the coefficients of u.  One kernel, `_apply_planes`, applies a sum of
-operators x A to the planes, A given by its amplitudes in the format of
-`_pair_modes` and x a field element; it is the only loop that routes
-amplitudes onto the planes.  `mode_apply` (one operator per term of u),
-`twisted_mode_apply` (one call over all the shift terms), the Virasoro
-words of `apply_word` (one call per letter; `virasoro_mode` is the
-one-letter word) and the exponentials of `_exp_planes` all run on it:
-a state is packed once, stays on the planes from step to step, and is
-unpacked once per output monomial at the end.
+where `_to_planes` packs a State, `_unpack_planes` unpacks one and
+`_mode_ops` takes the coefficients of u.  One kernel, `_apply_planes`,
+applies a sum of operators x A to the planes, A given by its amplitudes
+in the format of `_pair_modes` and x a field element; it is the only
+loop that routes amplitudes onto the planes.  `mode_apply` (one
+operator per term of u), `twisted_mode_apply` (one call over all the
+shift terms), the Virasoro words of `apply_word` (one call per letter;
+`virasoro_mode` is the one-letter word) and the exponentials of
+`_exp_planes` all run on it: a state stays on the planes from step to
+step, and every engine call returns a packed State that keeps its
+trimmed planes.  The next engine call takes those planes as they are,
+and a State unpacks its terms only when they are first read.
 
 `_exp_planes` is the one exponential: exp of a sum of ops, nilpotent
 on the state, one `_apply_planes` call per series term.
@@ -334,22 +338,47 @@ def _pair_modes(udegs, a8, vkey, n):
     return den // g, {key: amp // g for key, amp in amps.items() if amp}
 
 
-# A pure exponential operator (no derivative fields) meets the same
-# monomials again and again: one full catalog run takes 24,174 hits
-# against 1,679 misses.  The keys come from the caller's states, so the
-# cache is bounded, above those 1,679 entries.
-@functools.lru_cache(maxsize=4096)
-def _pure_exp(a8, n, vkey):
-    """`_pair_modes((), a8, vkey, n)`, memoized."""
-    return _pair_modes((), a8, vkey, n)
+# One memo holds the expansions of every operator: the same monomial
+# pair recurs across the terms of one state, across calls and across
+# checks.  The keys come from the caller's states, so the memo keeps at
+# most _MEMO_ENTRIES of them and drops the oldest first.  It stores only
+# an expansion with at most _MEMO_KEYS output keys.  In a full catalog
+# run, 1,793 of the 1,795 repeated derivative-field pairs have at most
+# 16 keys, and the 98 expansions above 256 keys (79,810 keys in all)
+# never recur; every pure exponential has at most 256 keys, and those
+# of 65..256 keys save 0.53 s over their 1,322 hits, all in sigma(u16).
+# Such a run leaves 3,190 entries.  The memo is a plain dict, because
+# functools.lru_cache cannot decline to store a result.
+_MEMO_ENTRIES = 4096
+_MEMO_KEYS = 256
+_memo = {}
+
+
+def _expansion(udegs, a8, n, vkey):
+    """`_pair_modes(udegs, a8, vkey, n)`, memoized: the expansion of
+    u's monomial (udegs, a8), udegs () for a pure exponential, at mode
+    n on the packed monomial vkey.  A caller must not change the
+    returned amps."""
+    key = (udegs, a8, n, vkey)
+    try:
+        return _memo[key]
+    except KeyError:
+        pass
+    out = _pair_modes(udegs, a8, vkey, n)
+    if out is None or len(out[1]) <= _MEMO_KEYS:
+        if len(_memo) >= _MEMO_ENTRIES:
+            del _memo[next(iter(_memo))]
+        _memo[key] = out
+    return out
 
 
 # --------------------------------------------------------------------------
 # Coordinate planes: a state as maps {monomial: int}, one per basis
 # element of the field, over one common denominator, held in a dict
 # {basis index: plane} of the nonempty planes only.  Between the steps
-# of a chain the planes have no zero entry (`_trim`), so a zero state
-# has no planes.
+# of a chain, and in a packed State, the planes are trimmed (`_trim`):
+# no zero entry, so a zero state has no planes, and no factor common to
+# the denominator and every entry, so equal states have equal planes.
 #
 # _ROUTE[k & 1][j] = (m, f): a coordinate on the basis element e_j of a
 # monomial with k parts, times sqrt2^(k & 1), is f times a coordinate
@@ -360,8 +389,12 @@ _ROUTE = (tuple((j, 1) for j in range(8)), BASIS_MUL[1])
 
 
 def _to_planes(v):
-    """(den, planes) holding v: its parity-basis coordinates over their
-    common denominator, keyed by packed monomial."""
+    """The trimmed (den, planes) holding v: its parity-basis coordinates
+    over their least common denominator, keyed by packed monomial.  A
+    packed State's own planes are returned as they are; no caller
+    changes them."""
+    if v.packed is not None:
+        return v.packed
     terms = [(len(degs) & 1, _pack(degs, q8), c)
              for (degs, q8), c in v.terms.items()]
     den = math.lcm(*[c.den << k1 for k1, _, c in terms])
@@ -373,13 +406,14 @@ def _to_planes(v):
             if x:
                 m, g = route[j]
                 planes.setdefault(m, {})[key] = x * f * g
-    return den, planes
+    return _trim(den, planes)
 
 
-def _from_planes(planes, den):
-    """The State held by planes over den: one field element per packed
-    monomial, unpacked and brought out of the parity basis here and only
-    here."""
+def _unpack_planes(den, planes):
+    """The terms {(degs, q8): Scalar} of the state held by trimmed
+    planes over den: one field element per packed monomial, unpacked
+    and brought out of the parity basis here and only here, when a
+    packed State's terms are first read."""
     used = sorted(planes.items())
     out = {}
     for key in dict.fromkeys(key for _, plane in used for key in plane):
@@ -389,9 +423,8 @@ def _from_planes(planes, den):
         for j, plane in used:
             m, g = route[j]
             num[m] = g * plane.get(key, 0)
-        if any(num):
-            out[degs, q8] = _norm(tuple(num), den)
-    return State(out)
+        out[degs, q8] = _norm(tuple(num), den)
+    return out
 
 
 def _trim(den, planes):
@@ -410,6 +443,24 @@ def _trim(den, planes):
         out = {p: {key: c // g for key, c in plane.items()}
                for p, plane in out.items()}
     return den, out
+
+
+def _scale_planes(x, den, planes):
+    """The trimmed (den, planes) holding x v, x a nonzero field element
+    and v held by planes over den: a coordinate c on e_p and x_j on e_j
+    give f c x_j on e_m, e_p e_j = f e_m (`BASIS_MUL`)."""
+    out = {}
+    for p, plane in planes.items():
+        row = BASIS_MUL[p]
+        for j, xj in enumerate(x.num):
+            if xj:
+                m, f = row[j]
+                f *= xj
+                into = out.setdefault(m, {})
+                get = into.get
+                for key, c in plane.items():
+                    into[key] = get(key, 0) + f * c
+    return _trim(den * x.den, out)
 
 
 def _sum_planes(terms):
@@ -499,11 +550,7 @@ def _mode_ops(u, n):
         _check_width(0, a8)
         if len(udegs) & 1:
             cu = cu.mul_rat_sqrt2(1, -1)
-        if udegs:
-            amps = functools.partial(_pair_modes, udegs, a8, n=n)
-        else:
-            amps = functools.partial(_pure_exp, a8, n)
-        ops.append((amps, cu))
+        ops.append((functools.partial(_expansion, udegs, a8, n), cu))
     return ops
 
 
@@ -521,7 +568,7 @@ def mode_apply(u, n, v):
     den, planes, legal, total = _apply_planes(_mode_ops(u, n), den, planes)
     if total and not legal:
         raise ModeLegalityError("mode %s is not defined on this pair" % n)
-    return _from_planes(planes, den)
+    return State(packed=_trim(den, planes))
 
 
 def mode_apply_theta_even(u, n, v):
@@ -546,9 +593,9 @@ def charge_chain(factors, v):
     """
     den, planes = _to_planes(v)
     for a8, x in reversed(factors):
-        ops = [(functools.partial(_pure_exp, a8, 0), x)]
+        ops = [(functools.partial(_expansion, (), a8, 0), x)]
         den, planes = _exp_planes(ops, den, planes)
-    return _from_planes(planes, den)
+    return State(packed=(den, planes))
 
 
 def _exp_planes(ops, den, planes):
@@ -661,7 +708,7 @@ def apply_word(word, v):
                                     % (m + 1))
         ops = [(functools.partial(_virasoro_amps, m), ONE)]
         den, planes = _trim(*_apply_planes(ops, den, planes)[:2])
-    return _from_planes(planes, den)
+    return State(packed=(den, planes))
 
 
 # --------------------------------------------------------------------------
@@ -826,8 +873,8 @@ class RationalPowerSeries:
     """
 
     def __init__(self, terms):
-        self.terms = [(rat(e), st) for e, st in terms if st]
-        self.terms.sort(key=lambda t: t[0])
+        self.terms = sorted(((rat(e), st) for e, st in terms if st),
+                            key=lambda t: t[0])
         exps = [e for e, _ in self.terms]
         if len(set(exps)) != len(exps):
             raise ValueError("duplicate exponents in power series")
@@ -890,7 +937,7 @@ def _delta(hkey, vkey):
                for k in range(1, math.floor(w) + 1)
                for amps, x in _mode_ops(hvec, k)]
         den, planes = _exp_planes(ops, *_to_planes(part))
-        for m, c in _from_planes(planes, den).terms.items():
+        for m, c in _unpack_planes(den, planes).items():
             pieces.setdefault(mono_weight(m) - w, {})[m] = c
     out = {}
     for e, terms in pieces.items():
@@ -938,7 +985,7 @@ def twisted_mode_apply(u, n, v, hvec):
     den, planes, legal, total = _apply_planes(ops, den, planes)
     if total and not legal:
         raise ModeLegalityError("twisted mode %s undefined on this pair" % n)
-    return _from_planes(planes, den)
+    return State(packed=_trim(den, planes))
 
 
 def twisted_weight(v, hvec):

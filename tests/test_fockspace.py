@@ -1,15 +1,22 @@
 """States, gradings, involutions, and the named vector table."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sqrt2_power
+from voalab.exactfield import I, ONE, SQRT2, SQRT3, ZERO, sc, sqrt2_power
 from voalab.fockspace import (
     NAMED_VECTORS, State, basis_monomials, graded_states, lattice_component,
     named_vector, partitions, ratio, theta, theta_even_states, tau1,
 )
 from voalab.sectors import dim_full_lattice, graded_dim
+from voalab.vertexengine import (
+    _to_planes, apply_word, charge_chain, mode_apply, twisted_mode_apply,
+)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "voalab"
 
 
 def test_partitions_small():
@@ -142,3 +149,103 @@ def test_ratio():
     assert ratio(State.basis((3,)), v) is None
     with pytest.raises(ValueError):
         ratio(v, State())
+
+
+def _packed_family():
+    """Engine outputs of every kind, each a packed State: mode products
+    with sqrt2, sqrt3 and i in their coefficients, a zero product, a
+    Virasoro word, an exponential chain and a twisted mode; the last is
+    (1 - sqrt2) h(-1)|0>, on two planes."""
+    J, E, u9 = named_vector("J"), named_vector("E"), named_vector("u9")
+    w1, w2 = named_vector("w1"), named_vector("w2")
+    return [mode_apply(J, -2, E), mode_apply(E, 8, E), mode_apply(E, 7, E),
+            mode_apply(u9, 12, u9), mode_apply(w1, Fraction(-1, 2), w2),
+            apply_word([-2, -1], J), apply_word([], E),
+            charge_chain([(-4, sc(Fraction(-1, 2))), (4, ONE)], J + E),
+            twisted_mode_apply(E, Fraction(1, 3), named_vector("y1"),
+                               named_vector("hprime")),
+            mode_apply(named_vector("h"), -1, State.basis((), 0, ONE - SQRT2))]
+
+
+def test_packed_state_agrees_with_its_terms():
+    family = _packed_family()
+    assert not family[1] and all(family[:1] + family[2:])
+    for p in family:
+        assert p.packed is not None
+        t = State(dict(p.terms))
+        assert t.packed is None
+        fresh = lambda: State(packed=p.packed)
+        assert fresh() == t and t == fresh() and fresh() == p
+        assert bool(fresh()) == bool(t)
+        assert str(fresh()) == str(t)
+        assert fresh().key() == t.key()
+        assert fresh().weight() == t.weight()
+        # the packed planes are those of the terms, trimmed
+        assert _to_planes(t) == p.packed
+        assert _to_planes(p) is p.packed
+
+
+def test_packed_arithmetic_agrees_with_terms_arithmetic():
+    family = _packed_family()
+    # 1 + sqrt2 times 1 - sqrt2 is -1: the product leaves one plane empty
+    last = family[-1]
+    assert len(last.packed[1]) == 2
+    assert len((last * (ONE + SQRT2)).packed[1]) == 1
+    scalars = [sc(3), sc(Fraction(-2, 9)), SQRT2, ONE + SQRT2, SQRT3 * I]
+    for p in family:
+        t = State(dict(p.terms))
+        for got, want in ((-p, -t), (p - p, t - t)):
+            assert got.packed is not None
+            assert got == want and _to_planes(want) == got.packed
+        for x in scalars:
+            got = p * x
+            assert got.packed is not None and got.packed == _to_planes(t * x)
+        for q in family:
+            got = p + q
+            assert got.packed is not None
+            assert got.packed == _to_planes(t + State(dict(q.terms)))
+
+
+def test_zero_product_is_falsy_before_its_terms_are_built():
+    z = mode_apply(named_vector("E"), 8, named_vector("E"))
+    assert not z
+    assert z._terms is None
+    assert z == State() and str(z) == "0"
+
+
+# --------------------------------------------------------------------------
+# A packed State builds its terms once and shares them: no code may write
+# into a State's terms after it is made.
+
+_MUTATORS = {"clear", "pop", "popitem", "setdefault", "update",
+             "__setitem__", "__delitem__", "__ior__"}
+
+
+def terms_writes(source):
+    """Line numbers where source stores into, deletes from, updates in
+    place or calls a mutating dict method on some `<expr>.terms`."""
+    def is_terms(node):
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and is_terms(node.value) \
+                and isinstance(node.ctx, (ast.Store, ast.Del)):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.AugAssign) and is_terms(node.target):
+            hits.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _MUTATORS and is_terms(node.func.value):
+            hits.append(node.lineno)
+    return sorted(hits)
+
+
+def test_no_source_writes_into_state_terms():
+    probe = ("v.terms[m] = c\ndel w.terms[m]\nv.terms[m] += c\n"
+             "v.terms |= d\nv.terms.update(d)\nf(v).terms.pop(m)\n"
+             "x = v.terms[m]\nv.terms.get(m)\n")
+    assert terms_writes(probe) == [1, 2, 3, 4, 5, 6]
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    hits = ["%s:%d" % (path.name, line) for path in files
+            for line in terms_writes(path.read_text(encoding="utf-8"))]
+    assert not hits, hits

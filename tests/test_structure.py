@@ -17,7 +17,9 @@ from voalab.structure import (
     build_u16, c_functional, decompose_over, gram_rational, is_primary,
     pair, vacuum_words, word_states,
 )
-from voalab.vertexengine import KeyWidthError, virasoro_mode
+from voalab.vertexengine import (
+    KeyWidthError, _to_planes, mode_apply, virasoro_mode,
+)
 
 ONE_V = named_vector("one")
 OMEGA = named_vector("omega")
@@ -260,6 +262,23 @@ def test_decompose_over_irrational_gram_falls_back(monkeypatch):
     assert calls == [2]
     assert dec.exact
     assert dec.coefficients == [ONE, -SQRT2]
+
+
+def test_symmetric_gram_fill_matches_the_full_fill():
+    # `_products` of one list with itself fills j >= i and mirrors; a
+    # copy of the list takes the full fill.  The last family has
+    # irrational entries off the diagonal, such as <i E, J + sqrt2 E> =
+    # 2 sqrt2 i and <sqrt3 J, J + sqrt2 E> = 54 sqrt3
+    families = [word_states(vacuum_words(12), ONE_V),
+                word_states(vacuum_words(16), ONE_V),
+                [E * I, J + E * SQRT2, J * SQRT3, mode_apply(J, -2, E)]]
+    for vectors in families:
+        states = [_to_planes(v) for v in vectors]
+        assert structure._products(states, states) \
+            == structure._products(states, list(states))
+    states = [_to_planes(v) for v in families[-1]]
+    with pytest.raises(ArithmeticError, match="not rational"):
+        structure._gram(states, states)
 
 
 def test_decompose_over_gram_divisible_by_lifting_prime_falls_back(monkeypatch):

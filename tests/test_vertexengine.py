@@ -15,8 +15,8 @@ from voalab.fockspace import (
 )
 from voalab.vertexengine import (
     MAX_DEGREE, KeyWidthError, ModeIndex, ModeLegalityError,
-    RationalPowerSeries, _pack, _pair_modes, _rational_roots, _root_bound,
-    _unpack, apply_word, charge_chain, delta_apply, mode_apply,
+    RationalPowerSeries, _expansion, _pack, _pair_modes, _rational_roots,
+    _root_bound, _unpack, apply_word, charge_chain, delta_apply, mode_apply,
     mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
     zero_mode_decompose, zero_mode_exp,
 )
@@ -391,9 +391,8 @@ def test_delta_cache_is_bounded():
 def test_pure_exp_cache_is_bounded():
     # e^{(a8/8)b}(n)|e^{(q8/8)b}> with creation degree
     # c = -n - 1 - a8 q8 / 8 in 0..2: every pair is legal, and there are
-    # more keys than the bound holds
-    cache = vertexengine._pure_exp
-    cap = cache.cache_info().maxsize
+    # more keys than the bound of the pair memo holds
+    cap = vertexengine._MEMO_ENTRIES
     assert cap
     keys = [(a8, -1 - a8 * q8 // 8 - c, _pack((), q8))
             for a8 in (8, -8, 16, -16, 24, -24, 32, -32)
@@ -401,11 +400,72 @@ def test_pure_exp_cache_is_bounded():
             for c in range(3)]
     assert len(keys) > cap
     for a8, n, vkey in keys:
-        assert cache(a8, n, vkey) == _pair_modes((), a8, vkey, n)
-    assert cache.cache_info().currsize <= cap
+        assert _expansion((), a8, n, vkey) == _pair_modes((), a8, vkey, n)
+    assert len(vertexengine._memo) <= cap
     # the evicted first keys are computed again, to the same values
     for a8, n, vkey in keys[:10]:
-        assert cache(a8, n, vkey) == _pair_modes((), a8, vkey, n)
+        assert _expansion((), a8, n, vkey) == _pair_modes((), a8, vkey, n)
+
+
+def _term_pairs(u, n, v):
+    """(udegs, a8, n, packed v monomial) for every term pair of u(n)v."""
+    return [(udegs, a8, n, _pack(vdegs, q8))
+            for udegs, a8 in u.terms for vdegs, q8 in v.terms]
+
+
+def test_memo_hit_is_the_uncached_expansion():
+    # the seeded family of `_seeded_pairs` and the inputs of u16, every
+    # term pair of J(-9)J and E(-9)E: a stored expansion is returned as
+    # stored, equal to a fresh `_pair_modes`
+    memo = vertexengine._memo
+    pairs = [(udegs, a8, n, _pack(vdegs, q8))
+             for udegs, a8, vdegs, q8, n in _seeded_pairs()]
+    pairs += _term_pairs(J, -9, J) + _term_pairs(E, -9, E)
+    stored = 0
+    for key in pairs:
+        udegs, a8, n, vkey = key
+        want = _pair_modes(udegs, a8, vkey, n)
+        got = _expansion(*key)
+        assert got == want
+        if want is not None and len(want[1]) > vertexengine._MEMO_KEYS:
+            continue
+        assert memo[key] is got
+        assert _expansion(*key) is got
+        stored += 1
+    assert stored > len(pairs) // 2
+
+
+def test_memo_skips_large_expansions():
+    # the 98 pairs of u9(-3)u9 with more than 256 output keys (626 and
+    # up) are computed each time and never stored
+    u9 = named_vector("u9")
+    large = [key for key in _term_pairs(u9, -3, u9)
+             if len(_pair_modes(key[0], key[1], key[3], key[2])[1])
+             > vertexengine._MEMO_KEYS]
+    assert len(large) == 98
+    for key in large[:3]:
+        got = _expansion(*key)
+        assert got == _pair_modes(key[0], key[1], key[3], key[2])
+        assert key not in vertexengine._memo
+
+
+def test_engine_leaves_stored_expansions_unchanged():
+    # the engine only reads the amps it is handed: after mode_apply,
+    # twisted_mode_apply and an exponential chain have used the memo
+    # twice, every stored expansion still equals a fresh one
+    memo = vertexengine._memo
+    memo.clear()
+    u9 = named_vector("u9")
+    for _ in range(2):
+        mode_apply(J, -9, J)
+        mode_apply(u9, 12, u9)
+        mode_apply_theta_even(E, -9, E)
+        charge_chain([(-4, sc(Fraction(-1, 2))), (4, sc(1))], J + E)
+        twisted_mode_apply(E, Fraction(1, 3), named_vector("y1"),
+                           named_vector("hprime"))
+    assert len(memo) > 50
+    for (udegs, a8, n, vkey), out in memo.items():
+        assert out == _pair_modes(udegs, a8, vkey, n)
 
 
 def test_twisted_mode_matches_per_contribution_route():
@@ -584,6 +644,26 @@ def assert_packed_matches_tuple_oracle(u, n, v):
     return count
 
 
+def _seeded_pairs():
+    """400 seeded monomial pairs over every charge class, as
+    (udegs, a8, vdegs, q8, n): q8 in each residue mod 8, a8 in
+    {0, +-1, +-2, +-3, +-4, +-8}, u with 0..3 derivative fields, v up to
+    weight 8 (deg + q8^2/16), each at a legal integer or fractional n."""
+    rng = random.Random(20261019)
+    out = []
+    for _ in range(400):
+        a8 = rng.choice((0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8))
+        q8 = rng.randint(-11, 11)
+        udegs = tuple(sorted((rng.randint(1, 4)
+                              for _ in range(rng.randint(0, 3))), reverse=True))
+        vdegs = rng.choice(list(partitions(
+            rng.randint(0, (128 - q8 * q8) // 16))))
+        c0 = rng.randint(-sum(udegs) - sum(vdegs) - 1, 3)
+        out.append((udegs, a8, vdegs, q8,
+                    ModeIndex(-1 - c0 - Fraction(a8 * q8, 8))))
+    return out
+
+
 def test_packed_pair_modes_match_tuple_oracle():
     # the inputs of u16: every term pair of J(-9)J and E(-9)E
     for x in (J, E):
@@ -604,21 +684,9 @@ def test_packed_pair_modes_match_tuple_oracle():
                    for m, c in b.terms.items()})
     for n in (-1, 0, 1):
         assert assert_packed_matches_tuple_oracle(hp, n, small)
-    # a seeded family over every charge class: q8 in each residue mod 8,
-    # a8 in {0, +-1, +-2, +-3, +-4, +-8}, u with 0..3 derivative fields,
-    # v up to weight 8 (deg + q8^2/16), each at a legal integer or
-    # fractional n and at an illegal one
-    rng = random.Random(20261019)
+    # the seeded family, each pair at its legal n and at an illegal one
     residues, kinds = set(), set()
-    for _ in range(400):
-        a8 = rng.choice((0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8))
-        q8 = rng.randint(-11, 11)
-        udegs = tuple(sorted((rng.randint(1, 4)
-                              for _ in range(rng.randint(0, 3))), reverse=True))
-        vdegs = rng.choice(list(partitions(
-            rng.randint(0, (128 - q8 * q8) // 16))))
-        c0 = rng.randint(-sum(udegs) - sum(vdegs) - 1, 3)
-        n = ModeIndex(-1 - c0 - Fraction(a8 * q8, 8))
+    for udegs, a8, vdegs, q8, n in _seeded_pairs():
         u = State.basis(udegs, Fraction(a8, 8))
         v = State.basis(vdegs, Fraction(q8, 8))
         assert assert_packed_matches_tuple_oracle(u, n, v) == 1
