@@ -55,30 +55,39 @@ def mono_str(m):
 class State:
     """A finite K-linear combination of Fock monomials.
 
-    `terms` maps each monomial (degs, q8) to its nonzero Scalar
-    coefficient.  A State the mode engine returns is packed instead: it
-    holds `packed`, the engine's trimmed integer coordinate planes
-    (den, planes) (see `vertexengine`), and builds `terms` from them
-    when `terms` is first read.  The zero test, negation and scaling
-    run on the planes, and so do == and + when both sides are packed;
-    `vertexengine._to_planes` takes a packed State's planes as they are.
-    A State never changes once made: no code writes into `terms`.
+    A State has two views of one value, and keeps whichever it was made
+    with: `terms` maps each monomial (degs, q8) to its nonzero Scalar
+    coefficient, and `packed` is the mode engine's trimmed integer
+    coordinate planes (den, planes) (see `vertexengine`).  The other
+    view is built on its first read and kept, so a State packs and
+    unpacks at most once.  Arithmetic (+, -, scaling) and == run on the
+    planes only: trimmed planes are unique to their state, and a State
+    with a monomial beyond the packed key width raises KeyWidthError
+    there.  A State never changes once made: no code writes into
+    `terms`.
     """
 
-    __slots__ = ("_terms", "packed")
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms=None, packed=None):
         if terms is None and packed is None:
             terms = {}
         self._terms = terms
-        self.packed = packed
+        self._packed = packed
 
     @property
     def terms(self):
         if self._terms is None:
             from .vertexengine import _unpack_planes
-            self._terms = _unpack_planes(*self.packed)
+            self._terms = _unpack_planes(*self._packed)
         return self._terms
+
+    @property
+    def packed(self):
+        if self._packed is None:
+            from .vertexengine import _pack_terms
+            self._packed = _pack_terms(self._terms)
+        return self._packed
 
     @classmethod
     def basis(cls, degs, q=0, coeff=ONE):
@@ -88,17 +97,14 @@ class State:
         return cls({mono(degs, to_q8(q)): coeff})
 
     def __bool__(self):
-        if self.packed is not None:
-            return bool(self.packed[1])
+        if self._packed is not None:
+            return bool(self._packed[1])
         return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        if self.packed is not None and other.packed is not None:
-            # trimmed planes are unique to their state
-            return self.packed == other.packed
-        return self.terms == other.terms
+        return self.packed == other.packed
 
     def __add__(self, other):
         # a State never changes, so a sum with zero can be its other side
@@ -106,37 +112,23 @@ class State:
             return self
         if not self:
             return other
-        if self.packed is not None and other.packed is not None:
-            from .vertexengine import _sum_planes, _trim
-            (d1, p1), (d2, p2) = self.packed, other.packed
-            return State(packed=_trim(*_sum_planes(
-                [(Fraction(1, d1), p1), (Fraction(1, d2), p2)])))
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[m] = acc
-            elif m in terms:
-                del terms[m]
-        return State(terms)
+        from .vertexengine import _sum_planes, _trim
+        (d1, p1), (d2, p2) = self.packed, other.packed
+        return State(packed=_trim(*_sum_planes(
+            [(Fraction(1, d1), p1), (Fraction(1, d2), p2)])))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        if self.packed is not None:
-            return self.scale(-ONE)
-        return State({m: -c for m, c in self.terms.items()})
+        return self.scale(-ONE)
 
     def scale(self, s):
         s = sc(s) if not isinstance(s, Scalar) else s
         if not s:
             return State()
-        if self.packed is not None:
-            from .vertexengine import _scale_planes
-            return State(packed=_scale_planes(s, *self.packed))
-        return State({m: c * s for m, c in self.terms.items()})
+        from .vertexengine import _scale_planes
+        return State(packed=_scale_planes(s, *self.packed))
 
     def __mul__(self, s):
         return self.scale(s)

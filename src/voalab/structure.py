@@ -5,9 +5,10 @@ monomial h(-n_1)...h(-n_s) e^{qb} with h(-n_1)...h(-n_s) e^{-qb} to the
 partition factor prod_d d^{m_d} m_d!, up to sign.  Since it is diagonal
 in the Fock basis, every use of it (`pair`, `gram_rational`, the Gram
 systems of `decompose_over`, the orthogonality check in `build_u16`)
-runs on the mode engine's own state format: each state is taken once
-onto its integer coordinate planes over one common denominator
-(`vertexengine._to_planes`, in the parity basis), and the form sums
+runs on the mode engine's own state format: it reads each state's
+`packed` view, its integer coordinate planes over one common
+denominator in the parity basis (see `vertexengine`), which a State
+builds at most once and keeps, and the form sums
 w_key f x y over the entries x of one side on plane p and y of the
 other on plane q at the conjugate key, straight into the integer matrix
 of the field coordinate c with e_p e_q = f e_c.  The integer weight
@@ -28,7 +29,7 @@ from .exactfield import BASIS_MUL, ZERO, _norm, sc
 from .fockspace import State, named_vector, lattice_component, partitions
 from .linalg import express_in_span, solve_square
 from .vertexengine import (
-    _charge, _conjugate, _parts, _sum_planes, _to_planes, _trim,
+    _charge, _conjugate, _parts, _sum_planes, _trim,
     apply_word, mode_apply, mode_apply_theta_even, virasoro_mode,
 )
 
@@ -126,7 +127,7 @@ def pair(u, v):
     The value may be irrational, and ValueError is raised when a term
     with q8 % 4 != 0 meets its conjugate.
     """
-    pu, pv = _to_planes(u), _to_planes(v)
+    pu, pv = u.packed, v.packed
     return _entry(_products([pu], [pv]), 0, 0, pu[0] * pv[0])
 
 
@@ -146,8 +147,8 @@ def _gram(left, right):
 
 def gram_rational(vectors):
     """The Gram matrix as Fractions; raises ArithmeticError if any entry
-    is irrational.  Each vector is converted to the planes once."""
-    states = [_to_planes(v) for v in vectors]
+    is irrational.  Each vector is read through its packed planes."""
+    states = [v.packed for v in vectors]
     dens = [d for d, _ in states]
     return [[Fraction(x, di * dj) for x, dj in zip(row, dens)]
             for row, di in zip(_gram(states, states), dens)]
@@ -207,8 +208,8 @@ def decompose_over(target, vectors, blocks=None):
     blocks is a list of index lists whose spans are mutually orthogonal
     (default: one block).  Within each block the component is found by
     solving the Gram system exactly on integers.  The target and the
-    vectors are taken onto the engine's coordinate planes once, v_j
-    held over d_j and the target over d_t; `_gram` gives the integer
+    vectors are read through their packed planes, v_j held over d_j
+    and the target over d_t; `_gram` gives the integer
     N_ij = d_i d_j <v_i, v_j> and R_i = d_i d_t <v_i, target>,
     `solve_square` solves N y = R and x_j = y_j d_j / d_t, and the
     block's combination is summed on the planes.  A block whose N or R
@@ -222,10 +223,10 @@ def decompose_over(target, vectors, blocks=None):
         blocks = [list(range(len(vectors)))]
     coeffs = [ZERO] * len(vectors)
     combo = State()
-    t = _to_planes(target)
+    t = target.packed
     for block in blocks:
         vs = [vectors[i] for i in block]
-        states = [_to_planes(v) for v in vs]
+        states = [v.packed for v in vs]
         try:
             num = _gram(states, states)
             rhs = [row[0] for row in _gram(states, [t])]
@@ -268,7 +269,7 @@ def build_u16():
         raise ArithmeticError("stripped vector is not primary")
     if lattice_component(u16, 2) != E2 * 27:
         raise ArithmeticError("unexpected charge-2 tail")
-    if any(_gram([_to_planes(u16)], [_to_planes(v) for v in states])[0]):
+    if any(_gram([u16.packed], [v.packed for v in states])[0]):
         raise ArithmeticError("stripped vector is not orthogonal to the vacuum module")
     return u16
 

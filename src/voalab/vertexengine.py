@@ -27,8 +27,11 @@ independently of the lattice charge.
 A state inside the engine is a set of integer coordinate planes
 {packed monomial: int}, one per basis element of the field, over one
 common denominator, in the parity basis: sqrt2 enters and leaves only
-where `_to_planes` packs a State, `_unpack_planes` unpacks one and
-`_mode_ops` takes the coefficients of u.  One kernel, `_apply_planes`,
+where `_pack_terms` packs a State's terms, `_unpack_planes` unpacks its
+planes and `_mode_ops` takes the coefficients of u.  These planes are a
+State's `packed` view, which it builds at most once and keeps, and
+State arithmetic runs on them through `_sum_planes`, `_scale_planes`
+and `_trim`.  One kernel, `_apply_planes`,
 applies a sum of operators x A to the planes, A given by its amplitudes
 in the format of `_pair_modes` and x a field element; it is the only
 loop that routes amplitudes onto the planes.  `mode_apply` (one
@@ -36,9 +39,9 @@ operator per term of u), `twisted_mode_apply` (one call over all the
 shift terms), the Virasoro words of `apply_word` (one call per letter;
 `virasoro_mode` is the one-letter word) and the exponentials of
 `_exp_planes` all run on it: a state stays on the planes from step to
-step, and every engine call returns a packed State that keeps its
-trimmed planes.  The next engine call takes those planes as they are,
-and a State unpacks its terms only when they are first read.
+step, every engine call reads its input's `packed` view, and it
+returns a State made from its trimmed planes, which unpacks its terms
+only when they are first read.
 
 `_exp_planes` is the one exponential: exp of a sum of ops, nilpotent
 on the state, one `_apply_planes` call per series term.
@@ -388,15 +391,13 @@ def _expansion(udegs, a8, n, vkey):
 _ROUTE = (tuple((j, 1) for j in range(8)), BASIS_MUL[1])
 
 
-def _to_planes(v):
-    """The trimmed (den, planes) holding v: its parity-basis coordinates
-    over their least common denominator, keyed by packed monomial.  A
-    packed State's own planes are returned as they are; no caller
-    changes them."""
-    if v.packed is not None:
-        return v.packed
+def _pack_terms(terms):
+    """The trimmed (den, planes) holding the terms {(degs, q8): Scalar}
+    of a State: their parity-basis coordinates over their least common
+    denominator, keyed by packed monomial, packed here and only here,
+    when a State's `packed` is first read."""
     terms = [(len(degs) & 1, _pack(degs, q8), c)
-             for (degs, q8), c in v.terms.items()]
+             for (degs, q8), c in terms.items()]
     den = math.lcm(*[c.den << k1 for k1, _, c in terms])
     planes = {}
     for k1, key, c in terms:
@@ -564,7 +565,7 @@ def mode_apply(u, n, v):
     so its degree is bounded only through the result's).
     """
     n = ModeIndex(n)
-    den, planes = _to_planes(v)
+    den, planes = v.packed
     den, planes, legal, total = _apply_planes(_mode_ops(u, n), den, planes)
     if total and not legal:
         raise ModeLegalityError("mode %s is not defined on this pair" % n)
@@ -591,7 +592,7 @@ def charge_chain(factors, v):
     they move the charge at fixed weight).  Raises ModeLegalityError on
     a term whose charge admits no such zero mode.
     """
-    den, planes = _to_planes(v)
+    den, planes = v.packed
     for a8, x in reversed(factors):
         ops = [(functools.partial(_expansion, (), a8, 0), x)]
         den, planes = _exp_planes(ops, den, planes)
@@ -698,7 +699,7 @@ def apply_word(word, v):
     is L(-3) L(-1) v.  v stays on the coordinate planes from letter to
     letter, and the word stops at a zero state.
     """
-    den, planes = _to_planes(v)
+    den, planes = v.packed
     for m in reversed(list(word)):
         m = ModeIndex(m)
         if not planes:
@@ -936,7 +937,7 @@ def _delta(hkey, vkey):
         ops = [(amps, x * sc(Fraction((-1) ** (k + 1), k)))
                for k in range(1, math.floor(w) + 1)
                for amps, x in _mode_ops(hvec, k)]
-        den, planes = _exp_planes(ops, *_to_planes(part))
+        den, planes = _exp_planes(ops, *part.packed)
         for m, c in _unpack_planes(den, planes).items():
             pieces.setdefault(mono_weight(m) - w, {})[m] = c
     out = {}
@@ -981,7 +982,7 @@ def twisted_mode_apply(u, n, v, hvec):
         raise ModeLegalityError(
             "twisted modes for the h' shift need charges in (1/4)Z b;"
             " got charge %s" % ", ".join("%sb" % q for q in odd))
-    den, planes = _to_planes(v)
+    den, planes = v.packed
     den, planes, legal, total = _apply_planes(ops, den, planes)
     if total and not legal:
         raise ModeLegalityError("twisted mode %s undefined on this pair" % n)

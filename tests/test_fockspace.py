@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from voalab import vertexengine
 from voalab.exactfield import I, ONE, SQRT2, SQRT3, ZERO, sc, sqrt2_power
 from voalab.fockspace import (
-    NAMED_VECTORS, State, basis_monomials, graded_states, lattice_component,
-    named_vector, partitions, ratio, theta, theta_even_states, tau1,
+    NAMED_VECTORS, State, _build_basic, basis_monomials, graded_states,
+    lattice_component, named_vector, partitions, ratio, theta,
+    theta_even_states, tau1,
 )
 from voalab.sectors import dim_full_lattice, graded_dim
+from voalab.structure import pair
 from voalab.vertexengine import (
-    _to_planes, apply_word, charge_chain, mode_apply, twisted_mode_apply,
+    apply_word, charge_chain, mode_apply, twisted_mode_apply,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "voalab"
@@ -167,22 +170,58 @@ def _packed_family():
             mode_apply(named_vector("h"), -1, State.basis((), 0, ONE - SQRT2))]
 
 
+# Arithmetic on plain {monomial: Scalar} dicts: the reference oracle of
+# State's arithmetic, which runs on the packed planes only.
+
+def _terms_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        acc = out.get(m)
+        acc = c if acc is None else acc + c
+        if acc:
+            out[m] = acc
+        elif m in out:
+            del out[m]
+    return out
+
+
+def _terms_neg(a):
+    return {m: -c for m, c in a.items()}
+
+
+def _terms_scale(a, s):
+    return {m: c * s for m, c in a.items()} if s else {}
+
+
+def _assert_holds(got, want):
+    """got is the State with the terms want, in both of its views."""
+    assert got.terms == want
+    ref = State(dict(want))
+    assert got == ref and ref == got
+    assert got.packed == ref.packed
+    assert bool(got) == bool(want)
+    assert str(got) == str(ref)
+
+
 def test_packed_state_agrees_with_its_terms():
     family = _packed_family()
     assert not family[1] and all(family[:1] + family[2:])
     for p in family:
-        assert p.packed is not None
-        t = State(dict(p.terms))
-        assert t.packed is None
+        assert p._packed is not None and p._terms is None
+        rebuild = lambda: State(dict(p.terms))
         fresh = lambda: State(packed=p.packed)
-        assert fresh() == t and t == fresh() and fresh() == p
-        assert bool(fresh()) == bool(t)
-        assert str(fresh()) == str(t)
-        assert fresh().key() == t.key()
-        assert fresh().weight() == t.weight()
-        # the packed planes are those of the terms, trimmed
-        assert _to_planes(t) == p.packed
-        assert _to_planes(p) is p.packed
+        # each view is built on its first read
+        assert rebuild()._packed is None and fresh()._terms is None
+        assert fresh() == rebuild() and rebuild() == fresh() and rebuild() == p
+        assert bool(fresh()) == bool(rebuild())
+        assert str(fresh()) == str(rebuild())
+        assert fresh().key() == rebuild().key()
+        assert fresh().weight() == rebuild().weight()
+        # the terms pack to the engine's trimmed planes, and a State
+        # keeps the view it builds
+        t = rebuild()
+        assert t.packed == p.packed and t.packed is t.packed
+        assert p.terms is p.terms
 
 
 def test_packed_arithmetic_agrees_with_terms_arithmetic():
@@ -191,19 +230,40 @@ def test_packed_arithmetic_agrees_with_terms_arithmetic():
     last = family[-1]
     assert len(last.packed[1]) == 2
     assert len((last * (ONE + SQRT2)).packed[1]) == 1
-    scalars = [sc(3), sc(Fraction(-2, 9)), SQRT2, ONE + SQRT2, SQRT3 * I]
+    scalars = [sc(3), sc(Fraction(-2, 9)), SQRT2, ONE + SQRT2, SQRT3 * I, ZERO]
     for p in family:
-        t = State(dict(p.terms))
-        for got, want in ((-p, -t), (p - p, t - t)):
-            assert got.packed is not None
-            assert got == want and _to_planes(want) == got.packed
-        for x in scalars:
-            got = p * x
-            assert got.packed is not None and got.packed == _to_planes(t * x)
-        for q in family:
-            got = p + q
-            assert got.packed is not None
-            assert got.packed == _to_planes(t + State(dict(q.terms)))
+        terms = dict(p.terms)
+        for a in (p, State(dict(terms))):
+            _assert_holds(-a, _terms_neg(terms))
+            _assert_holds(a - a, {})
+            for x in scalars:
+                _assert_holds(a * x, _terms_scale(terms, x))
+                _assert_holds(a.scale(x), _terms_scale(terms, x))
+            for q in family:
+                other = dict(q.terms)
+                for b in (q, State(dict(other))):
+                    _assert_holds(a + b, _terms_add(terms, other))
+                    _assert_holds(a - b, _terms_add(terms, _terms_neg(other)))
+                    assert (a == b) == (terms == other)
+
+
+def test_a_term_built_state_packs_once(monkeypatch):
+    # a fresh u9, built from its terms as the catalog builds it
+    u9 = _build_basic.__wrapped__()["u9"]
+    assert u9._packed is None
+    calls = []
+    pack = vertexengine._pack_terms
+    monkeypatch.setattr(vertexengine, "_pack_terms",
+                        lambda terms: calls.append(terms) or pack(terms))
+    h, omega = named_vector("h"), named_vector("omega")
+    outs = [mode_apply(h, n, u9) for n in (1, 0, -1)]
+    assert mode_apply(omega, 1, u9) == u9 * sc(9)
+    assert pair(u9, u9) == sc(5400)
+    assert pair(u9, mode_apply(omega, 1, u9)) == sc(9 * 5400)
+    # the adjoint of h(-1) is -h(1)
+    assert pair(outs[2], outs[2]) == -pair(u9, mode_apply(h, 1, outs[2]))
+    assert len(calls) == 1 and calls[0] is u9.terms
+    assert u9.packed is u9.packed
 
 
 def test_zero_product_is_falsy_before_its_terms_are_built():

@@ -11,7 +11,7 @@ from voalab import linalg
 from voalab.fockspace import State, named_vector
 from voalab.linalg import SingularMatrixError, solve_square
 from voalab.structure import _gram, vacuum_words, word_states
-from voalab.vertexengine import _to_planes, mode_apply, mode_apply_theta_even
+from voalab.vertexengine import mode_apply, mode_apply_theta_even
 
 
 def _bareiss(mat, rhs_cols):
@@ -98,9 +98,9 @@ def test_weight16_gram_system_matches_bareiss():
     J = named_vector("J")
     E = named_vector("E")
     target = mode_apply(J, -9, J) + mode_apply_theta_even(E, -9, E) * 27
-    states = [_to_planes(v) for v in word_states(vacuum_words(16), State.basis(()))]
+    states = [v.packed for v in word_states(vacuum_words(16), State.basis(()))]
     num = _gram(states, states)
-    rhs = [row[0] for row in _gram(states, [_to_planes(target)])]
+    rhs = [row[0] for row in _gram(states, [target.packed])]
     assert len(num) == 55
     assert solve_square(num, [rhs]) == _bareiss(num, [rhs])
 

@@ -1,11 +1,12 @@
 """Characters, traces, eigenspace gradings, sector tops, and the module
 catalog."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from voalab import sectors, vertexengine
+from voalab import paperlab, sectors, vertexengine
 from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sixth_root
 from voalab.fockspace import (
     State, graded_states, named_vector, partitions, ratio, theta,
@@ -134,6 +135,37 @@ def test_sigma_fixes_u16_by_the_weight_four_action():
     assert mdmt == [[d[0], ZERO], [ZERO, d[1]]]
     for name in ("omega", "one"):
         assert sigma(named_vector(name)) == named_vector(name)
+
+
+def test_sigma_is_an_automorphism():
+    # sigma(a_(n) b) = sigma(a)_(n) sigma(b) (FHL 1993), the property that
+    # makes sigma a symmetry of the algebra; the catalog pins its values
+    # at a few points.  A wrong constant in sigma's factors still gives
+    # an automorphism, so this does not pin the constants: those rows do.
+    left = [named_vector(x) for x in ("J", "E", "u9")]
+    right = [named_vector(x) for x in ("J", "E", "X1")]
+    cases = nonzero = 0
+    for a in left:
+        sa = sigma(a)
+        for b in right:
+            sb = sigma(b)
+            for n in range(-2, 8):
+                image = sigma(mode_apply(a, n, b))
+                assert image == mode_apply(sa, n, sb), (a, n, b)
+                cases += 1
+                nonzero += bool(image)
+    assert (cases, nonzero) == (90, 78)
+    # seeded random pairs on V_Zb, weights 0..5, n = -3..5
+    rng = random.Random(2012)
+    nonzero = 0
+    for _ in range(20):
+        a = paperlab._random_state(rng, "V_Zb", rng.randint(0, 5))
+        b = paperlab._random_state(rng, "V_Zb", rng.randint(0, 5))
+        n = rng.randint(-3, 5)
+        image = sigma(mode_apply(a, n, b))
+        assert image == mode_apply(sigma(a), n, sigma(b)), (a, n, b)
+        nonzero += bool(image)
+    assert nonzero == 13
 
 
 def test_sigma_matches_krylov_route():

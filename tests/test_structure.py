@@ -18,7 +18,7 @@ from voalab.structure import (
     pair, vacuum_words, word_states,
 )
 from voalab.vertexengine import (
-    KeyWidthError, _to_planes, mode_apply, virasoro_mode,
+    KeyWidthError, mode_apply, virasoro_mode,
 )
 
 ONE_V = named_vector("one")
@@ -273,10 +273,10 @@ def test_symmetric_gram_fill_matches_the_full_fill():
                 word_states(vacuum_words(16), ONE_V),
                 [E * I, J + E * SQRT2, J * SQRT3, mode_apply(J, -2, E)]]
     for vectors in families:
-        states = [_to_planes(v) for v in vectors]
+        states = [v.packed for v in vectors]
         assert structure._products(states, states) \
             == structure._products(states, list(states))
-    states = [_to_planes(v) for v in families[-1]]
+    states = [v.packed for v in families[-1]]
     with pytest.raises(ArithmeticError, match="not rational"):
         structure._gram(states, states)
 

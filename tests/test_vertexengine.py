@@ -754,3 +754,19 @@ def test_packed_key_width_guard():
         mode_apply(State.basis((), 1), -121, State.basis((), 15))
     assert mode_apply(State.basis((), 1), -113, State.basis((), 14)) \
         == State.basis((), 15)
+
+
+def test_state_arithmetic_beyond_the_key_width_raises():
+    # State arithmetic runs on the packed planes only, so a State beyond
+    # the key width takes none, as the engine takes none as v; it is
+    # still built, read and used as u (`test_packed_key_width_guard`)
+    wide = State.basis((MAX_DEGREE + 1,))
+    assert wide and str(wide) == "h(-64)|0>"
+    with pytest.raises(KeyWidthError):
+        wide + wide
+    with pytest.raises(KeyWidthError):
+        wide * sc(2)
+    with pytest.raises(KeyWidthError):
+        -wide
+    with pytest.raises(KeyWidthError):
+        wide == State.basis((1,))
