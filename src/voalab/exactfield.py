@@ -109,7 +109,7 @@ class Scalar:
 
     def __add__(self, other):
         if type(other) is not Scalar:
-            other = _coerce(other)
+            return self + sc(other) if isinstance(other, _OPERAND) else NotImplemented
         a, b = self.num, other.num
         d1, d2 = self.den, other.den
         if d1 == d2:
@@ -132,14 +132,14 @@ class Scalar:
                     self.den)
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + -other if isinstance(other, _OPERAND) else NotImplemented
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return -self + other if isinstance(other, _OPERAND) else NotImplemented
 
     def __mul__(self, other):
         if type(other) is not Scalar:
-            other = _coerce(other)
+            return self * sc(other) if isinstance(other, _OPERAND) else NotImplemented
         a, b = self.num, other.num
         if not (b[1] or b[2] or b[3] or b[4] or b[5] or b[6] or b[7]):
             a, b = b, a
@@ -216,10 +216,10 @@ class Scalar:
         return _norm(tuple([x * d.den for x in num.num]), num.den * d.num[0])
 
     def __truediv__(self, other):
-        return self * _coerce(other).inv()
+        return self * sc(other).inv() if isinstance(other, _OPERAND) else NotImplemented
 
     def __rtruediv__(self, other):
-        return _coerce(other) * self.inv()
+        return self.inv() * other if isinstance(other, _OPERAND) else NotImplemented
 
     # -- conjugations ---------------------------------------------------
 
@@ -242,9 +242,7 @@ class Scalar:
 
     def __eq__(self, other):
         if type(other) is not Scalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = _coerce(other)
+            return self == sc(other) if isinstance(other, _OPERAND) else NotImplemented
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
@@ -290,17 +288,19 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
-def _coerce(x):
+# The other operands of a binary operator; on any other it returns
+# NotImplemented, so Python tries that operand's method (State.__rmul__).
+_OPERAND = (Scalar, int, Fraction)
+
+
+def sc(x):
+    """Build a Scalar from an int or a Fraction (a Scalar is returned
+    as it is); raises TypeError on any other type."""
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar.from_rat(x)
     raise TypeError("cannot coerce %r to Scalar" % (x,))
-
-
-def sc(x):
-    """Build a Scalar from an int or a Fraction."""
-    return _coerce(x)
 
 
 ZERO = Scalar.from_rat(0)
@@ -338,8 +338,8 @@ def sqrt2_power(e):
 # Module-level aliases matching the functional interface.
 
 def is_rational(a):
-    return _coerce(a).is_rational()
+    return sc(a).is_rational()
 
 
 def as_rational(a):
-    return _coerce(a).as_rational()
+    return sc(a).as_rational()

@@ -59,12 +59,12 @@ class State:
     with: `terms` maps each monomial (degs, q8) to its nonzero Scalar
     coefficient, and `packed` is the mode engine's trimmed integer
     coordinate planes (den, planes) (see `vertexengine`).  The other
-    view is built on its first read and kept, so a State packs and
-    unpacks at most once.  Arithmetic (+, -, scaling) and == run on the
-    planes only: trimmed planes are unique to their state, and a State
-    with a monomial beyond the packed key width raises KeyWidthError
-    there.  A State never changes once made: no code writes into
-    `terms`.
+    view is built on its first read and kept.  Every map from States to
+    States (+, -, scaling, ==, the involutions, sigma, the engine) runs
+    on the planes and returns a packed State: trimmed planes are unique
+    to their state, and a monomial beyond the packed key width raises
+    KeyWidthError there.  The terms are only read: no code writes into
+    them or builds another State from them.
     """
 
     __slots__ = ("_terms", "_packed")
@@ -138,9 +138,6 @@ class State:
     def coefficient(self, degs, q=0):
         return self.terms.get(mono(degs, to_q8(q)), ZERO)
 
-    def charges(self):
-        return sorted({Fraction(q8, 8) for (_, q8) in self.terms})
-
     def weight(self):
         """The common weight of all monomials; raises if inhomogeneous."""
         ws = {mono_weight(m) for m in self.terms}
@@ -191,8 +188,11 @@ def ratio(w, v):
 
 def theta(v):
     """The lift of the (-1)-isometry: h -> -h, e^{qb} -> e^{-qb}."""
-    return State({(degs, -q8): c if len(degs) % 2 == 0 else -c
-                  for (degs, q8), c in v.terms.items()})
+    from .vertexengine import _conjugate, _odd
+    den, planes = v.packed
+    return State(packed=(den, {
+        p: {_conjugate(k): -c if _odd(k) else c for k, c in plane.items()}
+        for p, plane in planes.items()}))
 
 
 def tau1(v):
@@ -201,18 +201,19 @@ def tau1(v):
     Defined on sectors whose charges are multiples of a = b/2, that is
     q8 divisible by 4.
     """
-    terms = {}
-    for (degs, q8), c in v.terms.items():
+    from .vertexengine import _charge, _split
+    out = State()
+    for q8, part in _split(v, _charge).items():
         if q8 % 4:
             raise ValueError("tau1 is undefined on charge %s" % Fraction(q8, 8))
-        terms[(degs, q8)] = c if (q8 // 4) % 2 == 0 else -c
-    return State(terms)
+        out = out + (-part if q8 % 8 else part)
+    return out
 
 
 def lattice_component(v, q):
     """The part of v supported on charges +q and -q (q >= 0)."""
-    q8 = abs(to_q8(q))
-    return State({m: c for m, c in v.terms.items() if abs(m[1]) == q8})
+    from .vertexengine import _charge, _split
+    return _split(v, lambda key: abs(_charge(key))).get(abs(to_q8(q)), State())
 
 
 def partitions(n, max_part=None, min_part=1):

@@ -16,15 +16,11 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .exactfield import ONE, ZERO
+from .vertexengine import _coefficient
 
 
 class SingularMatrixError(ArithmeticError):
     pass
-
-
-def _mono_order(m):
-    degs, q8 = m
-    return (q8, degs)
 
 
 class Echelon:
@@ -32,17 +28,17 @@ class Echelon:
 
     Rows are states; each row remembers its expression in terms of the
     vectors inserted so far, which turns a detected dependency into an
-    explicit linear combination.
+    explicit linear combination.  A row's pivot is its largest packed key.
     """
 
     def __init__(self):
-        self.rows = []  # (pivot monomial, normalized state, expression dict)
+        self.rows = []  # (pivot key, normalized state, expression dict)
         self.count = 0
 
     def _reduce(self, st, expr):
-        for pm, rs, rexpr in self.rows:
-            c = st.terms.get(pm)
-            if c is None or not c:
+        for pk, rs, rexpr in self.rows:
+            c = _coefficient(*st.packed, pk)
+            if not c:
                 continue
             st = st - rs * c
             for i, x in rexpr.items():
@@ -66,11 +62,11 @@ class Echelon:
         st, expr = self._reduce(st, {idx: ONE})
         if not st:
             return {i: -x for i, x in expr.items() if i != idx}
-        pm = max(st.terms, key=_mono_order)
-        inv = st.terms[pm].inv()
+        pk = max(max(plane) for plane in st.packed[1].values())
+        inv = _coefficient(*st.packed, pk).inv()
         st = st * inv
         expr = {i: x * inv for i, x in expr.items()}
-        self.rows.append((pm, st, expr))
+        self.rows.append((pk, st, expr))
         return None
 
     @property

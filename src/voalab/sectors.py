@@ -20,8 +20,8 @@ from .fockspace import (
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
 from .vertexengine import (
-    charge_chain, hprime_eigenvector, mode_apply, twisted_weight,
-    virasoro_mode,
+    _charge, _split, charge_chain, hprime_eigenvector, mode_apply,
+    twisted_weight, virasoro_mode,
 )
 
 # --------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def klein_fixed_dim(w):
 # so the product gives sigma there.  Each exponential is a finite sum
 # because e and f move the charge by +-a at fixed weight (a8 = 4 for e,
 # -4 for f); the two run as one `charge_chain` on integer coordinate
-# planes.  H is the integer q8/2 on a term of charge (q8/8) b, so t^H
-# then scales each output term by t^(q8/2), and 1/t = 1-i (`_t_power`).
+# planes.  H is the integer q8/2 on charge (q8/8) b, so t^H then scales
+# the charge-q8 part of the output by t^(q8/2), and 1/t = 1-i (`_t_power`).
 
 
 def _t_power(q8):
@@ -250,20 +250,20 @@ def _t_power(q8):
 def sigma(v):
     """The order-3 symmetry exp(2 pi i h'(0)) of the lattice algebra.
 
-    Defined on charges in (1/4)Z b, that is on V_L2 + V_L2+a/2; raises
-    ValueError on any term of charge k/8 b with k odd.  It is computed as
-    t^H exp(-f/2) exp(e): two exponentials of the zero modes e, f of
-    e^{+-a}, run as one `charge_chain` on integer coordinate planes,
-    then the charge-diagonal factor t^H, t = (1+i)/2, on the output
-    terms (the sl2 derivation is above).  It is checked in the tests
-    against the Krylov route zero_mode_exp(named_vector("hprime"), v).
+    Defined on charges in (1/4)Z b, that is on V_L2 + V_L2+a/2: on a
+    term of charge k/8 b with k odd the zero mode e is undefined, and the
+    engine raises ModeLegalityError (a ValueError) naming the charge.  It
+    is computed as t^H exp(-f/2) exp(e) (the sl2 derivation is above), all
+    on the planes: the exponentials of the zero modes e, f of e^{+-a} run
+    as one `charge_chain`, then t^H, t = (1+i)/2, scales each charge part
+    of the output.  It is checked in the tests against the Krylov route
+    zero_mode_exp(named_vector("hprime"), v).
     """
-    odd = sorted({Fraction(q8, 8) for (_, q8) in v.terms if q8 % 2})
-    if odd:
-        raise ValueError("sigma needs charges in (1/4)Z b; got charge %s"
-                         % ", ".join("%sb" % q for q in odd))
     w = charge_chain([(-4, -HALF), (4, ONE)], v)
-    return State({m: c * _t_power(m[1]) for m, c in w.terms.items()})
+    out = State()
+    for q8, part in _split(w, _charge).items():
+        out = out + part * _t_power(q8)
+    return out
 
 
 def _hprime_eigenspaces(basis):

@@ -27,21 +27,20 @@ independently of the lattice charge.
 A state inside the engine is a set of integer coordinate planes
 {packed monomial: int}, one per basis element of the field, over one
 common denominator, in the parity basis: sqrt2 enters and leaves only
-where `_pack_terms` packs a State's terms, `_unpack_planes` unpacks its
-planes and `_mode_ops` takes the coefficients of u.  These planes are a
-State's `packed` view, which it builds at most once and keeps, and
-State arithmetic runs on them through `_sum_planes`, `_scale_planes`
-and `_trim`.  One kernel, `_apply_planes`,
-applies a sum of operators x A to the planes, A given by its amplitudes
-in the format of `_pair_modes` and x a field element; it is the only
-loop that routes amplitudes onto the planes.  `mode_apply` (one
-operator per term of u), `twisted_mode_apply` (one call over all the
-shift terms), the Virasoro words of `apply_word` (one call per letter;
+where `_pack_terms` packs a State's terms, `_coefficient` reads one
+key's field element and `_mode_ops` takes the coefficients of u.
+These planes are a State's `packed` view, and every map from States to
+States runs on them: arithmetic (`_sum_planes`, `_scale_planes`,
+`_trim`), the parts of `_split`, `fockspace.theta` and
+`linalg.Echelon`.  One kernel, `_apply_planes`, applies a sum of
+operators x A to the planes, A given by its amplitudes in the format
+of `_pair_modes` and x a field element; it is the only loop that
+routes amplitudes onto the planes.  `mode_apply` (one operator per
+term of u), `twisted_mode_apply` (one call over all the shift terms),
+the Virasoro words of `apply_word` (one call per letter;
 `virasoro_mode` is the one-letter word) and the exponentials of
-`_exp_planes` all run on it: a state stays on the planes from step to
-step, every engine call reads its input's `packed` view, and it
-returns a State made from its trimmed planes, which unpacks its terms
-only when they are first read.
+`_exp_planes` all run on it, and each returns a State made from its
+trimmed planes, which unpacks its terms only when they are first read.
 
 `_exp_planes` is the one exponential: exp of a sum of ops, nilpotent
 on the state, one `_apply_planes` call per series term.
@@ -68,7 +67,6 @@ from .exactfield import (
     BASIS_MUL, HALF, I, ONE, SQRT2, SQRT3, _norm, exp_two_pi_i, rat, sc,
 )
 from .fockspace import State, mono_weight, named_vector, ratio, theta
-from .linalg import Echelon
 
 
 class ModeLegalityError(ValueError):
@@ -95,14 +93,15 @@ def ModeIndex(n):
 # the part d is a shift and a mask.  A degree sum(d_i) of at most 63
 # bounds every part and every count by 63, so no field ever carries into
 # the next; a larger degree, or |q8| >= 128, raises KeyWidthError.
-# The layout stays in this module: the invariant form of `structure`
-# reads keys through `_parts`, `_charge` and `_conjugate` and folds its
-# sums into the eight field coordinates in one place.
+# The layout stays in this module: other modules read keys through
+# `_parts`, `_charge`, `_conjugate` and `_odd` (the invariant form of
+# `structure`, the involutions of `fockspace`).
 
 MAX_DEGREE = 63
 _QBIAS = 128
 _SHIFT = (0,) + tuple(8 + 6 * (d - 1) for d in range(1, MAX_DEGREE + 1))
 _PART = tuple(1 << s for s in _SHIFT)
+_ODD = sum(_PART[1:])  # the low bit of every count field
 
 
 class KeyWidthError(ValueError):
@@ -158,6 +157,11 @@ def _charge(key):
 def _conjugate(key):
     """The packed key of the same parts at the opposite charge -q8."""
     return key - 2 * _charge(key)
+
+
+def _odd(key):
+    """1 if the packed key has an odd number of parts, else 0."""
+    return (key & _ODD).bit_count() & 1
 
 
 def _unpack(key):
@@ -410,22 +414,31 @@ def _pack_terms(terms):
     return _trim(den, planes)
 
 
+def _coefficient(den, planes, key):
+    """The field element on the packed key of the planes over den."""
+    route = _ROUTE[_odd(key)]
+    num = [0] * 8
+    for j, plane in planes.items():
+        m, g = route[j]
+        num[m] = g * plane.get(key, 0)
+    return _norm(tuple(num), den)
+
+
 def _unpack_planes(den, planes):
-    """The terms {(degs, q8): Scalar} of the state held by trimmed
-    planes over den: one field element per packed monomial, unpacked
-    and brought out of the parity basis here and only here, when a
-    packed State's terms are first read."""
-    used = sorted(planes.items())
-    out = {}
-    for key in dict.fromkeys(key for _, plane in used for key in plane):
-        degs, q8 = _unpack(key)
-        route = _ROUTE[len(degs) & 1]
-        num = [0] * 8
-        for j, plane in used:
-            m, g = route[j]
-            num[m] = g * plane.get(key, 0)
-        out[degs, q8] = _norm(tuple(num), den)
-    return out
+    """The terms {(degs, q8): Scalar} of the state held by the planes
+    over den, unpacked here when a packed State's terms are first read."""
+    keys = dict.fromkeys(key for plane in planes.values() for key in plane)
+    return {_unpack(key): _coefficient(den, planes, key) for key in keys}
+
+
+def _split(v, key):
+    """{key(k): the packed State part of v on the keys k with that key}."""
+    den, planes = v.packed
+    parts = {}
+    for p, plane in planes.items():
+        for k, c in plane.items():
+            parts.setdefault(key(k), {}).setdefault(p, {})[k] = c
+    return {g: State(packed=_trim(den, part)) for g, part in parts.items()}
 
 
 def _trim(den, planes):
@@ -573,10 +586,11 @@ def mode_apply(u, n, v):
 
 
 def mode_apply_theta_even(u, n, v):
-    """Fast path for theta-fixed u with no charge-zero part acting on a
-    theta-fixed v: compute the positive-charge half and symmetrize."""
-    pos = State({m: c for m, c in u.terms.items() if m[1] > 0})
-    if theta(u) != u or theta(v) != v or len(pos.terms) * 2 != len(u.terms):
+    """Fast path for theta-fixed u with no charge-zero part, that is
+    u = pos + theta(pos) for its positive-charge half pos, acting on a
+    theta-fixed v: compute the modes of pos and symmetrize."""
+    pos = _split(u, lambda key: _charge(key) > 0).get(True, State())
+    if pos + theta(pos) != u or theta(v) != v:
         raise ValueError("theta-even fast path preconditions not met")
     q = mode_apply(pos, n, v)
     return q + theta(q)
@@ -780,6 +794,7 @@ def zero_mode_decompose(hvec, v):
     Returns {eigenvalue (Fraction): component (State)}.  The spectrum
     must be simple on the cyclic subspace and lie in (1/6)Z.
     """
+    from .linalg import Echelon
     if not v:
         return {}
     ech = Echelon()
@@ -854,14 +869,6 @@ def hprime_eigenvector(p):
     return lam, gp
 
 
-def _split(v, key):
-    """{key(m): the part of v on the monomials m with that key}."""
-    parts = {}
-    for m, c in v.terms.items():
-        parts.setdefault(key(m), {})[m] = c
-    return {k: State(terms) for k, terms in parts.items()}
-
-
 # --------------------------------------------------------------------------
 # Li shift operators and twisted modes.
 
@@ -927,37 +934,32 @@ def _delta(hkey, vkey):
     t = ratio(hvec, named_vector("h"))
     if s is None and t is None:
         raise ValueError("shift vector must be a multiple of h' or of h")
-    frame = t is None
     # exp(sum_k ((-1)^{k+1}/k) hvec(k) z^{-k}) on each weight-w part of v:
     # hvec(k) lowers the weight and the power of z by k alike, so an
     # output monomial of weight wt sits at z^{wt - w}, and hvec(k) with
     # k > w vanishes on the part
-    pieces = {}
-    for w, part in _split(v, mono_weight).items():
+    out = {}
+    for w, part in _split(v, lambda key: mono_weight(_unpack(key))).items():
         ops = [(amps, x * sc(Fraction((-1) ** (k + 1), k)))
                for k in range(1, math.floor(w) + 1)
                for amps, x in _mode_ops(hvec, k)]
-        den, planes = _exp_planes(ops, *part.packed)
-        for m, c in _unpack_planes(den, planes).items():
-            pieces.setdefault(mono_weight(m) - w, {})[m] = c
-    out = {}
-    for e, terms in pieces.items():
-        st = State(terms)
-        if frame:
-            parts = _split(charge_chain([(4, -_U), (-4, -_C)], st),
-                           lambda m: m[1])
-            split = [(s * sc(lam), gp)
-                     for lam, gp in map(hprime_eigenvector, parts.values())]
-        else:
-            # h(0) is sqrt2 q8/4 on charge (q8/8) b
-            split = [(t * SQRT2 * sc(Fraction(q8, 4)), p)
-                     for q8, p in _split(st, lambda m: m[1]).items()]
-        for lam, piece in split:
-            if not lam.is_rational():
-                raise ArithmeticError("shift eigenvalue %s is not rational" % lam)
-            key = e + lam.as_rational()
-            acc = out.get(key)
-            out[key] = piece if acc is None else acc + piece
+        shifted = State(packed=_exp_planes(ops, *part.packed))
+        for wt, st in _split(shifted,
+                             lambda key: mono_weight(_unpack(key))).items():
+            if t is None:
+                g = _split(charge_chain([(4, -_U), (-4, -_C)], st), _charge)
+                split = [(s * sc(lam), gp)
+                         for lam, gp in map(hprime_eigenvector, g.values())]
+            else:
+                # h(0) is sqrt2 q8/4 on charge (q8/8) b
+                split = [(t * SQRT2 * sc(Fraction(q8, 4)), p)
+                         for q8, p in _split(st, _charge).items()]
+            for lam, piece in split:
+                if not lam.is_rational():
+                    raise ArithmeticError("shift eigenvalue %s is not rational"
+                                          % lam)
+                key = wt - w + lam.as_rational()
+                out[key] = out.get(key, State()) + piece
     return RationalPowerSeries(sorted(out.items()))
 
 
@@ -977,12 +979,13 @@ def twisted_mode_apply(u, n, v, hvec):
     n = ModeIndex(n)
     ops = [op for e, w in delta_apply(hvec, u)
            for op in _mode_ops(w, ModeIndex(n + e))]
-    odd = sorted({Fraction(q8, 8) for (_, q8) in v.terms if q8 % 2})
+    den, planes = v.packed
+    odd = sorted({Fraction(q8, 8) for plane in planes.values()
+                  for q8 in map(_charge, plane) if q8 % 2})
     if odd and ratio(hvec, named_vector("h")) is None:
         raise ModeLegalityError(
             "twisted modes for the h' shift need charges in (1/4)Z b;"
             " got charge %s" % ", ".join("%sb" % q for q in odd))
-    den, planes = v.packed
     den, planes, legal, total = _apply_planes(ops, den, planes)
     if total and not legal:
         raise ModeLegalityError("twisted mode %s undefined on this pair" % n)

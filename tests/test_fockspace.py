@@ -13,10 +13,12 @@ from voalab.fockspace import (
     lattice_component, named_vector, partitions, ratio, theta,
     theta_even_states, tau1,
 )
-from voalab.sectors import dim_full_lattice, graded_dim
+from voalab.linalg import express_in_span, fixed_vectors, rank_of
+from voalab.sectors import dim_full_lattice, graded_dim, sigma
 from voalab.structure import pair
 from voalab.vertexengine import (
-    apply_word, charge_chain, mode_apply, twisted_mode_apply,
+    apply_word, charge_chain, mode_apply, mode_apply_theta_even,
+    twisted_mode_apply,
 )
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "voalab"
@@ -273,9 +275,48 @@ def test_zero_product_is_falsy_before_its_terms_are_built():
     assert z == State() and str(z) == "0"
 
 
+def test_field_element_times_state():
+    # a field element on the left reaches State.__rmul__
+    for v in (named_vector("E"), named_vector("u9")):
+        assert SQRT2 * v == v * SQRT2
+        assert I * v == v * I
+    with pytest.raises(TypeError, match="State"):
+        SQRT2 + named_vector("E")
+    with pytest.raises(TypeError, match="cannot coerce"):
+        sc(named_vector("E"))
+
+
+def test_transforms_stay_on_the_planes(monkeypatch):
+    # on states held only as planes, no transform unpacks a State's terms
+    calls = []
+    unpack = vertexengine._unpack_planes
+    monkeypatch.setattr(vertexengine, "_unpack_planes",
+                        lambda den, planes: calls.append(planes)
+                        or unpack(den, planes))
+    E, J, u9 = (State(packed=named_vector(name).packed)
+                for name in ("E", "J", "u9"))
+    basis = [State(packed=b.packed) for b in graded_states("V_L2", 4)]
+    transforms = [
+        lambda: sigma(sigma(sigma(E + J))), lambda: theta(u9),
+        lambda: tau1(E + J), lambda: lattice_component(u9, 1),
+        lambda: rank_of(basis),
+        lambda: express_in_span(basis, basis[0] - basis[3]),
+        lambda: fixed_vectors(basis, [theta, tau1]),
+    ]
+    for transform in transforms:
+        assert transform()
+        assert not calls
+    # a mode reads its operator's terms, here those of u's positive half,
+    # and no input is unpacked
+    q = mode_apply_theta_even(E, -9, E)
+    assert len(calls) == 1 and E._terms is None
+    assert q == mode_apply(E, -9, E)
+
+
 # --------------------------------------------------------------------------
 # A packed State builds its terms once and shares them: no code may write
-# into a State's terms after it is made.
+# into a State's terms after it is made, and no source code builds a State
+# from another State's terms (maps between States run on the planes).
 
 _MUTATORS = {"clear", "pop", "popitem", "setdefault", "update",
              "__setitem__", "__delitem__", "__ior__"}
@@ -283,7 +324,8 @@ _MUTATORS = {"clear", "pop", "popitem", "setdefault", "update",
 
 def terms_writes(source):
     """Line numbers where source stores into, deletes from, updates in
-    place or calls a mutating dict method on some `<expr>.terms`."""
+    place or calls a mutating dict method on some `<expr>.terms`, or
+    calls State(...) on an argument that reads some `<expr>.terms`."""
     def is_terms(node):
         return isinstance(node, ast.Attribute) and node.attr == "terms"
     hits = []
@@ -296,14 +338,22 @@ def terms_writes(source):
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _MUTATORS and is_terms(node.func.value):
             hits.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "State":
+            args = node.args + [k.value for k in node.keywords]
+            if any(is_terms(n) for a in args for n in ast.walk(a)):
+                hits.append(node.lineno)
     return sorted(hits)
 
 
 def test_no_source_writes_into_state_terms():
     probe = ("v.terms[m] = c\ndel w.terms[m]\nv.terms[m] += c\n"
              "v.terms |= d\nv.terms.update(d)\nf(v).terms.pop(m)\n"
-             "x = v.terms[m]\nv.terms.get(m)\n")
-    assert terms_writes(probe) == [1, 2, 3, 4, 5, 6]
+             "State({m: -c for m, c in v.terms.items()})\n"
+             "State(terms={k: c for k, c in f(v).terms.items() if k})\n"
+             "x = v.terms[m]\nv.terms.get(m)\nState({m: ONE})\n"
+             "State(packed=v.packed)\nState(dict(hkey))\n")
+    assert terms_writes(probe) == [1, 2, 3, 4, 5, 6, 7, 8]
     files = sorted(SRC.glob("*.py"))
     assert files
     hits = ["%s:%d" % (path.name, line) for path in files

@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from voalab.exactfield import exp_two_pi_i
+from voalab.exactfield import SQRT2, exp_two_pi_i
 from voalab.fockspace import (
     State, basis_monomials, named_vector, sector_charges, to_q8,
 )
@@ -52,6 +52,7 @@ def test_rational_inputs_refuse_floats():
         lambda: RationalPowerSeries([(0.5, E)]),
         lambda: RationalPowerSeries([(0, E)]).coefficient(0.5),
         lambda: exp_two_pi_i(0.5),
+        lambda: SQRT2 * 0.5,
     ]
     for call in calls:
         with pytest.raises(TypeError, match="float"):

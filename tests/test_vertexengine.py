@@ -11,7 +11,8 @@ from voalab.exactfield import (
     I, SQRT2, ZERO, exp_two_pi_i, sc, sixth_root, sqrt2_power,
 )
 from voalab.fockspace import (
-    State, graded_states, mono_weight, named_vector, partitions,
+    State, graded_states, lattice_component, mono_weight, named_vector,
+    partitions, tau1, theta,
 )
 from voalab.vertexengine import (
     MAX_DEGREE, KeyWidthError, ModeIndex, ModeLegalityError,
@@ -313,6 +314,57 @@ def test_twisted_weight_eigenvector():
         eighth * low + quarter * (sc(Fraction(3, 4)) + SQRT2 * sc(Fraction(1, 2)))
     with pytest.raises(ModeLegalityError):
         twisted_mode_apply(E, Fraction(1, 5), ONE_V, hp)
+
+
+def _binom(m, j):
+    """binom(m, j) for a rational m."""
+    out = Fraction(1)
+    for i in range(j):
+        out = out * (m - i) / (i + 1)
+    return out
+
+
+@pytest.mark.parametrize("s", [Fraction(1), Fraction(1, 2)])
+def test_twisted_commutator_formula(s):
+    # [u_m, v_n] w = sum_{j >= 0} binom(m, j) (u_(j) v)_{m+n-j} w for the
+    # twisted modes u_m of the s h' shift: the axiom behind Li's Delta
+    # (`_delta`) and the shifted indices of `twisted_mode_apply`
+    hvec = named_vector("hprime") * sc(s)
+    vec = {name: named_vector(name)
+           for name in ("y1", "y2", "hprime", "omega", "one", "w1")}
+    grid = [Fraction(k, 6) for k in range(-12, 12)]
+
+    def mode(u, m, w):
+        return twisted_mode_apply(u, m, w, hvec)
+
+    # u_m w for every operator, index and w; None where it is undefined
+    single = {}
+    for u in ("y1", "y2", "hprime", "omega"):
+        for m in grid:
+            for w in ("one", "y1", "w1"):
+                try:
+                    single[u, m, w] = mode(vec[u], m, vec[w])
+                except ModeLegalityError:
+                    single[u, m, w] = None
+    legal = nonzero = 0
+    for u, v in (("y1", "y2"), ("y2", "y1"), ("hprime", "y1"),
+                 ("omega", "y2"), ("y1", "y1")):
+        prods = [mode_apply(vec[u], j, vec[v]) for j in range(8)]
+        for w in ("one", "y1", "w1"):
+            for m in grid:
+                for n in grid:
+                    um, vn = single[u, m, w], single[v, n, w]
+                    if um is None or vn is None:
+                        continue
+                    legal += 1
+                    lhs = mode(vec[u], m, vn) - mode(vec[v], n, um)
+                    rhs = State()
+                    for j, p in enumerate(prods):
+                        if p:
+                            rhs = rhs + mode(p, m + n - j, vec[w]) * sc(_binom(m, j))
+                    assert lhs == rhs, (u, v, w, m, n)
+                    nonzero += bool(lhs)
+    assert (legal, nonzero) == (240, 110)
 
 
 def _parity_exponent(udegs, vdegs, degs):
@@ -768,5 +820,9 @@ def test_state_arithmetic_beyond_the_key_width_raises():
         wide * sc(2)
     with pytest.raises(KeyWidthError):
         -wide
+    # the involutions and the charge parts run on the planes too
+    for transform in (theta, tau1, lambda v: lattice_component(v, 0)):
+        with pytest.raises(KeyWidthError):
+            transform(wide)
     with pytest.raises(KeyWidthError):
         wide == State.basis((1,))
