@@ -265,17 +265,21 @@ class Scalar:
 
     def __str__(self):
         parts = []
-        for k, x in enumerate(self.co):
+        d = self.den
+        for k, x in enumerate(self.num):
             if not x:
                 continue
+            # |x| / d in lowest terms, written as a Fraction writes it
+            g = gcd(x, d)
+            p, q = abs(x) // g, d // g
+            mag = str(p) if q == 1 else "%d/%d" % (p, q)
             label = _LABELS[k]
-            mag = -x if x < 0 else x
             if not label:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif p == q:
                 body = label
-            elif mag.denominator == 1:
-                body = "%s%s" % (mag, label)
+            elif q == 1:
+                body = mag + label
             else:
                 body = "(%s)%s" % (mag, label)
             if not parts:

@@ -38,8 +38,8 @@ def mono(degs, q8):
 
 def mono_weight(m):
     degs, q8 = m
-    w = Fraction(sum(degs)) + Fraction(q8 * q8, 16)
-    return int(w) if w.denominator == 1 else w
+    w16 = 16 * sum(degs) + q8 * q8  # the weight in sixteenths
+    return w16 // 16 if w16 % 16 == 0 else Fraction(w16, 16)
 
 
 def mono_str(m):
@@ -107,6 +107,8 @@ class State:
         return self.packed == other.packed
 
     def __add__(self, other):
+        if not isinstance(other, State):
+            return NotImplemented
         # a State never changes, so a sum with zero can be its other side
         if not other:
             return self
@@ -118,6 +120,8 @@ class State:
             [(Fraction(1, d1), p1), (Fraction(1, d2), p2)])))
 
     def __sub__(self, other):
+        if not isinstance(other, State):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):
@@ -263,8 +267,13 @@ def sector_charges(name, w):
             if (q8 - off) % step == 0 and Fraction(q8 * q8, 16) <= w]
 
 
+# A full catalog run reads 223 bases, 26 of them distinct; the bound
+# caps what library callers can add.
+@functools.lru_cache(maxsize=128)
 def graded_monomials(name, w):
-    return basis_monomials(w, sector_charges(name, w))
+    """The monomials of the named sector at weight w, as a tuple, listed
+    once per (name, w): callers only read them."""
+    return tuple(basis_monomials(w, sector_charges(name, w)))
 
 
 def graded_states(name, w):

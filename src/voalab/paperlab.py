@@ -27,8 +27,8 @@ from fractions import Fraction
 from .exactfield import ZERO, as_rational, sc, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import (
-    State, graded_states, lattice_component, named_vector, tau1, theta,
-    theta_even_states,
+    State, graded_monomials, graded_states, lattice_component, named_vector,
+    tau1, theta, theta_even_states,
 )
 from .linalg import express_in_span, fixed_vectors, rank_of
 from .structure import (
@@ -162,16 +162,16 @@ def _c_expansion(k):
 
 
 def _random_state(rng, name, w, nterms=3):
-    basis = graded_states(name, w)
+    basis = graded_monomials(name, w)
     if not basis:
         return State()
     k = rng.randint(1, min(nterms, len(basis)))
-    acc = State()
+    terms = {}
     for idx in rng.sample(range(len(basis)), k):
         num = rng.randint(-9, 9) or 1
         den = rng.randint(1, 4)
-        acc = acc + basis[idx] * sc(Fraction(num, den))
-    return acc
+        terms[basis[idx]] = sc(Fraction(num, den))
+    return State(terms)
 
 
 def _twisted_image(u, base, hvec, target):
@@ -1351,14 +1351,15 @@ def _chk_prop_skew(cfg):
         wu, wv = u.weight(), v.weight()
         for n in range(-2, 4):
             lhs = mode_apply(u, n, v)
+            # Horner form, highest degree first: one T = L(-1) per degree
             rhs = State()
-            for j in range(wu + wv - n + 1):
+            for j in reversed(range(wu + wv - n + 1)):
+                if rhs:
+                    rhs = virasoro_mode(-1, rhs)
                 t = mode_apply(v, n + j, u)
-                if not t:
-                    continue
-                sign = -1 if (n + 1 + j) % 2 else 1
-                rhs = rhs + apply_word([-1] * j, t) * sc(
-                    Fraction(sign, math.factorial(j)))
+                if t:
+                    sign = -1 if (n + 1 + j) % 2 else 1
+                    rhs = rhs + t * sc(Fraction(sign, math.factorial(j)))
             if lhs != rhs:
                 return ("mismatch at n=%d" % n), "all equal"
     return "all equal", "all equal"

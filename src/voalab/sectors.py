@@ -7,6 +7,7 @@ irreducible modules of the fixed-point algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -14,8 +15,8 @@ from .exactfield import (
     HALF, I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power,
 )
 from .fockspace import (
-    State, graded_monomials, graded_states, named_vector, ratio, theta,
-    theta_even_states,
+    State, graded_monomials, graded_states, named_vector, ratio,
+    sector_charges, theta, theta_even_states,
 )
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary
@@ -104,7 +105,9 @@ def graded_dim(name, w):
         if name == "V_Zb+":
             return partition_count_even_length(n) + charged
         return partition_count(n) - partition_count_even_length(n) + charged
-    return len(graded_monomials(name, w))
+    # the charge q carries 4 q^2 of the weight, and a partition the rest
+    rems = [wf - 4 * q * q for q in sector_charges(name, wf)]
+    return sum(partition_count(int(r)) for r in rems if r.denominator == 1)
 
 
 class QSeries:
@@ -272,9 +275,19 @@ def _hprime_eigenspaces(basis):
     invertible."""
     out = {}
     for b in basis:
-        lam, gb = hprime_eigenvector(b)
+        lam, gb = _frame_image(b.key())
         out.setdefault(lam, []).append(gb)
     return out
+
+
+# The twisted sectors and the quarter-charge module share their bases: a
+# full catalog run reads 62 frame images of 33 distinct basis states.
+# The bound caps what library callers can add.
+@functools.lru_cache(maxsize=128)
+def _frame_image(bkey):
+    """`hprime_eigenvector` of the basis state with the key bkey,
+    computed and certified once."""
+    return hprime_eigenvector(State(dict(bkey)))
 
 
 def sigma_eigendims(states):

@@ -22,7 +22,10 @@ map keyed by the packed output monomial over one positive denominator.
 Every operator takes its pair expansions from one bounded memo,
 `_expansion`, which does not store an expansion with more than 256
 output keys.  The creation-side combinatorics are memoized
-independently of the lattice charge.
+independently of the lattice charge: a charge-zero operator has no
+exponential cloud and reads only the placements of its creation modes
+(`_placements`), and a charged one reads them with the cloud partitions
+(`_creation`).
 
 A state inside the engine is a set of integer coordinate planes
 {packed monomial: int}, one per basis element of the field, over one
@@ -203,11 +206,42 @@ def _eminus(c):
     return [(s, group) for s, group in enumerate(groups) if group]
 
 
-# A full catalog run makes 546 distinct (pending, c_target) keys; the
+# A full catalog run makes 379 distinct (pending, c_target) keys; the
 # bound sits well above that and caps what library callers can add.
 @functools.lru_cache(maxsize=1024)
+def _placements(pending, c_target):
+    """The placements of the pending creation modes at total degree
+    c_target, with no exponential cloud: the creation side of a
+    charge-zero operator.
+
+    pending: ascending tuple of derivative orders n_i assigned to the
+    creation channel; each picks a degree k_i >= n_i with coefficient
+    binom(k_i - 1, n_i - 1), and sum k_i = c_target.  Returns a tuple of
+    (packed degrees, integer numerator over c_target! of the product of
+    those coefficients), one entry per distinct degrees: the s = 0 group
+    of `_creation`, built without the cloud partitions.
+    """
+    if not pending:
+        return () if c_target else ((0, 1),)
+    acc = {}
+    n0 = pending[0]
+    rest = pending[1:]
+    for k in range(n0, c_target - sum(rest) + 1):
+        # binom(k-1, n0-1), rescaled from (c_target-k)! to c_target!
+        f = math.comb(k - 1, n0 - 1) * math.perm(c_target, k)
+        pk = _PART[k]
+        for extra, c in _placements(rest, c_target - k):
+            extra += pk
+            acc[extra] = acc.get(extra, 0) + f * c
+    return tuple(acc.items())
+
+
+# A full catalog run makes 409 distinct (pending, c_target) keys, all of
+# charged operators; the bound caps what library callers can add.
+@functools.lru_cache(maxsize=1024)
 def _creation(pending, c_target):
-    """Ways to realize total creation degree c_target.
+    """Ways to realize total creation degree c_target under a charged
+    operator (a charge-zero one has no cloud and reads `_placements`).
 
     pending: ascending tuple of derivative orders n_i assigned to the
     creation channel; each picks a degree k_i >= n_i with coefficient
@@ -327,10 +361,10 @@ def _pair_modes(udegs, a8, vkey, n):
         for rem, pend, c_target, e2, amp in live:
             amp *= math.perm(cmax, cmax - c_target)
             rem += a8
-            groups = _creation(pend, c_target)
-            if not a8:
-                # a charge-zero operator has no cloud: only s = 0 counts
-                groups = groups[:1] if groups and not groups[0][0] else ()
+            if a8:
+                groups = _creation(pend, c_target)
+            else:
+                groups = ((0, _placements(pend, c_target)),)
             for s, group in groups:
                 e = e2 + s
                 f = amp * a8 ** s << 2 * (emax - e) + (e + kuv >> 1)

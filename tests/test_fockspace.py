@@ -9,9 +9,9 @@ import pytest
 from voalab import vertexengine
 from voalab.exactfield import I, ONE, SQRT2, SQRT3, ZERO, sc, sqrt2_power
 from voalab.fockspace import (
-    NAMED_VECTORS, State, _build_basic, basis_monomials, graded_states,
-    lattice_component, named_vector, partitions, ratio, theta,
-    theta_even_states, tau1,
+    NAMED_VECTORS, State, _build_basic, basis_monomials, graded_monomials,
+    graded_states, lattice_component, named_vector, partitions, ratio,
+    sector_charges, theta, theta_even_states, tau1,
 )
 from voalab.linalg import express_in_span, fixed_vectors, rank_of
 from voalab.sectors import dim_full_lattice, graded_dim, sigma
@@ -284,6 +284,27 @@ def test_field_element_times_state():
         SQRT2 + named_vector("E")
     with pytest.raises(TypeError, match="cannot coerce"):
         sc(named_vector("E"))
+
+
+def test_state_plus_non_state_raises_type_error():
+    E = named_vector("E")
+    for op in (lambda: E + SQRT2, lambda: E - SQRT2, lambda: E + 1):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_graded_monomials_cache_is_bounded():
+    # four sectors at more weights than the bound holds; a weight k/7
+    # with k not a multiple of 7 is off every grid and lists nothing
+    cache = graded_monomials
+    cap = cache.cache_info().maxsize
+    assert cap
+    names = ("V_Zb", "V_L2", "V_L2+a/2", "V_Zb+1/8")
+    keys = [(name, Fraction(k, 7)) for name in names for k in range(1, cap)]
+    assert len(keys) > cap
+    for name, w in keys:
+        assert cache(name, w) == tuple(basis_monomials(w, sector_charges(name, w)))
+    assert cache.cache_info().currsize <= cap
 
 
 def test_transforms_stay_on_the_planes(monkeypatch):

@@ -3,6 +3,7 @@ emission."""
 
 import hashlib
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from voalab import paperlab, sectors
 from voalab.exactfield import sc, sixth_root, sqrt2_power
 from voalab.exprparse import parse_scalar_expr
-from voalab.fockspace import State, named_vector
+from voalab.fockspace import State, graded_states, named_vector
 from voalab.linalg import express_in_span
 from voalab.paperlab import (
     CheckResult, CheckSpec, DEFAULT_CONFIG, Report, all_checks, emit_report,
@@ -373,3 +374,29 @@ def test_twisted_image_refuses_a_non_eigenvector(monkeypatch):
     with pytest.raises(ArithmeticError, match="not 16/9"):
         paperlab._twisted_image(y2, w2, named_vector("hprime"),
                                 Fraction(16, 9))
+
+
+def test_random_state_is_the_scale_and_add_route():
+    # one terms dict makes the same RNG calls and the same state as the
+    # sum of scaled basis states it replaced
+    def scale_and_add(rng, name, w, nterms=3):
+        basis = graded_states(name, w)
+        if not basis:
+            return State()
+        k = rng.randint(1, min(nterms, len(basis)))
+        acc = State()
+        for idx in rng.sample(range(len(basis)), k):
+            num = rng.randint(-9, 9) or 1
+            den = rng.randint(1, 4)
+            acc = acc + basis[idx] * sc(Fraction(num, den))
+        return acc
+
+    cases = (("V_Zb", 3, 3), ("V_L2", 4, 2), ("V_L2", 0, 2), ("V_Zb", 6, 3),
+             ("V_L2", Fraction(1, 2), 2))
+    for seed in range(20):
+        for name, w, nterms in cases:
+            a, b = random.Random(seed), random.Random(seed)
+            got = paperlab._random_state(a, name, w, nterms)
+            want = scale_and_add(b, name, w, nterms)
+            assert got == want and str(got) == str(want)
+            assert a.getstate() == b.getstate()

@@ -9,8 +9,8 @@ import pytest
 from voalab import paperlab, sectors, vertexengine
 from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sixth_root
 from voalab.fockspace import (
-    State, graded_states, named_vector, partitions, ratio, theta,
-    theta_even_states,
+    State, basis_monomials, graded_states, named_vector, partitions, ratio,
+    sector_charges, theta, theta_even_states,
 )
 from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.structure import is_primary
@@ -46,6 +46,11 @@ def test_graded_dims():
         assert graded_dim("M(1)+", w) + graded_dim("M(1)-", w) == partition_count(w)
         assert graded_dim("M(1)+", w) == partition_count_even_length(w)
     assert [graded_dim("V_Zb+", w) for w in range(9)] == [1, 0, 1, 1, 4, 4, 8, 10, 17]
+    # the lattice sectors count partitions per charge; the oracle lists them
+    for name in ("V_Zb", "V_L2", "V_L2+a/2", "V_Zb+1/8", "V_Zb+6/8"):
+        for w in [Fraction(k, 16) for k in range(-16, 129)]:
+            want = len(basis_monomials(w, sector_charges(name, w)))
+            assert graded_dim(name, w) == want, (name, w)
 
 
 def test_qseries():
@@ -434,13 +439,32 @@ def test_hprime_eigenspaces_match_krylov_route():
 
 def test_hprime_certificate_fires(monkeypatch):
     monkeypatch.setattr(vertexengine, "_U", -vertexengine._U)
+    # frame images are cached once certified: drop them so the broken
+    # frame is computed, and again after, so none of its images outlives
+    # the test
+    sectors._frame_image.cache_clear()
     with pytest.raises(ArithmeticError):
         sectors._hprime_eigenspaces(graded_states("V_L2", 1))
     with pytest.raises(ArithmeticError):
         twisted_sector(1, 1)
+    sectors._frame_image.cache_clear()
     # an input no earlier call has put in the shift cache
     with pytest.raises(ArithmeticError, match="eigenvector"):
         delta_apply(named_vector("hprime"), named_vector("E") * sc(Fraction(5, 7)))
+
+
+def test_frame_image_cache_is_bounded():
+    # more distinct basis states than the bound holds: multiples of the
+    # vacuum and of |b/4>, each equal to an uncached frame image
+    cache = sectors._frame_image
+    cap = cache.cache_info().maxsize
+    assert cap
+    basis = [State.basis((), q, k) for k in range(1, cap)
+             for q in (0, Fraction(1, 4))]
+    assert len(basis) > cap
+    for b in basis:
+        assert cache(b.key()) == hprime_eigenvector(b)
+    assert cache.cache_info().currsize <= cap
 
 
 def test_shifted_weight(monkeypatch):

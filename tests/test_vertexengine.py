@@ -1,5 +1,6 @@
 """Mode actions: untwisted, theta-even shortcut, zero modes, twisted shifts."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -761,6 +762,45 @@ def test_creation_cache_is_bounded():
         got = {(_unpack(extra)[0], s): c
                for s, group in cache(*key) for extra, c in group}
         assert got == _tuple_creation(*key), key
+    assert cache.cache_info().currsize <= cap
+
+
+def test_placements_are_the_cloud_free_creation_group():
+    # the old route of a charge-zero operator read the s = 0 group of
+    # `_creation`, in the same order
+    for size in range(5):
+        for pend in itertools.combinations_with_replacement(range(1, 5), size):
+            for c in range(15):
+                groups = vertexengine._creation(pend, c)
+                want = groups[0][1] if groups and not groups[0][0] else []
+                assert list(vertexengine._placements(pend, c)) == want, (pend, c)
+
+
+def test_charge_zero_mode_reads_no_creation():
+    # J's terms carry no charge: its pairs build no exponential cloud
+    vertexengine._memo.clear()
+    vertexengine._creation.cache_clear()
+    v = State.basis((2,), Fraction(1, 2))
+    got = mode_apply(J, 2, v)
+    assert vertexengine._creation.cache_info().currsize == 0
+    assert str(got) == ("(8) h(-1)h(-1)h(-1)|1/2b> + (54√2) h(-2)h(-1)|1/2b>"
+                        " + (-16) h(-3)|1/2b>")
+
+
+def test_placements_cache_is_bounded():
+    # one or two pending orders at creation degrees up to 3 above their
+    # sum: more keys than the bound holds, each checked against the oracle
+    cache = vertexengine._placements
+    cap = cache.cache_info().maxsize
+    assert cap
+    keys = [(pend, sum(pend) + r) for b in range(1, 51)
+            for pend in [(b,)] + [(a, b) for a in range(1, b + 1)]
+            for r in range(4)]
+    assert len(keys) > cap
+    for key in keys:
+        got = {_unpack(extra)[0]: c for extra, c in cache(*key)}
+        assert got == {degs: c for (degs, s), c in _tuple_creation(*key).items()
+                       if not s}, key
     assert cache.cache_info().currsize <= cap
 
 
