@@ -64,7 +64,8 @@ class State:
     on the planes and returns a packed State: trimmed planes are unique
     to their state, and a monomial beyond the packed key width raises
     KeyWidthError there.  The terms are only read: no code writes into
-    them or builds another State from them.
+    them or builds another State from them.  A State is a value that
+    hashes by its trimmed planes, like ==, so caches take States as keys.
     """
 
     __slots__ = ("_terms", "_packed")
@@ -105,6 +106,11 @@ class State:
         if not isinstance(other, State):
             return NotImplemented
         return self.packed == other.packed
+
+    def __hash__(self):
+        den, planes = self.packed
+        return hash((den, frozenset((p, frozenset(plane.items()))
+                                    for p, plane in planes.items())))
 
     def __add__(self, other):
         if not isinstance(other, State):
@@ -150,10 +156,6 @@ class State:
         if len(ws) > 1:
             raise ValueError("state is not weight homogeneous: %s" % sorted(map(Fraction, ws)))
         return ws.pop()
-
-    def key(self):
-        """A hashable fingerprint, usable as a cache key."""
-        return frozenset(self.terms.items())
 
     def __str__(self):
         if not self.terms:

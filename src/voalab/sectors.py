@@ -7,7 +7,6 @@ irreducible modules of the fixed-point algebra.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -275,19 +274,9 @@ def _hprime_eigenspaces(basis):
     invertible."""
     out = {}
     for b in basis:
-        lam, gb = _frame_image(b.key())
+        lam, gb = hprime_eigenvector(b)
         out.setdefault(lam, []).append(gb)
     return out
-
-
-# The twisted sectors and the quarter-charge module share their bases: a
-# full catalog run reads 62 frame images of 33 distinct basis states.
-# The bound caps what library callers can add.
-@functools.lru_cache(maxsize=128)
-def _frame_image(bkey):
-    """`hprime_eigenvector` of the basis state with the key bkey,
-    computed and certified once."""
-    return hprime_eigenvector(State(dict(bkey)))
 
 
 def sigma_eigendims(states):

@@ -184,6 +184,8 @@ def _unpack(key):
 # of cycle type lam), so creation coefficients at degree c live over c!.
 # Degrees are packed keys without a charge (their low 8 bits are zero).
 
+# A full catalog run partitions 23 distinct degrees.
+@functools.lru_cache(maxsize=64)
 def _eminus(c):
     """The partitions lam of c, grouped by their length s: a list of
     (s, [(packed lam, integer numerator over c! of
@@ -206,7 +208,7 @@ def _eminus(c):
     return [(s, group) for s, group in enumerate(groups) if group]
 
 
-# A full catalog run makes 379 distinct (pending, c_target) keys; the
+# A full catalog run makes 500 distinct (pending, c_target) keys; the
 # bound sits well above that and caps what library callers can add.
 @functools.lru_cache(maxsize=1024)
 def _placements(pending, c_target):
@@ -236,7 +238,7 @@ def _placements(pending, c_target):
     return tuple(acc.items())
 
 
-# A full catalog run makes 409 distinct (pending, c_target) keys, all of
+# A full catalog run makes 383 distinct (pending, c_target) keys, all of
 # charged operators; the bound caps what library callers can add.
 @functools.lru_cache(maxsize=1024)
 def _creation(pending, c_target):
@@ -245,26 +247,27 @@ def _creation(pending, c_target):
 
     pending: ascending tuple of derivative orders n_i assigned to the
     creation channel; each picks a degree k_i >= n_i with coefficient
-    binom(k_i - 1, n_i - 1), and the remainder becomes an exponential
-    cloud partition.  Returns the ways grouped by cloud size s, as a
-    list of (s, [(packed degrees, integer numerator over c_target!)]),
-    s ascending, one entry per distinct degrees.  Memoized: the same
-    (pending, c_target) recurs across pairs, charges and calls.
+    binom(k_i - 1, n_i - 1) (`_placements` at c_target - j), and the
+    remainder j becomes an exponential cloud partition (`_eminus(j)`),
+    so binom(c_target, j) rescales the pair to c_target!.  Returns the
+    ways grouped by cloud size s, as a list of (s, [(packed degrees,
+    integer numerator over c_target!)]), s ascending, one entry per
+    distinct degrees.  Memoized: the same (pending, c_target) recurs
+    across pairs, charges and calls.
     """
     if not pending:
         return _eminus(c_target)
     acc = {}
-    n0 = pending[0]
-    rest = pending[1:]
-    for k in range(n0, c_target - sum(rest) + 1):
-        # binom(k-1, n0-1), rescaled from (c_target-k)! to c_target!
-        f = math.comb(k - 1, n0 - 1) * math.perm(c_target, k)
-        pk = _PART[k]
-        for s, group in _creation(rest, c_target - k):
+    for j in range(c_target - sum(pending) + 1):
+        placed = _placements(pending, c_target - j)
+        f = math.comb(c_target, j)
+        for s, group in _eminus(j):
             into = acc.setdefault(s, {})
-            for extra, c in group:
-                extra += pk
-                into[extra] = into.get(extra, 0) + f * c
+            for cloud, c in group:
+                c *= f
+                for degs, p in placed:
+                    degs += cloud
+                    into[degs] = into.get(degs, 0) + c * p
     return [(s, list(acc[s].items())) for s in sorted(acc)]
 
 
@@ -892,10 +895,15 @@ _U = (I - ONE) * SQRT3 * sc(Fraction(1, 6))
 _C = (SQRT3 - ONE) * (ONE + I) * HALF
 
 
+# The shifted sectors share their bases, and Li's shift splits through
+# the same frame: a full catalog run reads 76 frame images of 40 distinct
+# states.  The bound caps what library callers can add.
+@functools.lru_cache(maxsize=128)
 def hprime_eigenvector(p):
     """(q8/12, g p) for a nonzero state p of one charge (q8/8) b in
     (1/4)Z b: g p is an eigenvector of h'(0) with eigenvalue q8/12,
-    certified by one h'(0) application (ArithmeticError if not)."""
+    certified by one h'(0) application (ArithmeticError if not) when
+    it is first computed."""
     lam = Fraction(next(iter(p.terms))[1], 12)
     gp = charge_chain([(-4, _C), (4, _U)], p)
     if mode_apply(named_vector("hprime"), 0, gp) != gp * sc(lam):
@@ -942,6 +950,9 @@ class RationalPowerSeries:
         return " + ".join("z^(%s) [%s]" % (e, st) for e, st in self.terms)
 
 
+# A full catalog run shifts 8 distinct (hvec, v) pairs (40 hits); the
+# keys are arbitrary user states, so the cache is bounded.
+@functools.lru_cache(maxsize=64)
 def delta_apply(hvec, v):
     """Li's shift operator Delta(hvec, z) applied to v.
 
@@ -955,15 +966,6 @@ def delta_apply(hvec, v):
     for s h' on a charge outside (1/4)Z b, and ArithmeticError on an
     eigenvalue that is not rational.
     """
-    return _delta(hvec.key(), v.key())
-
-
-# A full catalog run shifts 8 distinct (hvec, v) pairs (40 hits); the
-# keys are arbitrary user states, so the cache is bounded.
-@functools.lru_cache(maxsize=64)
-def _delta(hkey, vkey):
-    """`delta_apply` on the states with the keys hkey and vkey."""
-    hvec, v = State(dict(hkey)), State(dict(vkey))
     s = ratio(hvec, named_vector("hprime"))
     t = ratio(hvec, named_vector("h"))
     if s is None and t is None:

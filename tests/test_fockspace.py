@@ -217,13 +217,34 @@ def test_packed_state_agrees_with_its_terms():
         assert fresh() == rebuild() and rebuild() == fresh() and rebuild() == p
         assert bool(fresh()) == bool(rebuild())
         assert str(fresh()) == str(rebuild())
-        assert fresh().key() == rebuild().key()
+        assert hash(fresh()) == hash(rebuild()) == hash(p)
+        assert {fresh(): 1}[rebuild()] == 1
         assert fresh().weight() == rebuild().weight()
         # the terms pack to the engine's trimmed planes, and a State
         # keeps the view it builds
         t = rebuild()
         assert t.packed == p.packed and t.packed is t.packed
         assert p.terms is p.terms
+
+
+def test_equal_states_hash_equal():
+    # a State is a value: the same vector built from terms, by the
+    # engine and by a round trip through theta hashes alike and is one
+    # dict key, whichever view each holds
+    for name in ("E", "J", "u9", "hprime"):
+        v = named_vector(name)
+        made = State(dict(v.terms))
+        packed = State(packed=v.packed)
+        back = theta(theta(v))
+        assert made._packed is None and packed._terms is None
+        assert made == packed == back
+        assert hash(made) == hash(packed) == hash(back)
+        cache = {made: name}
+        assert cache[packed] == cache[back] == name
+        assert len({made, packed, back}) == 1
+    # the hash reads every plane entry and the denominator
+    E, J = named_vector("E"), named_vector("J")
+    assert len({hash(v) for v in (E, J, E + J, E * sc(2), E * I, State())}) == 6
 
 
 def test_packed_arithmetic_agrees_with_terms_arithmetic():
@@ -346,9 +367,16 @@ _MUTATORS = {"clear", "pop", "popitem", "setdefault", "update",
 def terms_writes(source):
     """Line numbers where source stores into, deletes from, updates in
     place or calls a mutating dict method on some `<expr>.terms`, or
-    calls State(...) on an argument that reads some `<expr>.terms`."""
+    calls State(...) on an argument that reads some `<expr>.terms` or
+    is a dict(...) copy of anything but a dict display (a snapshot of
+    some State's terms, such as a cache key, rebuilt as a State)."""
     def is_terms(node):
         return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    def is_copy(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "dict" \
+            and any(not isinstance(a, ast.Dict) for a in node.args)
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Subscript) and is_terms(node.value) \
@@ -362,7 +390,8 @@ def terms_writes(source):
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "State":
             args = node.args + [k.value for k in node.keywords]
-            if any(is_terms(n) for a in args for n in ast.walk(a)):
+            if any(is_terms(n) for a in args for n in ast.walk(a)) \
+                    or any(map(is_copy, args)):
                 hits.append(node.lineno)
     return sorted(hits)
 
@@ -373,8 +402,9 @@ def test_no_source_writes_into_state_terms():
              "State({m: -c for m, c in v.terms.items()})\n"
              "State(terms={k: c for k, c in f(v).terms.items() if k})\n"
              "x = v.terms[m]\nv.terms.get(m)\nState({m: ONE})\n"
-             "State(packed=v.packed)\nState(dict(hkey))\n")
-    assert terms_writes(probe) == [1, 2, 3, 4, 5, 6, 7, 8]
+             "State(packed=v.packed)\nState(dict(hkey))\n"
+             "State(terms=dict(zip(ms, cs)))\nState(dict({m: ONE}))\n")
+    assert terms_writes(probe) == [1, 2, 3, 4, 5, 6, 7, 8, 13, 14]
     files = sorted(SRC.glob("*.py"))
     assert files
     hits = ["%s:%d" % (path.name, line) for path in files

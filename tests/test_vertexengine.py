@@ -329,7 +329,7 @@ def _binom(m, j):
 def test_twisted_commutator_formula(s):
     # [u_m, v_n] w = sum_{j >= 0} binom(m, j) (u_(j) v)_{m+n-j} w for the
     # twisted modes u_m of the s h' shift: the axiom behind Li's Delta
-    # (`_delta`) and the shifted indices of `twisted_mode_apply`
+    # (`delta_apply`) and the shifted indices of `twisted_mode_apply`
     hvec = named_vector("hprime") * sc(s)
     vec = {name: named_vector(name)
            for name in ("y1", "y2", "hprime", "omega", "one", "w1")}
@@ -433,12 +433,12 @@ def test_integer_accumulation_matches_per_contribution_route():
 
 def test_delta_cache_is_bounded():
     h = named_vector("h")
-    cap = vertexengine._delta.cache_info().maxsize
+    cap = delta_apply.cache_info().maxsize
     assert cap
     for k in range(1, cap + 10):
         v = ONE_V * sc(k)
         assert delta_apply(h, v) == RationalPowerSeries([(0, v)])
-    assert vertexengine._delta.cache_info().currsize <= cap
+    assert delta_apply.cache_info().currsize <= cap
 
 
 def test_pure_exp_cache_is_bounded():
@@ -866,3 +866,6 @@ def test_state_arithmetic_beyond_the_key_width_raises():
             transform(wide)
     with pytest.raises(KeyWidthError):
         wide == State.basis((1,))
+    # a State hashes by its planes, so it is no cache key either
+    with pytest.raises(KeyWidthError):
+        hash(wide)
