@@ -116,19 +116,23 @@ class State:
         if not isinstance(other, State):
             return NotImplemented
         # a State never changes, so a sum with zero can be its other side
-        if not other:
-            return self
         if not self:
             return other
-        from .vertexengine import _sum_planes, _trim
-        (d1, p1), (d2, p2) = self.packed, other.packed
-        return State(packed=_trim(*_sum_planes(
-            [(Fraction(1, d1), p1), (Fraction(1, d2), p2)])))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign):
+        """self + sign * other, sign = +-1, in one pass over the planes."""
+        if not other:
+            return self
+        from .vertexengine import _sum_planes, _trim
+        (d1, p1), (d2, p2) = self.packed, other.packed
+        return State(packed=_trim(*_sum_planes(
+            [(Fraction(1, d1), p1), (Fraction(sign, d2), p2)])))
 
     def __neg__(self):
         return self.scale(-ONE)

@@ -21,11 +21,10 @@ multiple of the lattice monomial a(-d_1)...a(-d_k) e^{(q8/8) b}
 map keyed by the packed output monomial over one positive denominator.
 Every operator takes its pair expansions from one bounded memo,
 `_expansion`, which does not store an expansion with more than 256
-output keys.  The creation-side combinatorics are memoized
-independently of the lattice charge: a charge-zero operator has no
-exponential cloud and reads only the placements of its creation modes
-(`_placements`), and a charged one reads them with the cloud partitions
-(`_creation`).
+output keys.  Every operator reads its creation side from one table,
+`_creation`, memoized independently of the lattice charge: the
+placements of its creation modes, with the exponential cloud partitions
+for a charged operator and without for a charge-zero one.
 
 A state inside the engine is a set of integer coordinate planes
 {packed monomial: int}, one per basis element of the field, over one
@@ -183,14 +182,20 @@ def _unpack(key):
 # over c!, and that numerator is an integer (it counts the permutations
 # of cycle type lam), so creation coefficients at degree c live over c!.
 # Degrees are packed keys without a charge (their low 8 bits are zero).
+# A creation table is stored flat: a tuple of (s, packed degrees,
+# numerators) per cloud size s, s ascending, the last two tuples in step.
 
-# A full catalog run partitions 23 distinct degrees.
-@functools.lru_cache(maxsize=64)
+def _table(groups):
+    """The flat creation table of the groups {s: {packed degrees: int}}."""
+    return tuple((s, tuple(group), tuple(group.values()))
+                 for s, group in sorted(groups.items()))
+
+
 def _eminus(c):
-    """The partitions lam of c, grouped by their length s: a list of
-    (s, [(packed lam, integer numerator over c! of
-    prod_k 1/(k^{j_k} j_k!))]), s ascending."""
-    groups = [[] for _ in range(c + 1)]
+    """The exponential cloud at degree c: the partitions lam of c as a
+    creation table, each with the integer numerator over c! of
+    prod_k 1/(k^{j_k} j_k!), grouped by the length s of lam."""
+    groups = {}
     fc = math.factorial(c)
 
     def walk(n, top, key, size, denom, run):
@@ -198,77 +203,52 @@ def _eminus(c):
         # copies of the last part top: the j-th copy of d multiplies
         # denom by d * j, which makes d^j j! in all
         if not n:
-            groups[size].append((key, fc // denom))
+            groups.setdefault(size, {})[key] = fc // denom
             return
         for d in range(min(n, top), 0, -1):
             r = run + 1 if d == top else 1
             walk(n - d, d, key + _PART[d], size + 1, denom * d * r, r)
 
     walk(c, c + 1, 0, 0, 1, 0)
-    return [(s, group) for s, group in enumerate(groups) if group]
+    return _table(groups)
 
 
-# A full catalog run makes 500 distinct (pending, c_target) keys; the
-# bound sits well above that and caps what library callers can add.
-@functools.lru_cache(maxsize=1024)
-def _placements(pending, c_target):
-    """The placements of the pending creation modes at total degree
-    c_target, with no exponential cloud: the creation side of a
-    charge-zero operator.
+# A full catalog run makes 788 distinct (pending, c_target, cloud) keys,
+# the sub-keys of the recursion included; the bound sits well above
+# that and caps what library callers can add.
+@functools.lru_cache(maxsize=2048)
+def _creation(pending, c_target, cloud):
+    """The ways to realize total creation degree c_target, as a creation
+    table: the s-group holds each distinct packed degrees with its
+    integer numerator over c_target!.
 
     pending: ascending tuple of derivative orders n_i assigned to the
     creation channel; each picks a degree k_i >= n_i with coefficient
-    binom(k_i - 1, n_i - 1), and sum k_i = c_target.  Returns a tuple of
-    (packed degrees, integer numerator over c_target! of the product of
-    those coefficients), one entry per distinct degrees: the s = 0 group
-    of `_creation`, built without the cloud partitions.
+    binom(k_i - 1, n_i - 1).  Under a charged operator (cloud true) the
+    degree the k_i leave becomes an exponential cloud partition of size
+    s (`_eminus`); a charge-zero operator has no cloud, and its table
+    is the s = 0 group of the charged one.  One order is placed at a
+    time, perm(c_target, k) rescaling the rest from (c_target - k)! to
+    c_target!, and like degrees merge before the next order is placed.
+    Memoized: the same key recurs across pairs, charges and calls.
     """
     if not pending:
-        return () if c_target else ((0, 1),)
-    acc = {}
+        if cloud:
+            return _eminus(c_target)
+        return () if c_target else ((0, (0,), (1,)),)
+    groups = {}
     n0 = pending[0]
     rest = pending[1:]
     for k in range(n0, c_target - sum(rest) + 1):
-        # binom(k-1, n0-1), rescaled from (c_target-k)! to c_target!
         f = math.comb(k - 1, n0 - 1) * math.perm(c_target, k)
         pk = _PART[k]
-        for extra, c in _placements(rest, c_target - k):
-            extra += pk
-            acc[extra] = acc.get(extra, 0) + f * c
-    return tuple(acc.items())
-
-
-# A full catalog run makes 383 distinct (pending, c_target) keys, all of
-# charged operators; the bound caps what library callers can add.
-@functools.lru_cache(maxsize=1024)
-def _creation(pending, c_target):
-    """Ways to realize total creation degree c_target under a charged
-    operator (a charge-zero one has no cloud and reads `_placements`).
-
-    pending: ascending tuple of derivative orders n_i assigned to the
-    creation channel; each picks a degree k_i >= n_i with coefficient
-    binom(k_i - 1, n_i - 1) (`_placements` at c_target - j), and the
-    remainder j becomes an exponential cloud partition (`_eminus(j)`),
-    so binom(c_target, j) rescales the pair to c_target!.  Returns the
-    ways grouped by cloud size s, as a list of (s, [(packed degrees,
-    integer numerator over c_target!)]), s ascending, one entry per
-    distinct degrees.  Memoized: the same (pending, c_target) recurs
-    across pairs, charges and calls.
-    """
-    if not pending:
-        return _eminus(c_target)
-    acc = {}
-    for j in range(c_target - sum(pending) + 1):
-        placed = _placements(pending, c_target - j)
-        f = math.comb(c_target, j)
-        for s, group in _eminus(j):
-            into = acc.setdefault(s, {})
-            for cloud, c in group:
-                c *= f
-                for degs, p in placed:
-                    degs += cloud
-                    into[degs] = into.get(degs, 0) + c * p
-    return [(s, list(acc[s].items())) for s in sorted(acc)]
+        for s, degs, nums in _creation(rest, c_target - k, cloud):
+            into = groups.setdefault(s, {})
+            get = into.get
+            for extra, c in zip(degs, nums):
+                extra += pk
+                into[extra] = get(extra, 0) + f * c
+    return _table(groups)
 
 
 def _pair_modes(udegs, a8, vkey, n):
@@ -359,20 +339,17 @@ def _pair_modes(udegs, a8, vkey, n):
     if live:
         _check_width(sum(d * m for d, m in parts) + sum(udegs) + c0, q8 + a8)
         kuv = (len(udegs) & 1) + (sum(m for _, m in parts) & 1)
+        cloud = a8 != 0
         cmax = max(t[2] for t in live)
-        emax = max(t[3] for t in live) + (cmax if a8 else 0)
+        emax = max(t[3] for t in live) + (cmax if cloud else 0)
         for rem, pend, c_target, e2, amp in live:
             amp *= math.perm(cmax, cmax - c_target)
             rem += a8
-            if a8:
-                groups = _creation(pend, c_target)
-            else:
-                groups = ((0, _placements(pend, c_target)),)
-            for s, group in groups:
+            for s, degs, nums in _creation(pend, c_target, cloud):
                 e = e2 + s
                 f = amp * a8 ** s << 2 * (emax - e) + (e + kuv >> 1)
                 get = amps.get
-                for extra, cx in group:
+                for extra, cx in zip(degs, nums):
                     key = rem + extra
                     amps[key] = get(key, 0) + cx * f
         den = math.factorial(cmax) << 2 * emax

@@ -749,48 +749,67 @@ def test_packed_pair_modes_match_tuple_oracle():
     assert residues == set(range(8)) and kinds == {int, Fraction}
 
 
+def _flat(table):
+    """{(degs, s): numerator} of a flat creation table."""
+    return {(_unpack(extra)[0], s): c
+            for s, degs, nums in table for extra, c in zip(degs, nums)}
+
+
 def test_creation_cache_is_bounded():
-    # two pending derivative orders a <= b and creation degree a + b + r:
-    # more keys than the bound holds, each checked against the oracle
+    # two pending derivative orders a <= b under a cloud and creation
+    # degree a + b + r: more keys than the bound holds, each checked
+    # against the oracle
     cache = vertexengine._creation
     cap = cache.cache_info().maxsize
     assert cap
-    keys = [((a, b), a + b + r) for b in range(1, 31) for a in range(1, b + 1)
+    keys = [((a, b), a + b + r) for b in range(1, 41) for a in range(1, b + 1)
             for r in range(3)]
     assert len(keys) > cap
     for key in keys:
-        got = {(_unpack(extra)[0], s): c
-               for s, group in cache(*key) for extra, c in group}
-        assert got == _tuple_creation(*key), key
+        table = cache(*key, True)
+        assert [s for s, _, _ in table] == sorted({s for s, _, _ in table})
+        assert all(len(degs) == len(nums) for _, degs, nums in table)
+        assert _flat(table) == _tuple_creation(*key), key
     assert cache.cache_info().currsize <= cap
 
 
 def test_placements_are_the_cloud_free_creation_group():
-    # the old route of a charge-zero operator read the s = 0 group of
-    # `_creation`, in the same order
+    # a charge-zero operator reads the s = 0 group of the cloud table, in
+    # the same order
     for size in range(5):
         for pend in itertools.combinations_with_replacement(range(1, 5), size):
             for c in range(15):
-                groups = vertexengine._creation(pend, c)
-                want = groups[0][1] if groups and not groups[0][0] else []
-                assert list(vertexengine._placements(pend, c)) == want, (pend, c)
+                groups = vertexengine._creation(pend, c, True)
+                want = groups[:1] if groups and not groups[0][0] else ()
+                got = vertexengine._creation(pend, c, False)
+                assert got == want, (pend, c)
 
 
-def test_charge_zero_mode_reads_no_creation():
+def test_charge_zero_mode_reads_no_creation(monkeypatch):
     # J's terms carry no charge: its pairs build no exponential cloud
+    class Cloud(Exception):
+        pass
+
+    def no_cloud(c):
+        raise Cloud(c)
+
     vertexengine._memo.clear()
     vertexengine._creation.cache_clear()
+    monkeypatch.setattr(vertexengine, "_eminus", no_cloud)
     v = State.basis((2,), Fraction(1, 2))
     got = mode_apply(J, 2, v)
-    assert vertexengine._creation.cache_info().currsize == 0
     assert str(got) == ("(8) h(-1)h(-1)h(-1)|1/2b> + (54√2) h(-2)h(-1)|1/2b>"
                         " + (-16) h(-3)|1/2b>")
+    # a charged derivative-field product does build one
+    with pytest.raises(Cloud):
+        mode_apply(v, 1, State.basis((1,), Fraction(-1, 2)))
 
 
 def test_placements_cache_is_bounded():
-    # one or two pending orders at creation degrees up to 3 above their
-    # sum: more keys than the bound holds, each checked against the oracle
-    cache = vertexengine._placements
+    # one or two pending orders with no cloud at creation degrees up to
+    # 3 above their sum: more keys than the bound holds, each checked
+    # against the oracle
+    cache = vertexengine._creation
     cap = cache.cache_info().maxsize
     assert cap
     keys = [(pend, sum(pend) + r) for b in range(1, 51)
@@ -798,9 +817,10 @@ def test_placements_cache_is_bounded():
             for r in range(4)]
     assert len(keys) > cap
     for key in keys:
-        got = {_unpack(extra)[0]: c for extra, c in cache(*key)}
-        assert got == {degs: c for (degs, s), c in _tuple_creation(*key).items()
-                       if not s}, key
+        table = cache(*key, False)
+        assert all(not s for s, _, _ in table)
+        assert _flat(table) == {k: c for k, c in _tuple_creation(*key).items()
+                                if not k[1]}, key
     assert cache.cache_info().currsize <= cap
 
 
