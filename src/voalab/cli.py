@@ -19,10 +19,9 @@ import argparse
 import sys
 
 from .exprparse import ExprError, parse_state_expr
+from .fockspace import KeyWidthError
 from .structure import pair
-from .vertexengine import (
-    KeyWidthError, ModeIndex, ModeLegalityError, mode_apply,
-)
+from .vertexengine import ModeIndex, ModeLegalityError, mode_apply
 from .sectors import char_L1, char_series, eigenspace_char, graded_dim, module_catalog
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactfield import I, ONE, SQRT2, SQRT3, SQRT6, Scalar, sc
+from .exactfield import I, SQRT2, SQRT3, SQRT6, Scalar, sc
 from .fockspace import State, named_vector
 
 _CONSTS = {"i": I, "r2": SQRT2, "r3": SQRT3, "r6": SQRT6}
@@ -107,7 +107,7 @@ class _Parser:
             op = self.next()[0]
             w = self.product()
             if op == "-":
-                w = -w if isinstance(w, Scalar) else w * -ONE
+                w = -w
             v = _add(v, w)
         return v
 
@@ -123,8 +123,7 @@ class _Parser:
         kind, val = self.peek()
         if kind == "-":
             self.next()
-            v = self.factor()
-            return -v if isinstance(v, Scalar) else v * -ONE
+            return -self.factor()
         if kind == "(":
             self.next()
             v = self.sum()
@@ -185,13 +184,11 @@ def _add(a, b):
 
 
 def _mul(a, b):
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return a * b
-    if isinstance(a, Scalar):
-        return b * a
-    if isinstance(b, Scalar):
-        return a * b
-    raise ExprError("cannot multiply two states")
+    if isinstance(a, State) and isinstance(b, State):
+        raise ExprError("cannot multiply two states")
+    # a state scales by a field element on either side; State.__mul__
+    # takes it directly, where Scalar.__mul__ would return NotImplemented
+    return b * a if isinstance(b, State) else a * b
 
 
 def _div(a, b):

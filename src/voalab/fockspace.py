@@ -1,22 +1,51 @@
-"""States of a rank-one lattice Fock space.
+"""States of a rank-one lattice Fock space, and the one representation
+every computation with them runs on.
 
 A basis monomial is h(-n_1)...h(-n_s) e^{q b} where h is the canonical
 weight-one Heisenberg generator, b is the degree-8 lattice vector
 (b = 2a with (a,a) = 2, h = a/sqrt2), and the charge q runs over the
 grid (1/8)Z so that every module sector of interest fits in one space.
-Internally a monomial is the pair (degs, q8): degs is a descending
-tuple of positive integers and q8 = 8q is an integer.
+A monomial is the pair (degs, q8): degs is a descending tuple of
+positive integers and q8 = 8q is an integer.  Its weight is
+sum(n_i) + 4 q^2.
 
-The weight of h(-n_1)...h(-n_s) e^{q b} is sum(n_i) + 4 q^2.
+Packed keys.  A monomial is also one int, its packed key (`_pack`): the
+low 8 bits hold q8 + 128, and each part d adds 1 << (8 + 6 (d - 1)), so
+every part has a 6-bit count field (the packed exponent vectors of
+Monagan and Pearce, CASC 2007).  Merging two monomials is one integer
+addition, removing a part is one subtraction, and the multiplicity of
+the part d is a shift and a mask.  A degree sum(d_i) of at most 63
+bounds every part and every count by 63, so no field ever carries into
+the next; a larger degree, or |q8| >= 128, raises KeyWidthError.
+
+Coordinate planes.  A State's `packed` view is (den, planes): integer
+maps {packed key: int}, one per basis element of the field, over one
+common denominator, in a dict {basis index: plane} of the nonempty
+planes only.  The planes are in the parity basis: the monomial with k
+parts stands for sqrt2^(k mod 2) h(-d_1)...h(-d_k) e^{(q8/8) b}, a
+rational multiple of the lattice monomial a(-d_1)...a(-d_k) e^{(q8/8) b}
+(a = sqrt2 h, <a, a> = 2), so the coordinate of a monomial with an odd
+number of parts is held divided by sqrt2 and every mode amplitude is
+rational.  sqrt2 enters and leaves only where `_pack_terms` packs a
+State's terms and `_coefficient` reads one key's field element.  The
+planes of a State are trimmed (`_trim`): no zero entry, so a zero state
+has no planes, and no factor common to the denominator and every entry,
+so equal states have equal planes.  Every map from States to States
+runs on them: the arithmetic of `State` (`_sum_planes`,
+`_scale_planes`), the parts of `_split`, `theta`, `tau1`,
+`linalg.Echelon` and the mode engine of `vertexengine`.  Other modules
+read keys and planes only through the functions defined here.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .exactfield import (
-    I, ONE, SQRT2, SQRT3, SQRT6, Scalar, ZERO, rat, sc, sixth_root,
+    BASIS_MUL, I, ONE, SQRT2, SQRT3, SQRT6, Scalar, ZERO, _norm, rat, sc,
+    sixth_root,
 )
 
 
@@ -52,13 +81,201 @@ def mono_str(m):
     return ops + ket
 
 
+# --------------------------------------------------------------------------
+# Packed monomial keys (module docstring).
+
+MAX_DEGREE = 63
+_QBIAS = 128
+_SHIFT = (0,) + tuple(8 + 6 * (d - 1) for d in range(1, MAX_DEGREE + 1))
+_PART = tuple(1 << s for s in _SHIFT)
+_ODD = sum(_PART[1:])  # the low bit of every count field
+
+
+class KeyWidthError(ValueError):
+    """Raised when a monomial falls outside the packed key: a degree
+    above MAX_DEGREE or a charge |q8| >= 128."""
+
+
+def _check_width(deg, q8):
+    if deg > MAX_DEGREE:
+        raise KeyWidthError("monomial degree %d exceeds the packed key width"
+                            " (at most %d)" % (deg, MAX_DEGREE))
+    if not -_QBIAS < q8 < _QBIAS:
+        raise KeyWidthError("charge %s is outside the packed key width"
+                            " (|8q| < %d)" % (Fraction(q8, 8), _QBIAS))
+
+
+def _check_parts(degs):
+    if degs and degs[-1] < 1:
+        raise KeyWidthError("part %d has no field in the packed key"
+                            % degs[-1])
+
+
+def _pack(degs, q8):
+    """The packed key of the monomial (degs, q8), degs descending as in
+    a State key; raises KeyWidthError if it does not fit."""
+    _check_parts(degs)
+    _check_width(sum(degs), q8)
+    key = q8 + _QBIAS
+    for d in degs:
+        key += _PART[d]
+    return key
+
+
+def _parts(key):
+    """[(d, multiplicity)] of the parts of a packed key, ascending in d."""
+    out = []
+    key >>= 8
+    d = 1
+    while key:
+        m = key & 63
+        if m:
+            out.append((d, m))
+        key >>= 6
+        d += 1
+    return out
+
+
+def _charge(key):
+    """The charge q8 of a packed key."""
+    return (key & 255) - _QBIAS
+
+
+def _conjugate(key):
+    """The packed key of the same parts at the opposite charge -q8."""
+    return key - 2 * _charge(key)
+
+
+def _odd(key):
+    """1 if the packed key has an odd number of parts, else 0."""
+    return (key & _ODD).bit_count() & 1
+
+
+def _unpack(key):
+    """The monomial (degs, q8) of a packed key."""
+    degs = []
+    for d, m in reversed(_parts(key)):
+        degs += [d] * m
+    return tuple(degs), _charge(key)
+
+
+# --------------------------------------------------------------------------
+# Coordinate planes (module docstring).
+#
+# _ROUTE[k & 1][j] = (m, f): a coordinate on the basis element e_j of a
+# monomial with k parts, times sqrt2^(k & 1), is f times a coordinate
+# on e_m.  Multiplying by sqrt2 converts both ways, over a doubled
+# denominator on the way in: a parity coordinate is c / sqrt2 =
+# c sqrt2 / 2, and c is sqrt2 times it.
+_ROUTE = (tuple((j, 1) for j in range(8)), BASIS_MUL[1])
+
+
+def _pack_terms(terms):
+    """The trimmed (den, planes) holding the terms {(degs, q8): Scalar}
+    of a State: their parity-basis coordinates over their least common
+    denominator, keyed by packed monomial, packed here and only here,
+    when a State's `packed` is first read."""
+    terms = [(len(degs) & 1, _pack(degs, q8), c)
+             for (degs, q8), c in terms.items()]
+    den = math.lcm(*[c.den << k1 for k1, _, c in terms])
+    planes = {}
+    for k1, key, c in terms:
+        f = den // (c.den << k1)
+        route = _ROUTE[k1]
+        for j, x in enumerate(c.num):
+            if x:
+                m, g = route[j]
+                planes.setdefault(m, {})[key] = x * f * g
+    return _trim(den, planes)
+
+
+def _coefficient(den, planes, key):
+    """The field element on the packed key of the planes over den."""
+    route = _ROUTE[_odd(key)]
+    num = [0] * 8
+    for j, plane in planes.items():
+        m, g = route[j]
+        num[m] = g * plane.get(key, 0)
+    return _norm(tuple(num), den)
+
+
+def _unpack_planes(den, planes):
+    """The terms {(degs, q8): Scalar} of the state held by the planes
+    over den, unpacked here when a packed State's terms are first read."""
+    keys = dict.fromkeys(key for plane in planes.values() for key in plane)
+    return {_unpack(key): _coefficient(den, planes, key) for key in keys}
+
+
+def _split(v, key):
+    """{key(k): the packed State part of v on the keys k with that key}."""
+    den, planes = v.packed
+    parts = {}
+    for p, plane in planes.items():
+        for k, c in plane.items():
+            parts.setdefault(key(k), {}).setdefault(p, {})[k] = c
+    return {g: State(packed=_trim(den, part)) for g, part in parts.items()}
+
+
+def _trim(den, planes):
+    """(den, planes) without zero entries, empty planes or a factor
+    common to den and every entry: the form a packed State holds, and
+    each step of an engine chain, so that a zero state has no planes."""
+    out = {}
+    g = den
+    for p, plane in planes.items():
+        plane = {key: c for key, c in plane.items() if c}
+        if plane:
+            out[p] = plane
+            g = math.gcd(g, *plane.values())
+    if g > 1:
+        den //= g
+        out = {p: {key: c // g for key, c in plane.items()}
+               for p, plane in out.items()}
+    return den, out
+
+
+def _scale_planes(x, den, planes):
+    """The trimmed (den, planes) holding x v, x a nonzero field element
+    and v held by planes over den: a coordinate c on e_p and x_j on e_j
+    give f c x_j on e_m, e_p e_j = f e_m (`BASIS_MUL`)."""
+    out = {}
+    for p, plane in planes.items():
+        row = BASIS_MUL[p]
+        for j, xj in enumerate(x.num):
+            if xj:
+                m, f = row[j]
+                f *= xj
+                into = out.setdefault(m, {})
+                get = into.get
+                for key, c in plane.items():
+                    into[key] = get(key, 0) + f * c
+    return _trim(den * x.den, out)
+
+
+def _sum_planes(terms):
+    """(den, planes) holding sum_j r_j v_j for the (r_j, planes_j) in
+    terms, r_j rational and v_j held by planes_j over 1: one integer sum
+    over the common denominator of the r_j; the planes may hold zeros."""
+    den = math.lcm(*(r.denominator for r, _ in terms))
+    acc = {}
+    for r, planes in terms:
+        f = r.numerator * (den // r.denominator)
+        if f:
+            for p, plane in planes.items():
+                into = acc.setdefault(p, {})
+                get = into.get
+                for key, c in plane.items():
+                    into[key] = get(key, 0) + c * f
+    return den, acc
+
+
 class State:
     """A finite K-linear combination of Fock monomials.
 
     A State has two views of one value, and keeps whichever it was made
     with: `terms` maps each monomial (degs, q8) to its nonzero Scalar
-    coefficient, and `packed` is the mode engine's trimmed integer
-    coordinate planes (den, planes) (see `vertexengine`).  The other
+    coefficient, and `packed` is its trimmed integer coordinate planes
+    (den, planes) (module docstring).  The other
     view is built on its first read and kept.  Every map from States to
     States (+, -, scaling, ==, the involutions, sigma, the engine) runs
     on the planes and returns a packed State: trimmed planes are unique
@@ -79,14 +296,12 @@ class State:
     @property
     def terms(self):
         if self._terms is None:
-            from .vertexengine import _unpack_planes
             self._terms = _unpack_planes(*self._packed)
         return self._terms
 
     @property
     def packed(self):
         if self._packed is None:
-            from .vertexengine import _pack_terms
             self._packed = _pack_terms(self._terms)
         return self._packed
 
@@ -129,7 +344,6 @@ class State:
         """self + sign * other, sign = +-1, in one pass over the planes."""
         if not other:
             return self
-        from .vertexengine import _sum_planes, _trim
         (d1, p1), (d2, p2) = self.packed, other.packed
         return State(packed=_trim(*_sum_planes(
             [(Fraction(1, d1), p1), (Fraction(sign, d2), p2)])))
@@ -141,7 +355,6 @@ class State:
         s = sc(s) if not isinstance(s, Scalar) else s
         if not s:
             return State()
-        from .vertexengine import _scale_planes
         return State(packed=_scale_planes(s, *self.packed))
 
     def __mul__(self, s):
@@ -198,7 +411,6 @@ def ratio(w, v):
 
 def theta(v):
     """The lift of the (-1)-isometry: h -> -h, e^{qb} -> e^{-qb}."""
-    from .vertexengine import _conjugate, _odd
     den, planes = v.packed
     return State(packed=(den, {
         p: {_conjugate(k): -c if _odd(k) else c for k, c in plane.items()}
@@ -211,18 +423,18 @@ def tau1(v):
     Defined on sectors whose charges are multiples of a = b/2, that is
     q8 divisible by 4.
     """
-    from .vertexengine import _charge, _split
-    out = State()
-    for q8, part in _split(v, _charge).items():
-        if q8 % 4:
-            raise ValueError("tau1 is undefined on charge %s" % Fraction(q8, 8))
-        out = out + (-part if q8 % 8 else part)
-    return out
+    den, planes = v.packed
+    bad = [_charge(k) for plane in planes.values() for k in plane
+           if _charge(k) % 4]
+    if bad:
+        raise ValueError("tau1 is undefined on charge %s" % Fraction(bad[0], 8))
+    return State(packed=(den, {
+        p: {k: -c if _charge(k) % 8 else c for k, c in plane.items()}
+        for p, plane in planes.items()}))
 
 
 def lattice_component(v, q):
     """The part of v supported on charges +q and -q (q >= 0)."""
-    from .vertexengine import _charge, _split
     return _split(v, lambda key: abs(_charge(key))).get(abs(to_q8(q)), State())
 
 

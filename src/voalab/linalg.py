@@ -16,7 +16,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .exactfield import ONE, ZERO
-from .vertexengine import _coefficient
+from .fockspace import _coefficient
 
 
 class SingularMatrixError(ArithmeticError):

@@ -5,18 +5,15 @@ monomial h(-n_1)...h(-n_s) e^{qb} with h(-n_1)...h(-n_s) e^{-qb} to the
 partition factor prod_d d^{m_d} m_d!, up to sign.  Since it is diagonal
 in the Fock basis, every use of it (`pair`, `gram_rational`, the Gram
 systems of `decompose_over`, the orthogonality check in `build_u16`)
-runs on the mode engine's own state format: it reads each state's
-`packed` view, its integer coordinate planes over one common
-denominator in the parity basis (see `vertexengine`), which a State
-builds at most once and keeps, and the form sums
-w_key f x y over the entries x of one side on plane p and y of the
-other on plane q at the conjugate key, straight into the integer matrix
-of the field coordinate c with e_p e_q = f e_c.  The integer weight
+runs on a State's own format: it reads each state's `packed` view,
+its integer coordinate planes over one common denominator in the
+parity basis (see `fockspace`), which a State builds at most once and
+keeps, and the form sums w_key f x y over the entries x of one side on
+plane p and y of the other on plane q at the conjugate key, straight
+into the integer matrix of the field coordinate c with e_p e_q = f e_c.  The integer weight
 w_key is read off the key's parts and charge.  Each value becomes one
 field element at the end.  `decompose_over` hands the integer Gram
-system to `solve_square` and sums its combination on the planes.  The
-packed key's layout stays inside `vertexengine`: this module reads keys
-only through `_parts`, `_charge` and `_conjugate`.
+system to `solve_square` and sums its combination on the planes.
 """
 
 from __future__ import annotations
@@ -26,10 +23,12 @@ from fractions import Fraction
 from math import factorial
 
 from .exactfield import BASIS_MUL, ZERO, _norm, sc
-from .fockspace import State, named_vector, lattice_component, partitions
+from .fockspace import (
+    State, _charge, _conjugate, _parts, _sum_planes, _trim, named_vector,
+    lattice_component, partitions,
+)
 from .linalg import express_in_span, solve_square
 from .vertexengine import (
-    _charge, _conjugate, _parts, _sum_planes, _trim,
     apply_word, mode_apply, mode_apply_theta_even, virasoro_mode,
 )
 
@@ -37,7 +36,7 @@ from .vertexengine import (
 # --------------------------------------------------------------------------
 # The form on the engine's coordinate planes.  It pairs the packed key of
 # (degs, q8) only with its conjugate key, (degs, -q8), so both sides have
-# the same part count k, and in the parity basis (see `vertexengine`) a
+# the same part count k, and in the parity basis (see `fockspace`) a
 # pair of odd-k coordinates carries sqrt2 sqrt2 = 2: the weight of a key
 # is (-1)^(k + q8/4) prod_d d^{m_d} m_d! 2^(k & 1), an integer.
 

@@ -6,43 +6,28 @@ normally ordered products of derivative Heisenberg fields against a
 lattice exponential, with all lattice two-cocycle values taken to be 1
 (consistent here because every charge pairing that occurs is even).
 
-For efficiency the expansion of one monomial pair runs on integers.
-Inside the engine a monomial is a packed key, one int holding the
-charge and a 6-bit count per part (`_pack`), so merging monomials is an
-integer addition; a packed monomial of degree above 63 or with
-|q8| >= 128 raises KeyWidthError.
-
-The engine holds the coordinate of a monomial with an odd number of
-parts divided by sqrt2.  In this parity basis the monomial with k parts
-stands for sqrt2^(k mod 2) h(-d_1)...h(-d_k) e^{(q8/8) b}, a rational
-multiple of the lattice monomial a(-d_1)...a(-d_k) e^{(q8/8) b}
-(a = sqrt2 h, <a, a> = 2), so every mode amplitude is rational.
-`_pair_modes` returns one pair's expansion as (den, amps): one integer
-map keyed by the packed output monomial over one positive denominator.
-Every operator takes its pair expansions from one bounded memo,
-`_expansion`, which does not store an expansion with more than 256
-output keys.  Every operator reads its creation side from one table,
-`_creation`, memoized independently of the lattice charge: the
+The engine runs on a State's packed view, its packed monomial keys and
+integer coordinate planes in the parity basis (see `fockspace`), so
+merging monomials is an integer addition and every mode amplitude is
+rational.  `_pair_modes` returns one pair's expansion as (den, amps):
+one integer map keyed by the packed output monomial over one positive
+denominator.  Every operator takes its pair expansions from one bounded
+memo, `_expansion`, which does not store an expansion with more than
+256 output keys.  Every operator reads its creation side from one
+table, `_creation`, memoized independently of the lattice charge: the
 placements of its creation modes, with the exponential cloud partitions
 for a charged operator and without for a charge-zero one.
 
-A state inside the engine is a set of integer coordinate planes
-{packed monomial: int}, one per basis element of the field, over one
-common denominator, in the parity basis: sqrt2 enters and leaves only
-where `_pack_terms` packs a State's terms, `_coefficient` reads one
-key's field element and `_mode_ops` takes the coefficients of u.
-These planes are a State's `packed` view, and every map from States to
-States runs on them: arithmetic (`_sum_planes`, `_scale_planes`,
-`_trim`), the parts of `_split`, `fockspace.theta` and
-`linalg.Echelon`.  One kernel, `_apply_planes`, applies a sum of
-operators x A to the planes, A given by its amplitudes in the format
-of `_pair_modes` and x a field element; it is the only loop that
-routes amplitudes onto the planes.  `mode_apply` (one operator per
-term of u), `twisted_mode_apply` (one call over all the shift terms),
-the Virasoro words of `apply_word` (one call per letter;
-`virasoro_mode` is the one-letter word) and the exponentials of
-`_exp_planes` all run on it, and each returns a State made from its
-trimmed planes, which unpacks its terms only when they are first read.
+One kernel, `_apply_planes`, applies a sum of operators x A to the
+planes, A given by its amplitudes in the format of `_pair_modes` and x
+a field element (`_mode_ops` takes u's coefficients into the parity
+basis); it is the only loop that routes amplitudes onto the planes.
+`mode_apply` (one operator per term of u), `twisted_mode_apply` (one
+call over all the shift terms), the Virasoro words of `apply_word` (one
+call per letter; `virasoro_mode` is the one-letter word) and the
+exponentials of `_exp_planes` all run on it, and each returns a State
+made from its trimmed planes, which unpacks its terms only when they
+are first read.
 
 `_exp_planes` is the one exponential: exp of a sum of ops, nilpotent
 on the state, one `_apply_planes` call per series term.
@@ -66,9 +51,14 @@ import math
 from fractions import Fraction
 
 from .exactfield import (
-    BASIS_MUL, HALF, I, ONE, SQRT2, SQRT3, _norm, exp_two_pi_i, rat, sc,
+    BASIS_MUL, HALF, I, ONE, SQRT2, SQRT3, exp_two_pi_i, rat, sc,
 )
-from .fockspace import State, mono_weight, named_vector, ratio, theta
+from .fockspace import (
+    _PART, _SHIFT, State, _charge, _check_parts, _check_width, _parts,
+    _split, _sum_planes, _trim, _unpack, mono_weight, named_vector, ratio,
+    theta,
+)
+from .linalg import Echelon
 
 
 class ModeLegalityError(ValueError):
@@ -82,96 +72,6 @@ def ModeIndex(n):
         return n
     f = rat(n)
     return int(f) if f.denominator == 1 else f
-
-
-# --------------------------------------------------------------------------
-# Packed monomial keys.
-#
-# Inside the engine a monomial h(-d_1)...h(-d_k) e^{(q8/8) b} is one int:
-# the low 8 bits hold q8 + 128, and each part d adds 1 << (8 + 6 (d - 1)),
-# so every part has a 6-bit count field (the packed exponent vectors of
-# Monagan and Pearce, CASC 2007).  Merging two monomials is one integer
-# addition, removing a part is one subtraction, and the multiplicity of
-# the part d is a shift and a mask.  A degree sum(d_i) of at most 63
-# bounds every part and every count by 63, so no field ever carries into
-# the next; a larger degree, or |q8| >= 128, raises KeyWidthError.
-# The layout stays in this module: other modules read keys through
-# `_parts`, `_charge`, `_conjugate` and `_odd` (the invariant form of
-# `structure`, the involutions of `fockspace`).
-
-MAX_DEGREE = 63
-_QBIAS = 128
-_SHIFT = (0,) + tuple(8 + 6 * (d - 1) for d in range(1, MAX_DEGREE + 1))
-_PART = tuple(1 << s for s in _SHIFT)
-_ODD = sum(_PART[1:])  # the low bit of every count field
-
-
-class KeyWidthError(ValueError):
-    """Raised when a monomial falls outside the packed key: a degree
-    above MAX_DEGREE or a charge |q8| >= 128."""
-
-
-def _check_width(deg, q8):
-    if deg > MAX_DEGREE:
-        raise KeyWidthError("monomial degree %d exceeds the packed key width"
-                            " (at most %d)" % (deg, MAX_DEGREE))
-    if not -_QBIAS < q8 < _QBIAS:
-        raise KeyWidthError("charge %s is outside the packed key width"
-                            " (|8q| < %d)" % (Fraction(q8, 8), _QBIAS))
-
-
-def _check_parts(degs):
-    if degs and degs[-1] < 1:
-        raise KeyWidthError("part %d has no field in the packed key"
-                            % degs[-1])
-
-
-def _pack(degs, q8):
-    """The packed key of the monomial (degs, q8), degs descending as in
-    a State key; raises KeyWidthError if it does not fit."""
-    _check_parts(degs)
-    _check_width(sum(degs), q8)
-    key = q8 + _QBIAS
-    for d in degs:
-        key += _PART[d]
-    return key
-
-
-def _parts(key):
-    """[(d, multiplicity)] of the parts of a packed key, ascending in d."""
-    out = []
-    key >>= 8
-    d = 1
-    while key:
-        m = key & 63
-        if m:
-            out.append((d, m))
-        key >>= 6
-        d += 1
-    return out
-
-
-def _charge(key):
-    """The charge q8 of a packed key."""
-    return (key & 255) - _QBIAS
-
-
-def _conjugate(key):
-    """The packed key of the same parts at the opposite charge -q8."""
-    return key - 2 * _charge(key)
-
-
-def _odd(key):
-    """1 if the packed key has an odd number of parts, else 0."""
-    return (key & _ODD).bit_count() & 1
-
-
-def _unpack(key):
-    """The monomial (degs, q8) of a packed key."""
-    degs = []
-    for d, m in reversed(_parts(key)):
-        degs += [d] * m
-    return tuple(degs), _charge(key)
 
 
 # --------------------------------------------------------------------------
@@ -213,7 +113,7 @@ def _eminus(c):
     return _table(groups)
 
 
-# A full catalog run makes 788 distinct (pending, c_target, cloud) keys,
+# A full catalog run makes 670 distinct (pending, c_target, cloud) keys,
 # the sub-keys of the recursion included; the bound sits well above
 # that and caps what library callers can add.
 @functools.lru_cache(maxsize=2048)
@@ -258,7 +158,7 @@ def _pair_modes(udegs, a8, vkey, n):
     u's monomial is (udegs, a8) with udegs a tuple; v's monomial is the
     packed key vkey.  Returns (den, amps): amps maps each packed output
     key (charge q8 + a8) to a nonzero integer, and in the parity basis
-    (module docstring) the pair contributes amps / den there, over one
+    (see `fockspace`) the pair contributes amps / den there, over one
     positive denominator den.  The caller supplies the monomial
     coefficients, in the parity basis too.
 
@@ -332,12 +232,16 @@ def _pair_modes(udegs, a8, vkey, n):
     # channel drops a u field and a part of rem, and a cloud of s parts
     # adds s parts and s to e).  So the whole power of sqrt2 is
     # 2^((e + kuv) >> 1) with kuv = (ku & 1) + (kv & 1): one shift per
-    # cloud group, never negative, and no sqrt2 is left over.
-    live = [(rem, pend, c, e2, amp)
-            for (rem, pend, c, e2), amp in states.items() if amp and c >= 0]
+    # cloud group, never negative, and no sqrt2 is left over.  Each
+    # pending order n_i takes a degree k_i >= n_i, so a branch with
+    # c < sum(pend) has no placement; the width guard tests every branch
+    # with c >= 0 all the same.
+    if any(amp and c >= 0 for (_, _, c, _), amp in states.items()):
+        _check_width(sum(d * m for d, m in parts) + sum(udegs) + c0, q8 + a8)
+    live = [(rem, pend, c, e2, amp) for (rem, pend, c, e2), amp
+            in states.items() if amp and c >= sum(pend)]
     amps = {}
     if live:
-        _check_width(sum(d * m for d, m in parts) + sum(udegs) + c0, q8 + a8)
         kuv = (len(udegs) & 1) + (sum(m for _, m in parts) & 1)
         cloud = a8 != 0
         cmax = max(t[2] for t in live)
@@ -393,119 +297,6 @@ def _expansion(udegs, a8, n, vkey):
     return out
 
 
-# --------------------------------------------------------------------------
-# Coordinate planes: a state as maps {monomial: int}, one per basis
-# element of the field, over one common denominator, held in a dict
-# {basis index: plane} of the nonempty planes only.  Between the steps
-# of a chain, and in a packed State, the planes are trimmed (`_trim`):
-# no zero entry, so a zero state has no planes, and no factor common to
-# the denominator and every entry, so equal states have equal planes.
-#
-# _ROUTE[k & 1][j] = (m, f): a coordinate on the basis element e_j of a
-# monomial with k parts, times sqrt2^(k & 1), is f times a coordinate
-# on e_m.  Multiplying by sqrt2 converts both ways, over a doubled
-# denominator on the way in: a parity coordinate is c / sqrt2 =
-# c sqrt2 / 2, and c is sqrt2 times it.
-_ROUTE = (tuple((j, 1) for j in range(8)), BASIS_MUL[1])
-
-
-def _pack_terms(terms):
-    """The trimmed (den, planes) holding the terms {(degs, q8): Scalar}
-    of a State: their parity-basis coordinates over their least common
-    denominator, keyed by packed monomial, packed here and only here,
-    when a State's `packed` is first read."""
-    terms = [(len(degs) & 1, _pack(degs, q8), c)
-             for (degs, q8), c in terms.items()]
-    den = math.lcm(*[c.den << k1 for k1, _, c in terms])
-    planes = {}
-    for k1, key, c in terms:
-        f = den // (c.den << k1)
-        route = _ROUTE[k1]
-        for j, x in enumerate(c.num):
-            if x:
-                m, g = route[j]
-                planes.setdefault(m, {})[key] = x * f * g
-    return _trim(den, planes)
-
-
-def _coefficient(den, planes, key):
-    """The field element on the packed key of the planes over den."""
-    route = _ROUTE[_odd(key)]
-    num = [0] * 8
-    for j, plane in planes.items():
-        m, g = route[j]
-        num[m] = g * plane.get(key, 0)
-    return _norm(tuple(num), den)
-
-
-def _unpack_planes(den, planes):
-    """The terms {(degs, q8): Scalar} of the state held by the planes
-    over den, unpacked here when a packed State's terms are first read."""
-    keys = dict.fromkeys(key for plane in planes.values() for key in plane)
-    return {_unpack(key): _coefficient(den, planes, key) for key in keys}
-
-
-def _split(v, key):
-    """{key(k): the packed State part of v on the keys k with that key}."""
-    den, planes = v.packed
-    parts = {}
-    for p, plane in planes.items():
-        for k, c in plane.items():
-            parts.setdefault(key(k), {}).setdefault(p, {})[k] = c
-    return {g: State(packed=_trim(den, part)) for g, part in parts.items()}
-
-
-def _trim(den, planes):
-    """(den, planes) without zero entries, empty planes or a factor
-    common to den and every entry: the form a chain of `_apply_planes`
-    steps carries, so that a zero state has no planes."""
-    out = {}
-    g = den
-    for p, plane in planes.items():
-        plane = {key: c for key, c in plane.items() if c}
-        if plane:
-            out[p] = plane
-            g = math.gcd(g, *plane.values())
-    if g > 1:
-        den //= g
-        out = {p: {key: c // g for key, c in plane.items()}
-               for p, plane in out.items()}
-    return den, out
-
-
-def _scale_planes(x, den, planes):
-    """The trimmed (den, planes) holding x v, x a nonzero field element
-    and v held by planes over den: a coordinate c on e_p and x_j on e_j
-    give f c x_j on e_m, e_p e_j = f e_m (`BASIS_MUL`)."""
-    out = {}
-    for p, plane in planes.items():
-        row = BASIS_MUL[p]
-        for j, xj in enumerate(x.num):
-            if xj:
-                m, f = row[j]
-                f *= xj
-                into = out.setdefault(m, {})
-                get = into.get
-                for key, c in plane.items():
-                    into[key] = get(key, 0) + f * c
-    return _trim(den * x.den, out)
-
-
-def _sum_planes(terms):
-    """(den, planes) holding sum_j r_j v_j for the (r_j, planes_j) in
-    terms, r_j rational and v_j held by planes_j over 1: one integer sum
-    over the common denominator of the r_j; the planes may hold zeros."""
-    den = math.lcm(*(r.denominator for r, _ in terms))
-    acc = {}
-    for r, planes in terms:
-        f = r.numerator * (den // r.denominator)
-        if f:
-            for p, plane in planes.items():
-                into = acc.setdefault(p, {})
-                get = into.get
-                for key, c in plane.items():
-                    into[key] = get(key, 0) + c * f
-    return den, acc
 
 
 def _apply_planes(ops, den, planes):
@@ -808,7 +599,6 @@ def zero_mode_decompose(hvec, v):
     Returns {eigenvalue (Fraction): component (State)}.  The spectrum
     must be simple on the cyclic subspace and lie in (1/6)Z.
     """
-    from .linalg import Echelon
     if not v:
         return {}
     ech = Echelon()

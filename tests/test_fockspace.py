@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from voalab import vertexengine
+from voalab import fockspace
 from voalab.exactfield import I, ONE, SQRT2, SQRT3, ZERO, sc, sqrt2_power
 from voalab.fockspace import (
     NAMED_VECTORS, State, _build_basic, basis_monomials, graded_monomials,
@@ -275,8 +275,8 @@ def test_a_term_built_state_packs_once(monkeypatch):
     u9 = _build_basic.__wrapped__()["u9"]
     assert u9._packed is None
     calls = []
-    pack = vertexengine._pack_terms
-    monkeypatch.setattr(vertexengine, "_pack_terms",
+    pack = fockspace._pack_terms
+    monkeypatch.setattr(fockspace, "_pack_terms",
                         lambda terms: calls.append(terms) or pack(terms))
     h, omega = named_vector("h"), named_vector("omega")
     outs = [mode_apply(h, n, u9) for n in (1, 0, -1)]
@@ -331,8 +331,8 @@ def test_graded_monomials_cache_is_bounded():
 def test_transforms_stay_on_the_planes(monkeypatch):
     # on states held only as planes, no transform unpacks a State's terms
     calls = []
-    unpack = vertexengine._unpack_planes
-    monkeypatch.setattr(vertexengine, "_unpack_planes",
+    unpack = fockspace._unpack_planes
+    monkeypatch.setattr(fockspace, "_unpack_planes",
                         lambda den, planes: calls.append(planes)
                         or unpack(den, planes))
     E, J, u9 = (State(packed=named_vector(name).packed)

@@ -12,15 +12,14 @@ from voalab.exactfield import (
     I, SQRT2, ZERO, exp_two_pi_i, sc, sixth_root, sqrt2_power,
 )
 from voalab.fockspace import (
-    State, graded_states, lattice_component, mono_weight, named_vector,
-    partitions, tau1, theta,
+    MAX_DEGREE, KeyWidthError, State, _pack, _unpack, graded_states,
+    lattice_component, mono_weight, named_vector, partitions, tau1, theta,
 )
 from voalab.vertexengine import (
-    MAX_DEGREE, KeyWidthError, ModeIndex, ModeLegalityError,
-    RationalPowerSeries, _expansion, _pack, _pair_modes, _rational_roots,
-    _root_bound, _unpack, apply_word, charge_chain, delta_apply, mode_apply,
-    mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
-    zero_mode_decompose, zero_mode_exp,
+    ModeIndex, ModeLegalityError, RationalPowerSeries, _expansion,
+    _pair_modes, _rational_roots, _root_bound, apply_word, charge_chain,
+    delta_apply, mode_apply, mode_apply_theta_even, twisted_mode_apply,
+    twisted_weight, virasoro_mode, zero_mode_decompose, zero_mode_exp,
 )
 
 ONE_V = named_vector("one")
