@@ -21,7 +21,7 @@ from .vertexengine import (
     mode_apply_theta_even, twisted_mode_apply, twisted_weight, virasoro_mode,
 )
 from .sectors import (
-    QSeries, char_L1, char_series, decompose_quarter_module, graded_dim,
+    char_L1, char_series, decompose_quarter_module, graded_dim,
     module_catalog, multiplet_spectrum_table, sector_top, sigma,
     top_level_eigenvalue, twisted_sector,
 )
@@ -38,7 +38,7 @@ __all__ = [
     "KeyWidthError", "ModeLegalityError", "RationalPowerSeries", "delta_apply", "mode_apply",
     "mode_apply_theta_even", "twisted_mode_apply", "twisted_weight",
     "virasoro_mode",
-    "QSeries", "char_L1", "char_series", "decompose_quarter_module",
+    "char_L1", "char_series", "decompose_quarter_module",
     "graded_dim", "module_catalog", "multiplet_spectrum_table", "sector_top",
     "sigma", "top_level_eigenvalue", "twisted_sector", "CheckResult",
     "CheckSpec", "DEFAULT_CONFIG", "PAPER_MAP", "Report", "all_checks",

@@ -22,7 +22,7 @@ from .exprparse import ExprError, parse_state_expr
 from .fockspace import KeyWidthError
 from .structure import pair
 from .vertexengine import ModeIndex, ModeLegalityError, mode_apply
-from .sectors import char_L1, char_series, eigenspace_char, graded_dim, module_catalog
+from .sectors import char_L1, char_series, eigenspace_char, module_catalog
 
 
 # Only `verify` and `list` import the catalog, so `mode`, `pair`, `char`
@@ -104,9 +104,6 @@ def _max_weight(text):
     raise argparse.ArgumentTypeError("not a nonnegative integer: %r" % text)
 
 
-_CHAR_NAMES = ("M(1)", "M(1)+", "M(1)-", "V_Zb+", "V_Zb-")
-
-
 def _name_index(name):
     """The integer N of an object name PREFIX-N, or None."""
     try:
@@ -118,30 +115,25 @@ def _name_index(name):
 def _cmd_char(args):
     n_max = args.max_weight
     name = args.object
-    if name in _CHAR_NAMES:
-        series = char_series(name, n_max)
-    elif name.startswith("eigenspace-"):
+    if name.startswith("eigenspace-"):
         j = _name_index(name)
         if j not in (0, 1, 2):
             print("error: eigenspace index must be 0, 1, or 2", file=sys.stderr)
             return 2
-        series = eigenspace_char(j, n_max)
+        dims = eigenspace_char(j, n_max)
     elif name.startswith("L1-"):
         n = _name_index(name)
         if n is None or n < 0:
             print("error: L1 index must be a nonnegative integer",
                   file=sys.stderr)
             return 2
-        series = char_L1(n, n_max)
+        dims = char_L1(n, n_max)
     else:
         try:
-            series = None
-            dims = [graded_dim(name, w) for w in range(n_max + 1)]
-        except Exception:
+            dims = char_series(name, n_max)
+        except ValueError:
             print("error: unknown object %r" % name, file=sys.stderr)
             return 2
-    if series is not None:
-        dims = [series.coefficient(w) for w in range(n_max + 1)]
     for w, d in enumerate(dims):
         print("q^%-3d %d" % (w, d))
     return 0

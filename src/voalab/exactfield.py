@@ -339,11 +339,5 @@ def sqrt2_power(e):
     return ONE.mul_rat_sqrt2(1, e)
 
 
-# Module-level aliases matching the functional interface.
-
-def is_rational(a):
-    return sc(a).is_rational()
-
-
 def as_rational(a):
     return sc(a).as_rational()

@@ -109,65 +109,22 @@ def graded_dim(name, w):
     return sum(partition_count(int(r)) for r in rems if r.denominator == 1)
 
 
-class QSeries:
-    """A truncated integer-graded dimension series."""
-
-    __slots__ = ("coeffs", "n_max")
-
-    def __init__(self, coeffs, n_max=None):
-        coeffs = list(coeffs)
-        self.n_max = len(coeffs) - 1 if n_max is None else n_max
-        self.coeffs = coeffs[: self.n_max + 1]
-
-    def coefficient(self, n):
-        if n > self.n_max:
-            raise ValueError("coefficient %d beyond truncation %d" % (n, self.n_max))
-        return self.coeffs[n] if 0 <= n <= self.n_max else 0
-
-    def _align(self, other):
-        n = min(self.n_max, other.n_max)
-        return n, self.coeffs[: n + 1], other.coeffs[: n + 1]
-
-    def __add__(self, other):
-        n, a, b = self._align(other)
-        return QSeries([x + y for x, y in zip(a, b)], n)
-
-    def __sub__(self, other):
-        n, a, b = self._align(other)
-        return QSeries([x - y for x, y in zip(a, b)], n)
-
-    def __mul__(self, k):
-        return QSeries([k * x for x in self.coeffs], self.n_max)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        n, a, b = self._align(other)
-        return a == b
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def __str__(self):
-        return " + ".join("%d q^%d" % (c, n) for n, c in enumerate(self.coeffs)
-                          if c) or "0"
-
-
 def char_series(name, n_max):
-    return QSeries([graded_dim(name, n) for n in range(n_max + 1)], n_max)
+    """The list of graded dimensions of a named space at weights
+    0..n_max; ValueError for an unknown name."""
+    return [graded_dim(name, n) for n in range(n_max + 1)]
 
 
 def char_L1(n, n_max):
-    """The graded dimensions of the irreducible c=1 module with lowest
-    weight n^2 (n a nonnegative integer); ValueError for n < 0."""
+    """The list of graded dimensions at weights 0..n_max of the
+    irreducible c=1 module with lowest weight n^2 (n a nonnegative
+    integer); ValueError for n < 0."""
     if n < 0:
         raise ValueError("char_L1 needs n >= 0, got %s" % n)
     lo = n * n
     hi = (n + 1) * (n + 1)
-    return QSeries([partition_count(t - lo) - partition_count(t - hi)
-                    for t in range(n_max + 1)], n_max)
+    return [partition_count(t - lo) - partition_count(t - hi)
+            for t in range(n_max + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -306,8 +263,9 @@ def sigma_eigendims(states):
 
 
 def eigenspace_char(j, n_max):
-    """The character of one eigenspace of the order-3 symmetry on the
-    theta-fixed lattice algebra, from the exact trace formulas.
+    """The list of graded dimensions at weights 0..n_max of one
+    eigenspace of the order-3 symmetry on the theta-fixed lattice
+    algebra, from the exact trace formulas.
 
     The theta-fixed algebra is the Klein fixed-point algebra inside the
     full lattice algebra, and the order-3 symmetry extends the Klein
@@ -322,7 +280,7 @@ def eigenspace_char(j, n_max):
         if num % 3:
             raise ArithmeticError("eigenspace trace average is not integral at weight %d" % w)
         coeffs.append(num // 3)
-    return QSeries(coeffs, n_max)
+    return coeffs
 
 
 def verify_fixed_algebra_decomposition(n_max=25):
@@ -333,11 +291,8 @@ def verify_fixed_algebra_decomposition(n_max=25):
     Also certifies that the three eigenspace characters add up to the
     character of the whole theta-fixed lattice algebra.
     """
-    total = char_series("V_Zb+", n_max)
-    esum = QSeries([0] * (n_max + 1), n_max)
-    for j in (0, 1, 2):
-        esum = esum + eigenspace_char(j, n_max)
-    if esum != total:
+    chars = [eigenspace_char(j, n_max) for j in (0, 1, 2)]
+    if [sum(ds) for ds in zip(*chars)] != char_series("V_Zb+", n_max):
         raise ArithmeticError("eigenspace characters do not add up to the full character")
     return {n: row[0] for n, row in multiplet_spectrum_table(n_max).items()}
 
@@ -356,16 +311,16 @@ def multiplet_spectrum_table(n_max=25):
     while n * n <= n_max:
         row = []
         for j in (0, 1, 2):
-            a = rems[j].coefficient(n * n)
+            a = rems[j][n * n]
             if a < 0:
                 raise ArithmeticError("negative multiplicity at n=%d, j=%d" % (n, j))
             row.append(a)
             if a:
-                rems[j] = rems[j] - char_L1(n, n_max) * a
+                rems[j] = [r - a * c for r, c in zip(rems[j], char_L1(n, n_max))]
         table[n] = tuple(row)
         n += 1
     for j in (0, 1, 2):
-        if not rems[j].is_zero():
+        if any(rems[j]):
             raise ArithmeticError("eigenspace %d has a non-square remainder" % j)
     return table
 

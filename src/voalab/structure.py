@@ -184,23 +184,6 @@ def word_states(words, base):
 # Exact decomposition over a spanning family.
 
 
-class DecompositionResult:
-    """Coefficients over a flat list of vectors plus an exact residual."""
-
-    __slots__ = ("coefficients", "residual")
-
-    def __init__(self, coefficients, residual):
-        self.coefficients = coefficients
-        self.residual = residual
-
-    @property
-    def exact(self):
-        return not self.residual
-
-    def __iter__(self):
-        return iter((self.coefficients, self.residual))
-
-
 def decompose_over(target, vectors, blocks=None):
     """Resolve target against the given vectors, block by block.
 
@@ -214,9 +197,10 @@ def decompose_over(target, vectors, blocks=None):
     block's combination is summed on the planes.  A block whose N or R
     has an irrational entry, or whose N is singular modulo the lifting
     prime (see `solve_square`), falls back to `express_in_span`, so the
-    answer stays exact.  The returned residual is target minus the
-    combination of the returned coefficients, so a zero residual
-    certifies the answer independently of the orthogonality assumption.
+    answer stays exact.  Returns (coefficients, residual): the residual
+    is target minus the combination of the coefficients, so a zero
+    residual certifies the answer independently of the orthogonality
+    assumption.
     """
     if blocks is None:
         blocks = [list(range(len(vectors)))]
@@ -244,7 +228,7 @@ def decompose_over(target, vectors, blocks=None):
             coeffs[i] = sc(x)
         combo = combo + State(packed=_trim(*_sum_planes(
             [(x / d, p) for x, (d, p) in zip(xs, states)])))
-    return DecompositionResult(coeffs, target - combo)
+    return coeffs, target - combo
 
 
 # --------------------------------------------------------------------------
@@ -260,8 +244,7 @@ def build_u16():
     P = mode_apply(J, -9, J) + mode_apply_theta_even(E, -9, E) * 27
     words = vacuum_words(16)
     states = word_states(words, State.basis(()))
-    dec = decompose_over(P, states)
-    u16 = dec.residual
+    _, u16 = decompose_over(P, states)
     if u16.weight() != 16:
         raise ArithmeticError("unexpected weight for the stripped vector")
     if not is_primary(u16):
@@ -273,10 +256,9 @@ def build_u16():
     return u16
 
 
-def c_functional(v, weight=None):
+def c_functional(v):
     """The coefficient of h(-1)^w |0> in v, w the weight of v."""
-    w = v.weight() if weight is None else weight
+    w = v.weight()
     if w is None:
         return ZERO
-    w = int(w)
-    return v.coefficient((1,) * w)
+    return v.coefficient((1,) * int(w))

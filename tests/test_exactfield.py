@@ -8,7 +8,7 @@ import pytest
 
 from voalab.exactfield import (
     BASIS_MUL, I, ONE, SQRT2, SQRT3, SQRT6, ZERO, Scalar, as_rational,
-    exp_two_pi_i, is_rational, rat, sc, sixth_root, sqrt2_power,
+    exp_two_pi_i, rat, sc, sixth_root, sqrt2_power,
 )
 
 BASIS = (ONE, SQRT2, SQRT3, SQRT6, I, SQRT2 * I, SQRT3 * I, SQRT6 * I)
@@ -127,9 +127,9 @@ def test_inverse_random():
 
 
 def test_rationality():
-    assert is_rational(sc(5))
+    assert sc(5).is_rational()
     assert as_rational(sc(Fraction(5, 3))) == Fraction(5, 3)
-    assert not is_rational(sqrt2_power(1))
+    assert not sqrt2_power(1).is_rational()
     with pytest.raises(Exception):
         as_rational(sqrt2_power(1))
     assert rat(3) == Fraction(3)

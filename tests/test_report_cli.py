@@ -7,6 +7,7 @@ import pytest
 
 from voalab import cli, mode_apply, named_vector, paperlab
 from voalab.paperlab import CheckSpec
+from voalab.sectors import char_L1, char_series, eigenspace_char
 
 
 def run_cli(argv, capsys):
@@ -172,6 +173,27 @@ def test_char_reports_bad_object_indices(capsys):
     assert code == 0
     assert [int(ln.split()[-1]) for ln in out.splitlines()] == \
         [0, 0, 0, 0, 1, 1, 2]
+
+
+def test_char_prints_the_library_lists(capsys):
+    # every named space, eigenspace and c=1 module prints its library list
+    cases = (("M(1)+", char_series("M(1)+", 12), 40),
+             ("V_Zb-", char_series("V_Zb-", 12), 59),
+             ("V_L2", char_series("V_L2", 12), 239),
+             ("eigenspace-1", eigenspace_char(1, 12), 19),
+             ("L1-2", char_L1(2, 12), 19))
+    for name, dims, last in cases:
+        code, out, err = run_cli(["char", "--object", name,
+                                  "--max-weight", "12"], capsys)
+        assert code == 0 and err == "", name
+        lines = out.splitlines()
+        assert [ln.split()[0] for ln in lines] == \
+            ["q^%d" % w for w in range(13)], name
+        assert [int(ln.split()[-1]) for ln in lines] == dims, name
+        assert dims[-1] == last, name
+    code, out, err = run_cli(["char", "--object", "nope"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: unknown object 'nope'\n"
 
 
 def test_negative_max_weight_is_refused(capsys):

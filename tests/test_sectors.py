@@ -15,7 +15,7 @@ from voalab.fockspace import (
 from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.structure import is_primary
 from voalab.sectors import (
-    QSeries, brute_fixed_dims, char_L1, char_series,
+    brute_fixed_dims, char_L1, char_series,
     decompose_quarter_module, dim_full_lattice, eigenspace_char, graded_dim,
     klein_fixed_dim, module_catalog, partition_count,
     partition_count_even_length, quarter_cube_is_minus_one, sector_top,
@@ -53,33 +53,20 @@ def test_graded_dims():
             assert graded_dim(name, w) == want, (name, w)
 
 
-def test_qseries():
-    s = QSeries([1, 0, 3])
-    assert s.coefficient(0) == 1
-    assert s.coefficient(2) == 3
-    assert s.coefficient(1) == 0
-    with pytest.raises(ValueError):
-        s.coefficient(5)
-    t = QSeries([1, 0, 3, 9])
-    assert s == t
-    assert (s + t).coefficient(2) == 6
-    assert (2 * s).coefficient(2) == 6
-
-
 def test_char_series_consistency():
     vzb = char_series("V_Zb+", 8)
     for w in range(9):
-        assert vzb.coefficient(w) == graded_dim("V_Zb+", w)
+        assert vzb[w] == graded_dim("V_Zb+", w)
 
 
 def test_char_L1_rows():
     # L(1, n^2) dimensions: p(t - n^2) - p(t - (n+1)^2)
     row0 = char_L1(0, 10)
     for t in range(11):
-        assert row0.coefficient(t) == partition_count(t) - (partition_count(t - 1) if t >= 1 else 0)
+        assert row0[t] == partition_count(t) - (partition_count(t - 1) if t >= 1 else 0)
     row2 = char_L1(2, 10)
-    assert row2.coefficient(4) == 1
-    assert row2.coefficient(3) == 0
+    assert row2[4] == 1
+    assert row2[3] == 0
     # n is a nonnegative integer: a negative n has no module
     for n in (-1, -2):
         with pytest.raises(ValueError):
@@ -90,12 +77,12 @@ def test_brute_fixed_dims_match_eigenspace_character():
     dims = brute_fixed_dims(6)
     fixed_char = eigenspace_char(0, 6)
     for w, d in dims.items():
-        assert d == fixed_char.coefficient(w)
+        assert d == fixed_char[w]
     assert dims[0] == 1
     total = char_series("V_Zb+", 6)
     other = eigenspace_char(1, 6)
     for w in range(7):
-        assert fixed_char.coefficient(w) + 2 * other.coefficient(w) == total.coefficient(w)
+        assert fixed_char[w] + 2 * other[w] == total[w]
 
 
 def test_traces():

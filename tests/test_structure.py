@@ -171,9 +171,9 @@ def test_gram_rational_matches_per_term_route():
     target = State()
     for c, v in zip(coeffs, seeded):
         target = target + v * c
-    dec = decompose_over(target, seeded)
-    assert dec.exact
-    assert dec.coefficients == coeffs
+    got, residual = decompose_over(target, seeded)
+    assert not residual
+    assert got == coeffs
 
 
 def _shapovalov_gram(words, h):
@@ -257,10 +257,10 @@ def test_decompose_over_irrational_gram_falls_back(monkeypatch):
     vectors = [J + E * SQRT2, E]
     with pytest.raises(ArithmeticError):
         gram_rational(vectors)
-    dec = decompose_over(J, vectors)
+    coeffs, residual = decompose_over(J, vectors)
     assert calls == [2]
-    assert dec.exact
-    assert dec.coefficients == [ONE, -SQRT2]
+    assert not residual
+    assert coeffs == [ONE, -SQRT2]
 
 
 def test_symmetric_gram_fill_matches_the_full_fill():
@@ -291,10 +291,10 @@ def test_decompose_over_gram_divisible_by_lifting_prime_falls_back(monkeypatch):
     monkeypatch.setattr(structure, "express_in_span", spy)
     p = linalg._PRIME
     assert gram_rational([J * sc(p)]) == [[Fraction(54 * p * p)]]
-    dec = decompose_over(J, [J * sc(p)])
+    coeffs, residual = decompose_over(J, [J * sc(p)])
     assert calls == [1]
-    assert dec.exact
-    assert dec.coefficients == [sc(Fraction(1, p))]
+    assert not residual
+    assert coeffs == [sc(Fraction(1, p))]
 
 
 def test_is_primary():
@@ -329,21 +329,21 @@ def test_word_states():
 
 
 def test_decompose_over_exact():
-    dec = decompose_over(J, [J, E])
-    assert dec.exact
-    assert dec.coefficients == [ONE, ZERO]
+    coeffs, residual = decompose_over(J, [J, E])
+    assert not residual
+    assert coeffs == [ONE, ZERO]
     combo = J * sc(3) + E * sc(Fraction(-1, 2))
-    dec2 = decompose_over(combo, [J, E])
-    assert dec2.exact
-    assert dec2.coefficients == [sc(3), sc(Fraction(-1, 2))]
+    coeffs, residual = decompose_over(combo, [J, E])
+    assert not residual
+    assert coeffs == [sc(3), sc(Fraction(-1, 2))]
 
 
 def test_decompose_over_residual():
     target = J + virasoro_mode(-2, OMEGA)
-    dec = decompose_over(target, [J])
-    assert not dec.exact
-    assert dec.coefficients == [ONE]
-    assert dec.residual == virasoro_mode(-2, OMEGA)
+    coeffs, residual = decompose_over(target, [J])
+    assert residual
+    assert coeffs == [ONE]
+    assert residual == virasoro_mode(-2, OMEGA)
 
 
 def test_gram_rational():
