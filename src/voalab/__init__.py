@@ -9,12 +9,10 @@ machine-checked structural identities with a command line front end.
 
 from .exactfield import ONE, ZERO, Scalar, as_rational, rat, sc, sixth_root, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
-from .fockspace import (
-    KeyWidthError, State, graded_states, named_vector, theta, theta_even_states,
-)
+from .fockspace import KeyWidthError, State, graded_states, theta, theta_even_states
 from .structure import (
     build_u16, c_functional, decompose_over, gram_rational, is_primary,
-    pair, vacuum_words, word_states,
+    named_vector, pair, vacuum_words, word_states,
 )
 from .vertexengine import (
     ModeLegalityError, RationalPowerSeries, delta_apply, mode_apply,

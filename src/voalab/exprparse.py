@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactfield import I, SQRT2, SQRT3, SQRT6, Scalar, sc
-from .fockspace import State, named_vector
+from .fockspace import State
+from .structure import named_vector
 
 _CONSTS = {"i": I, "r2": SQRT2, "r3": SQRT3, "r6": SQRT6}
 

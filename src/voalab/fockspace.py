@@ -35,6 +35,11 @@ runs on them: the arithmetic of `State` (`_sum_planes`,
 `_scale_planes`), the parts of `_split`, `theta`, `tau1`,
 `linalg.Echelon` and the mode engine of `vertexengine`.  Other modules
 read keys and planes only through the functions defined here.
+
+This is the bottom data layer: it imports only `exactfield`.  So of the
+paper's named vectors it holds only those written down as monomials
+(`basic_vector`); the ones the mode engine builds, and the whole
+catalog, are in `structure`.
 """
 
 from __future__ import annotations
@@ -527,7 +532,8 @@ def theta_even_states(name, w):
 
 
 # --------------------------------------------------------------------------
-# Catalog of frequently used vectors.
+# The named vectors made from monomials alone; `structure.named_vector`
+# adds the ones the mode engine builds.
 
 
 def _half(x):
@@ -580,58 +586,10 @@ def _build_basic():
     }
 
 
-def _build_derived(name):
-    # Virasoro-word combinations; imported late to avoid an import cycle.
-    from .vertexengine import apply_word
-
-    one = named_vector("one")
-    J = named_vector("J")
-    E = named_vector("E")
-
-    def words(base, items):
-        acc = State()
-        for word, c in items:
-            acc = acc + apply_word([-m for m in word], base) * sc(Fraction(c))
-        return acc
-
-    if name == "u0":
-        return words(one, [((4,), Fraction(-8, 3)), ((2, 2), Fraction(112, 9))])
-    if name == "u1":
-        return words(one, [((5,), Fraction(-16, 9)), ((3, 2), Fraction(112, 9))])
-    if name == "u2":
-        return words(one, [((6,), Fraction(-1856, 135)), ((4, 2), Fraction(-2384, 135)),
-                           ((3, 3), Fraction(1316, 135)), ((2, 2, 2), Fraction(1088, 135))])
-    if name == "u3":
-        return words(one, [((7,), Fraction(-464, 45)), ((5, 2), Fraction(-928, 45)),
-                           ((4, 3), Fraction(40, 9)), ((3, 2, 2), Fraction(544, 45))])
-    if name in ("v2", "v4"):
-        base = J if name == "v2" else E
-        return words(base, [((2,), Fraction(28, 75)), ((1, 1), Fraction(23, 300))])
-    if name in ("v3", "v5"):
-        base = J if name == "v3" else E
-        return words(base, [((3,), Fraction(14, 75)), ((2, 1), Fraction(14, 75)),
-                            ((1, 1, 1), Fraction(-1, 300))])
-    if name == "W":
-        from .vertexengine import mode_apply
-        return mode_apply(J, -2, E) - mode_apply(E, -2, J)
-    if name == "u16":
-        from .structure import build_u16
-        return build_u16()
-    raise KeyError(name)
-
-
-@functools.cache
-def named_vector(name):
-    """Look up a cataloged state by name; each is built once."""
+def basic_vector(name):
+    """A cataloged state built from monomials alone, by name; the
+    catalog of all named vectors is `structure.named_vector`."""
     basic = _build_basic()
-    if name in basic:
-        return basic[name]
-    if name in ("u0", "u1", "u2", "u3", "v2", "v3", "v4", "v5", "W", "u16"):
-        return _build_derived(name)
-    raise KeyError("no cataloged vector named %r" % name)
-
-
-NAMED_VECTORS = ("one", "omega", "J", "E", "F", "E2", "X1", "X2",
-                 "x1", "x2", "x3", "y1", "y2", "h", "hprime",
-                 "u0", "u1", "u2", "u3", "v2", "v3", "v4", "v5",
-                 "u9", "u16", "w1", "w2", "W")
+    if name not in basic:
+        raise KeyError("no cataloged vector named %r" % name)
+    return basic[name]

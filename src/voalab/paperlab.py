@@ -27,13 +27,13 @@ from fractions import Fraction
 from .exactfield import ZERO, as_rational, sc, sqrt2_power
 from .exprparse import parse_scalar_expr, parse_state_expr
 from .fockspace import (
-    State, graded_monomials, graded_states, lattice_component, named_vector,
-    tau1, theta, theta_even_states,
+    State, graded_monomials, graded_states, lattice_component, tau1, theta,
+    theta_even_states,
 )
 from .linalg import express_in_span, fixed_vectors, rank_of
 from .structure import (
-    c_functional, decompose_over, gram_rational, is_primary, pair,
-    vacuum_words, word_states,
+    c_functional, decompose_over, gram_rational, is_primary, named_vector,
+    pair, vacuum_words, word_states,
 )
 from .vertexengine import (
     RationalPowerSeries, apply_word, delta_apply, mode_apply,
@@ -99,7 +99,8 @@ def _cx16():
     return as_rational(c_functional(named_vector("u16")))
 
 
-_twisted_sector = functools.cache(twisted_sector)
+# Bounded above the catalog's 4 sectors, whatever `twisted` ranges a caller tries.
+_twisted_sector = functools.lru_cache(maxsize=8)(twisted_sector)
 _quarter = functools.cache(decompose_quarter_module)
 
 

@@ -14,11 +14,11 @@ from .exactfield import (
     HALF, I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power,
 )
 from .fockspace import (
-    State, _charge, _split, graded_monomials, graded_states, named_vector,
-    ratio, sector_charges, theta, theta_even_states,
+    State, _charge, _split, graded_monomials, graded_states, ratio,
+    sector_charges, theta, theta_even_states,
 )
 from .linalg import Echelon, express_in_span, rank_of
-from .structure import is_primary
+from .structure import is_primary, named_vector
 from .vertexengine import (
     charge_chain, hprime_eigenvector, mode_apply, twisted_weight,
     virasoro_mode,

@@ -1,4 +1,5 @@
-"""Structure tools: invariant form, Virasoro words, decompositions.
+"""Structure tools: invariant form, Virasoro words, decompositions, and
+the catalog of the paper's named vectors (`named_vector`).
 
 The invariant bilinear form is normalized by (1, 1) = 1 and pairs a
 monomial h(-n_1)...h(-n_s) e^{qb} with h(-n_1)...h(-n_s) e^{-qb} to the
@@ -18,13 +19,14 @@ system to `solve_square` and sums its combination on the planes.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
 
 from .exactfield import BASIS_MUL, ZERO, _norm, sc
 from .fockspace import (
-    State, _charge, _conjugate, _parts, _sum_planes, _trim, named_vector,
+    State, _charge, _conjugate, _parts, _sum_planes, _trim, basic_vector,
     lattice_component, partitions,
 )
 from .linalg import express_in_span, solve_square
@@ -238,9 +240,9 @@ def decompose_over(target, vectors, blocks=None):
 def build_u16():
     """The weight-16 primary obtained by stripping the vacuum-module
     component from J_{-9} J + 27 E_{-9} E."""
-    J = named_vector("J")
-    E = named_vector("E")
-    E2 = named_vector("E2")
+    J = basic_vector("J")
+    E = basic_vector("E")
+    E2 = basic_vector("E2")
     P = mode_apply(J, -9, J) + mode_apply_theta_even(E, -9, E) * 27
     words = vacuum_words(16)
     states = word_states(words, State.basis(()))
@@ -254,6 +256,45 @@ def build_u16():
     if any(_gram([u16.packed], [v.packed for v in states])[0]):
         raise ArithmeticError("stripped vector is not orthogonal to the vacuum module")
     return u16
+
+
+# --------------------------------------------------------------------------
+# The catalog of named vectors.  The Virasoro-word vectors are
+# {name: (base, ((parts, coefficient), ...))}, each the sum of
+# coefficient L(-p_1)...L(-p_s) base over its words.
+
+_WORD_VECTORS = {
+    "u0": ("one", (((4,), Fraction(-8, 3)), ((2, 2), Fraction(112, 9)))),
+    "u1": ("one", (((5,), Fraction(-16, 9)), ((3, 2), Fraction(112, 9)))),
+    "u2": ("one", (((6,), Fraction(-1856, 135)), ((4, 2), Fraction(-2384, 135)),
+                   ((3, 3), Fraction(1316, 135)), ((2, 2, 2), Fraction(1088, 135)))),
+    "u3": ("one", (((7,), Fraction(-464, 45)), ((5, 2), Fraction(-928, 45)),
+                   ((4, 3), Fraction(40, 9)), ((3, 2, 2), Fraction(544, 45)))),
+    "v2": ("J", (((2,), Fraction(28, 75)), ((1, 1), Fraction(23, 300)))),
+    "v3": ("J", (((3,), Fraction(14, 75)), ((2, 1), Fraction(14, 75)),
+                 ((1, 1, 1), Fraction(-1, 300)))),
+    "v4": ("E", (((2,), Fraction(28, 75)), ((1, 1), Fraction(23, 300)))),
+    "v5": ("E", (((3,), Fraction(14, 75)), ((2, 1), Fraction(14, 75)),
+                 ((1, 1, 1), Fraction(-1, 300)))),
+}
+
+
+@functools.cache
+def named_vector(name):
+    """The cataloged state of the given name, built once: a Virasoro-word
+    vector, W = J(-2)E - E(-2)J, u16 (`build_u16`), or else one of
+    `fockspace.basic_vector`, which raises KeyError on an unknown name."""
+    if name in _WORD_VECTORS:
+        base, terms = _WORD_VECTORS[name]
+        words, coeffs = zip(*terms)
+        return sum((v * sc(c) for v, c in
+                    zip(word_states(words, basic_vector(base)), coeffs)), State())
+    if name == "W":
+        J, E = basic_vector("J"), basic_vector("E")
+        return mode_apply(J, -2, E) - mode_apply(E, -2, J)
+    if name == "u16":
+        return build_u16()
+    return basic_vector(name)
 
 
 def c_functional(v):

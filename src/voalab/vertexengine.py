@@ -55,7 +55,7 @@ from .exactfield import (
 )
 from .fockspace import (
     _PART, _SHIFT, State, _charge, _check_parts, _check_width, _parts,
-    _split, _sum_planes, _trim, _unpack, mono_weight, named_vector, ratio,
+    _split, _sum_planes, _trim, _unpack, basic_vector, mono_weight, ratio,
     theta,
 )
 from .linalg import Echelon
@@ -503,7 +503,7 @@ def virasoro_mode(n, v):
 
     This is the mode omega(n + 1) of omega = (1/2) h(-1)^2 |0>, applied
     through the free-field form (`_virasoro_amps`); the general route
-    `mode_apply(named_vector("omega"), n + 1, v)` is its test oracle.
+    `mode_apply(basic_vector("omega"), n + 1, v)` is its test oracle.
     Raises ModeLegalityError for a non-integer n on a nonzero v, and
     KeyWidthError when a monomial of v or of L(n) v is beyond the key
     width.
@@ -673,7 +673,7 @@ def hprime_eigenvector(p):
     it is first computed."""
     lam = Fraction(next(iter(p.terms))[1], 12)
     gp = charge_chain([(-4, _C), (4, _U)], p)
-    if mode_apply(named_vector("hprime"), 0, gp) != gp * sc(lam):
+    if mode_apply(basic_vector("hprime"), 0, gp) != gp * sc(lam):
         raise ArithmeticError("g p is not an h'(0) eigenvector for %s" % lam)
     return lam, gp
 
@@ -733,8 +733,8 @@ def delta_apply(hvec, v):
     for s h' on a charge outside (1/4)Z b, and ArithmeticError on an
     eigenvalue that is not rational.
     """
-    s = ratio(hvec, named_vector("hprime"))
-    t = ratio(hvec, named_vector("h"))
+    s = ratio(hvec, basic_vector("hprime"))
+    t = ratio(hvec, basic_vector("h"))
     if s is None and t is None:
         raise ValueError("shift vector must be a multiple of h' or of h")
     # exp(sum_k ((-1)^{k+1}/k) hvec(k) z^{-k}) on each weight-w part of v:
@@ -785,7 +785,7 @@ def twisted_mode_apply(u, n, v, hvec):
     den, planes = v.packed
     odd = sorted({Fraction(q8, 8) for plane in planes.values()
                   for q8 in map(_charge, plane) if q8 % 2})
-    if odd and ratio(hvec, named_vector("h")) is None:
+    if odd and ratio(hvec, basic_vector("h")) is None:
         raise ModeLegalityError(
             "twisted modes for the h' shift need charges in (1/4)Z b;"
             " got charge %s" % ", ".join("%sb" % q for q in odd))
@@ -798,4 +798,4 @@ def twisted_mode_apply(u, n, v, hvec):
 def twisted_weight(v, hvec):
     """Apply the twisted L(0) for the hvec twist (ModeLegalityError on a
     charge of v outside (1/4)Z b when hvec is a nonzero multiple of h')."""
-    return twisted_mode_apply(named_vector("omega"), 1, v, hvec)
+    return twisted_mode_apply(basic_vector("omega"), 1, v, hvec)

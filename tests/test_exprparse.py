@@ -6,7 +6,8 @@ import pytest
 
 from voalab.exactfield import ONE, sc
 from voalab.exprparse import ExprError, parse_scalar_expr, parse_state_expr
-from voalab.fockspace import State, named_vector
+from voalab.fockspace import State
+from voalab.structure import named_vector
 
 
 def test_named_atoms():

@@ -9,13 +9,13 @@ import pytest
 from voalab import fockspace
 from voalab.exactfield import I, ONE, SQRT2, SQRT3, ZERO, sc, sqrt2_power
 from voalab.fockspace import (
-    NAMED_VECTORS, State, _build_basic, basis_monomials, graded_monomials,
-    graded_states, lattice_component, named_vector, partitions, ratio,
-    sector_charges, theta, theta_even_states, tau1,
+    State, _build_basic, basis_monomials, graded_monomials, graded_states,
+    lattice_component, partitions, ratio, sector_charges, theta,
+    theta_even_states, tau1,
 )
 from voalab.linalg import express_in_span, fixed_vectors, rank_of
 from voalab.sectors import dim_full_lattice, graded_dim, sigma
-from voalab.structure import pair
+from voalab.structure import _WORD_VECTORS, named_vector, pair
 from voalab.vertexengine import (
     apply_word, charge_chain, mode_apply, mode_apply_theta_even,
     twisted_mode_apply,
@@ -124,7 +124,7 @@ def test_named_vector_weights():
     for name, wt in expected.items():
         v = named_vector(name)
         assert v.weight() == wt, name
-    assert set(expected) == set(NAMED_VECTORS)
+    assert set(expected) == set(_build_basic()) | set(_WORD_VECTORS) | {"W", "u16"}
 
 
 def test_named_vector_unknown():

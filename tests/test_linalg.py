@@ -8,9 +8,9 @@ from math import lcm
 import pytest
 
 from voalab import linalg
-from voalab.fockspace import State, named_vector
+from voalab.fockspace import State
 from voalab.linalg import SingularMatrixError, solve_square
-from voalab.structure import _gram, vacuum_words, word_states
+from voalab.structure import _gram, named_vector, vacuum_words, word_states
 from voalab.vertexengine import mode_apply, mode_apply_theta_even
 
 

@@ -8,10 +8,9 @@ import pathlib
 import pytest
 
 from voalab.exactfield import SQRT2, exp_two_pi_i
-from voalab.fockspace import (
-    State, basis_monomials, named_vector, sector_charges, to_q8,
-)
+from voalab.fockspace import State, basis_monomials, sector_charges, to_q8
 from voalab.sectors import graded_dim, twisted_sector
+from voalab.structure import named_vector
 from voalab.vertexengine import RationalPowerSeries
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "voalab"

@@ -12,12 +12,13 @@ import pytest
 from voalab import paperlab, sectors
 from voalab.exactfield import sc, sixth_root, sqrt2_power
 from voalab.exprparse import parse_scalar_expr
-from voalab.fockspace import State, graded_states, named_vector
+from voalab.fockspace import State, graded_states
 from voalab.linalg import express_in_span
 from voalab.paperlab import (
     CheckResult, CheckSpec, DEFAULT_CONFIG, Report, all_checks, emit_report,
     get_check, run_checks,
 )
+from voalab.structure import named_vector
 from voalab.vertexengine import (
     ModeLegalityError, RationalPowerSeries, hprime_eigenvector,
     twisted_mode_apply,
@@ -151,6 +152,15 @@ def test_artifact_builds_once():
     with pytest.raises(ValueError):
         cache(3, 1)
     assert cache.cache_info().currsize == after.currsize
+
+
+def test_twisted_sector_cache_is_bounded():
+    # every bound below 1/36 builds an empty sector
+    cache = paperlab._twisted_sector
+    for k in range(20):
+        cache(1, 1, bound=Fraction(k, 1000))
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_config_defaults_and_copy():

@@ -9,11 +9,11 @@ import pytest
 from voalab import paperlab, sectors, vertexengine
 from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sixth_root
 from voalab.fockspace import (
-    State, basis_monomials, graded_states, named_vector, partitions, ratio,
-    sector_charges, theta, theta_even_states,
+    State, basis_monomials, graded_states, partitions, ratio, sector_charges,
+    theta, theta_even_states,
 )
 from voalab.linalg import Echelon, express_in_span, rank_of
-from voalab.structure import is_primary
+from voalab.structure import is_primary, named_vector
 from voalab.sectors import (
     brute_fixed_dims, char_L1, char_series,
     decompose_quarter_module, dim_full_lattice, eigenspace_char, graded_dim,

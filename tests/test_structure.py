@@ -10,13 +10,12 @@ import pytest
 from voalab import linalg, paperlab, structure
 from voalab.exactfield import I, ONE, SQRT2, SQRT3, SQRT6, ZERO, as_rational, sc
 from voalab.fockspace import (
-    KeyWidthError, State, basis_monomials, graded_states, named_vector,
-    theta, tau1,
+    KeyWidthError, State, basis_monomials, graded_states, theta, tau1,
 )
 from voalab.linalg import fixed_vectors
 from voalab.structure import (
     build_u16, c_functional, decompose_over, gram_rational, is_primary,
-    pair, vacuum_words, word_states,
+    named_vector, pair, vacuum_words, word_states,
 )
 from voalab.vertexengine import mode_apply, virasoro_mode
 

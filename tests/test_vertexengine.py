@@ -13,8 +13,9 @@ from voalab.exactfield import (
 )
 from voalab.fockspace import (
     MAX_DEGREE, KeyWidthError, State, _pack, _unpack, graded_states,
-    lattice_component, mono_weight, named_vector, partitions, tau1, theta,
+    lattice_component, mono_weight, partitions, tau1, theta,
 )
+from voalab.structure import named_vector
 from voalab.vertexengine import (
     ModeIndex, ModeLegalityError, RationalPowerSeries, _expansion,
     _pair_modes, _rational_roots, _root_bound, apply_word, charge_chain,
