@@ -99,8 +99,6 @@ def _cx16():
     return as_rational(c_functional(named_vector("u16")))
 
 
-# Bounded above the catalog's 4 sectors, whatever `twisted` ranges a caller tries.
-_twisted_sector = functools.lru_cache(maxsize=8)(twisted_sector)
 _quarter = functools.cache(decompose_quarter_module)
 
 
@@ -114,9 +112,10 @@ def _gen_block(info):
     return [as_rational(c) for c in info["coeffs"][nvac:]]
 
 
-def _twisted(i, j, cfg):
+@functools.cache
+def _twisted(i, j):
     lowest = Fraction(1, 36) if i == 1 else Fraction(1, 9)
-    return _twisted_sector(i, j, bound=lowest + Fraction(cfg["twisted"]))
+    return twisted_sector(i, j, bound=lowest + DEFAULT_CONFIG["twisted"])
 
 
 # --------------------------------------------------------------------------
@@ -342,16 +341,16 @@ def _select(selection):
     return list(chosen.values())
 
 
-def _check_config(cfg):
-    """ValueError, naming the key, unless the truncations `characters`
-    and `eigenspaces` are nonnegative ints and the range `twisted` is a
-    nonnegative int or Fraction."""
-    for key, kinds in (("characters", (int,)), ("eigenspaces", (int,)),
-                       ("twisted", (int, Fraction))):
-        value = cfg[key]
-        if type(value) not in kinds or value < 0:
-            raise ValueError("config %r must be a nonnegative %s, got %r" % (
-                key, " or ".join(k.__name__ for k in kinds), value))
+def _check_config(config):
+    """ValueError, naming the key, unless config sets only the character
+    truncation `characters`, to a nonnegative int."""
+    for key, value in config.items():
+        if key != "characters":
+            raise ValueError("config %r cannot be set; only 'characters' can"
+                             % (key,))
+        if type(value) is not int or value < 0:
+            raise ValueError("config %r must be a nonnegative int, got %r"
+                             % (key, value))
 
 
 def run_checks(selection=None, config=None):
@@ -361,8 +360,8 @@ def run_checks(selection=None, config=None):
     needs it."""
     cfg = dict(DEFAULT_CONFIG)
     if config:
+        _check_config(config)
         cfg.update(config)
-    _check_config(cfg)
     specs = _select(selection)
     ordered = sorted(specs, key=lambda s: (s.cost != "heavy", s.id))
     checks = sorted((_run_one(spec, cfg) for spec in ordered),
@@ -927,8 +926,8 @@ def _chk_w_structure(cfg):
         "the four shifted sectors have lowest weights 1/36, 1/9, 1/36, 1/9",
         "thm-5.4", tags=("criterion-7",))
 def _chk_lowest_weights(cfg):
-    got = (_twisted(1, 1, cfg)["lowest"], _twisted(2, 1, cfg)["lowest"],
-           _twisted(1, 2, cfg)["lowest"], _twisted(2, 2, cfg)["lowest"])
+    got = (_twisted(1, 1)["lowest"], _twisted(2, 1)["lowest"],
+           _twisted(1, 2)["lowest"], _twisted(2, 2)["lowest"])
     return got, (Fraction(1, 36), Fraction(1, 9),
                  Fraction(1, 36), Fraction(1, 9))
 
@@ -939,8 +938,8 @@ def _chk_lowest_weights(cfg):
         "the recorded spanning vectors",
         "lemma-5.3", tags=("criterion-7",))
 def _chk_graded_pieces(cfg):
-    ts1 = _twisted(1, 1, cfg)
-    ts2 = _twisted(2, 1, cfg)
+    ts1 = _twisted(1, 1)
+    ts2 = _twisted(2, 1)
     lo1, lo2 = Fraction(1, 36), Fraction(1, 9)
     y1, y2 = named_vector("y1"), named_vector("y2")
     w1, w2 = named_vector("w1"), named_vector("w2")
@@ -970,8 +969,8 @@ def _chk_graded_pieces(cfg):
         "quarter-charge top vectors",
         "thm-5.4", tags=("criterion-7",))
 def _chk_t2_pieces(cfg):
-    ts1 = _twisted(1, 2, cfg)
-    ts2 = _twisted(2, 2, cfg)
+    ts1 = _twisted(1, 2)
+    ts2 = _twisted(2, 2)
     lo1, lo2 = Fraction(1, 36), Fraction(1, 9)
     y1, y2 = named_vector("y1"), named_vector("y2")
     w1, w2 = named_vector("w1"), named_vector("w2")
@@ -1002,8 +1001,8 @@ def _chk_twelve_weights(cfg):
     y1, y2 = named_vector("y1"), named_vector("y2")
     w1, w2 = named_vector("w1"), named_vector("w2")
     hp = named_vector("hprime")
-    ts11, ts21 = _twisted(1, 1, cfg), _twisted(2, 1, cfg)
-    ts12, ts22 = _twisted(1, 2, cfg), _twisted(2, 2, cfg)
+    ts11, ts21 = _twisted(1, 1), _twisted(2, 1)
+    ts12, ts22 = _twisted(1, 2), _twisted(2, 2)
     g169 = Fraction(16, 9)
     gen21 = _twisted_image(y2, w2, hp, g169)
     gen22 = _twisted_image(y1, w1, -hp, g169)
@@ -1449,7 +1448,7 @@ def _chk_prop_sigma(cfg):
         "thm-5.4", tags=("criterion-10",))
 def _chk_prop_twisted(cfg):
     for i, j in ((1, 1), (2, 1)):
-        ts = _twisted(i, j, cfg)
+        ts = _twisted(i, j)
         cap = ts["lowest"] + 1
         for g in sorted(ts["graded"]):
             if g > cap:

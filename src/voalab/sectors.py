@@ -397,13 +397,10 @@ def top_level_eigenvalue(u, sector_name):
 
 
 def _lambda_bound(i, w):
-    """Largest possible magnitude of a zero-mode eigenvalue at weight w."""
-    q8 = 0 if i == 1 else 2
-    best = Fraction(0)
-    while Fraction(q8 * q8, 16) <= w:
-        best = Fraction(q8, 12)
-        q8 += 4
-    return best
+    """Largest possible magnitude of a zero-mode eigenvalue at weight w:
+    2/3 of the largest charge of module i that carries weight <= w."""
+    module = "V_L2" if i == 1 else "V_L2+a/2"
+    return max(abs(q) for q in sector_charges(module, w)) * Fraction(2, 3)
 
 
 def twisted_sector(i, j, bound=None):

@@ -14,9 +14,10 @@ one integer map keyed by the packed output monomial over one positive
 denominator.  Every operator takes its pair expansions from one bounded
 memo, `_expansion`, which does not store an expansion with more than
 256 output keys.  Every operator reads its creation side from one
-table, `_creation`, memoized independently of the lattice charge: the
-placements of its creation modes, with the exponential cloud partitions
-for a charged operator and without for a charge-zero one.
+table, `_creation`, memoized independently of the lattice charge and
+built by one recursion: it places the creation modes one at a time
+and, for a charged operator, the parts of the exponential cloud one
+cycle at a time; a charge-zero operator builds no cloud.
 
 One kernel, `_apply_planes`, applies a sum of operators x A to the
 planes, A given by its amplitudes in the format of `_pair_modes` and x
@@ -77,41 +78,17 @@ def ModeIndex(n):
 # --------------------------------------------------------------------------
 # Creation-side combinatorics, independent of the lattice charge.
 #
-# All amplitudes are integers over a known denominator.  The weight
-# 1/prod_k (k^{j_k} j_k!) of a partition of c is c!/prod_k (k^{j_k} j_k!)
-# over c!, and that numerator is an integer (it counts the permutations
-# of cycle type lam), so creation coefficients at degree c live over c!.
-# Degrees are packed keys without a charge (their low 8 bits are zero).
-# A creation table is stored flat: a tuple of (s, packed degrees,
-# numerators) per cloud size s, s ascending, the last two tuples in step.
-
-def _table(groups):
-    """The flat creation table of the groups {s: {packed degrees: int}}."""
-    return tuple((s, tuple(group), tuple(group.values()))
-                 for s, group in sorted(groups.items()))
-
-
-def _eminus(c):
-    """The exponential cloud at degree c: the partitions lam of c as a
-    creation table, each with the integer numerator over c! of
-    prod_k 1/(k^{j_k} j_k!), grouped by the length s of lam."""
-    groups = {}
-    fc = math.factorial(c)
-
-    def walk(n, top, key, size, denom, run):
-        # parts are appended in descending order and run counts the
-        # copies of the last part top: the j-th copy of d multiplies
-        # denom by d * j, which makes d^j j! in all
-        if not n:
-            groups.setdefault(size, {})[key] = fc // denom
-            return
-        for d in range(min(n, top), 0, -1):
-            r = run + 1 if d == top else 1
-            walk(n - d, d, key + _PART[d], size + 1, denom * d * r, r)
-
-    walk(c, c + 1, 0, 0, 1, 0)
-    return _table(groups)
-
+# All amplitudes are integers over a known denominator.  The exponential
+# cloud exp(sum_k alpha(-k) z^k / k) weighs a partition lam of c, with
+# j_k parts k, by 1/prod_k (k^{j_k} j_k!); over c! that is the number of
+# permutations of c points with cycle type lam, an integer, so creation
+# coefficients at degree c live over c!.  Counting those permutations by
+# the cycle through one fixed point, of length k in perm(c - 1, k - 1)
+# ways, builds the cloud by the same recursion that places the pending
+# derivative orders.  Degrees are packed keys without a charge (their
+# low 8 bits are zero).  A creation table is stored flat: a tuple of
+# (s, packed degrees, numerators) per cloud size s, s ascending, the
+# last two tuples in step.
 
 # A full catalog run makes 670 distinct (pending, c_target, cloud) keys,
 # the sub-keys of the recursion included; the bound sits well above
@@ -124,31 +101,38 @@ def _creation(pending, c_target, cloud):
 
     pending: ascending tuple of derivative orders n_i assigned to the
     creation channel; each picks a degree k_i >= n_i with coefficient
-    binom(k_i - 1, n_i - 1).  Under a charged operator (cloud true) the
-    degree the k_i leave becomes an exponential cloud partition of size
-    s (`_eminus`); a charge-zero operator has no cloud, and its table
-    is the s = 0 group of the charged one.  One order is placed at a
-    time, perm(c_target, k) rescaling the rest from (c_target - k)! to
-    c_target!, and like degrees merge before the next order is placed.
-    Memoized: the same key recurs across pairs, charges and calls.
+    binom(k_i - 1, n_i - 1), perm(c_target, k_i) rescaling the rest from
+    (c_target - k_i)! to c_target!.  Under a charged operator (cloud
+    true) the degree the k_i leave becomes the exponential cloud, placed
+    one part at a time the same way: a part k, the cycle through a fixed
+    point, weighs perm(c_target - 1, k - 1) and raises the cloud size s
+    by one.  A charge-zero operator has no cloud, and its table is the
+    s = 0 group of the charged one.  Like degrees merge before the next
+    order or part is placed.  Memoized: the same key recurs across
+    pairs, charges and calls.
     """
-    if not pending:
-        if cloud:
-            return _eminus(c_target)
+    # (k, weight, cloud parts added) for each degree k placed next
+    if pending:
+        n0, rest = pending[0], pending[1:]
+        steps = [(k, math.comb(k - 1, n0 - 1) * math.perm(c_target, k), 0)
+                 for k in range(n0, c_target - sum(rest) + 1)]
+    elif cloud and c_target:
+        rest = ()
+        steps = [(k, math.perm(c_target - 1, k - 1), 1)
+                 for k in range(1, c_target + 1)]
+    else:
         return () if c_target else ((0, (0,), (1,)),)
     groups = {}
-    n0 = pending[0]
-    rest = pending[1:]
-    for k in range(n0, c_target - sum(rest) + 1):
-        f = math.comb(k - 1, n0 - 1) * math.perm(c_target, k)
+    for k, f, ds in steps:
         pk = _PART[k]
         for s, degs, nums in _creation(rest, c_target - k, cloud):
-            into = groups.setdefault(s, {})
+            into = groups.setdefault(s + ds, {})
             get = into.get
             for extra, c in zip(degs, nums):
                 extra += pk
                 into[extra] = get(extra, 0) + f * c
-    return _table(groups)
+    return tuple((s, tuple(group), tuple(group.values()))
+                 for s, group in sorted(groups.items()))
 
 
 def _pair_modes(udegs, a8, vkey, n):

@@ -757,13 +757,13 @@ def _flat(table):
 
 def test_creation_cache_is_bounded():
     # two pending derivative orders a <= b under a cloud and creation
-    # degree a + b + r: more keys than the bound holds, each checked
-    # against the oracle
+    # degree a + b + r, and the pure cloud at degrees 0..30: more keys
+    # than the bound holds, each checked against the oracle
     cache = vertexengine._creation
     cap = cache.cache_info().maxsize
     assert cap
     keys = [((a, b), a + b + r) for b in range(1, 41) for a in range(1, b + 1)
-            for r in range(3)]
+            for r in range(3)] + [((), c) for c in range(31)]
     assert len(keys) > cap
     for key in keys:
         table = cache(*key, True)
@@ -790,12 +790,16 @@ def test_charge_zero_mode_reads_no_creation(monkeypatch):
     class Cloud(Exception):
         pass
 
-    def no_cloud(c):
-        raise Cloud(c)
+    creation = vertexengine._creation
+
+    def no_cloud(pending, c_target, cloud):
+        if cloud:
+            raise Cloud(pending, c_target)
+        return creation(pending, c_target, cloud)
 
     vertexengine._memo.clear()
-    vertexengine._creation.cache_clear()
-    monkeypatch.setattr(vertexengine, "_eminus", no_cloud)
+    creation.cache_clear()
+    monkeypatch.setattr(vertexengine, "_creation", no_cloud)
     v = State.basis((2,), Fraction(1, 2))
     got = mode_apply(J, 2, v)
     assert str(got) == ("(8) h(-1)h(-1)h(-1)|1/2b> + (54√2) h(-2)h(-1)|1/2b>"
