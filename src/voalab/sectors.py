@@ -11,10 +11,11 @@ import math
 from fractions import Fraction
 
 from .exactfield import (
-    HALF, I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root, sqrt2_power,
+    BASIS_MUL, HALF, I, ONE, SQRT6, ZERO, Scalar, rat, sc, sixth_root,
+    sqrt2_power,
 )
 from .fockspace import (
-    State, _charge, _split, graded_monomials, graded_states, ratio,
+    State, _charge, _trim, graded_monomials, graded_states, ratio,
     sector_charges, theta, theta_even_states,
 )
 from .linalg import Echelon, express_in_span, rank_of
@@ -192,7 +193,7 @@ def klein_fixed_dim(w):
 # because e and f move the charge by +-a at fixed weight (a8 = 4 for e,
 # -4 for f); the two run as one `charge_chain` on integer coordinate
 # planes.  H is the integer q8/2 on charge (q8/8) b, so t^H then scales
-# the charge-q8 part of the output by t^(q8/2), and 1/t = 1-i (`_t_power`).
+# each coordinate of charge q8 by t^(q8/2), and 1/t = 1-i (`_t_power`).
 
 
 def _t_power(q8):
@@ -214,15 +215,31 @@ def sigma(v):
     engine raises ModeLegalityError (a ValueError) naming the charge.  It
     is computed as t^H exp(-f/2) exp(e) (the sl2 derivation is above), all
     on the planes: the exponentials of the zero modes e, f of e^{+-a} run
-    as one `charge_chain`, then t^H, t = (1+i)/2, scales each charge part
-    of the output.  It is checked in the tests against the Krylov route
-    zero_mode_exp(named_vector("hprime"), v).
+    as one `charge_chain`, then t^H, t = (1+i)/2, is one pass over the
+    planes of its output.  Each coordinate is routed through `BASIS_MUL`
+    times the t^(q8/2) of its key's charge (`_t_power`, read once per
+    charge), over the largest denominator of those powers, all powers of
+    two; one `_trim` ends the pass.  The tests check it against the
+    Krylov route zero_mode_exp(named_vector("hprime"), v) and against a
+    route that scales each charge part as a State, in the Gauss order
+    exp(i f) t^H exp(e).
     """
-    w = charge_chain([(-4, -HALF), (4, ONE)], v)
-    out = State()
-    for q8, part in _split(w, _charge).items():
-        out = out + part * _t_power(q8)
-    return out
+    den, planes = charge_chain([(-4, -HALF), (4, ONE)], v).packed
+    powers = {q8: _t_power(q8) for q8 in
+              {_charge(key) for plane in planes.values() for key in plane}}
+    top = max((x.den for x in powers.values()), default=1)
+    out = {}
+    for p, plane in planes.items():
+        row = BASIS_MUL[p]
+        # per charge: the planes its coordinates land on, and the factors
+        routes = {q8: [(out.setdefault(row[j][0], {}),
+                        row[j][1] * xj * (top // x.den))
+                       for j, xj in enumerate(x.num) if xj]
+                  for q8, x in powers.items()}
+        for key, c in plane.items():
+            for into, f in routes[_charge(key)]:
+                into[key] = into.get(key, 0) + f * c
+    return State(packed=_trim(den * top, out))
 
 
 def _hprime_eigenspaces(basis):

@@ -13,11 +13,13 @@ rational.  `_pair_modes` returns one pair's expansion as (den, amps):
 one integer map keyed by the packed output monomial over one positive
 denominator.  Every operator takes its pair expansions from one bounded
 memo, `_expansion`, which does not store an expansion with more than
-256 output keys.  Every operator reads its creation side from one
-table, `_creation`, memoized independently of the lattice charge and
-built by one recursion: it places the creation modes one at a time
-and, for a charged operator, the parts of the exponential cloud one
-cycle at a time; a charge-zero operator builds no cloud.
+256 output keys, and reads each expansion of negative lattice charge
+off its reflection conjugate of positive charge, so a pair and its
+conjugate are computed once.  Every operator reads its creation side
+from one table, `_creation`, memoized independently of the lattice
+charge and built by one recursion: it places the creation modes one at
+a time and, for a charged operator, the parts of the exponential cloud
+one cycle at a time; a charge-zero operator builds no cloud.
 
 One kernel, `_apply_planes`, applies a sum of operators x A to the
 planes, A given by its amplitudes in the format of `_pair_modes` and x
@@ -31,11 +33,12 @@ made from its trimmed planes, which unpacks its terms only when they
 are first read.
 
 `_exp_planes` is the one exponential: exp of a sum of ops, nilpotent
-on the state, one `_apply_planes` call per series term.
+on the state, one `_apply_planes` call per series term, each term added
+into one running integer sum as it is made.
 `charge_chain(factors, v)` runs a product of exponentials
 exp(x e^{(a8/8) b}(0)) through it: the order-3 symmetry
 `sectors.sigma` = t^H exp(-f/2) exp(e) is the chain exp(-f/2) exp(e)
-followed by a charge-wise scale of its output, and the frame
+followed by one pass of t^H over the planes of its output, and the frame
 g = exp(c f) exp(u e), whose images of charge parts are the
 eigenvectors of h'(0) (`hprime_eigenvector`), is another chain.  Li's
 shift `delta_apply` runs exp(sum_k ((-1)^{k+1}/k) hvec(k)) through it,
@@ -55,9 +58,9 @@ from .exactfield import (
     BASIS_MUL, HALF, I, ONE, SQRT2, SQRT3, exp_two_pi_i, rat, sc,
 )
 from .fockspace import (
-    _PART, _SHIFT, State, _charge, _check_parts, _check_width, _parts,
-    _split, _sum_planes, _trim, _unpack, basic_vector, mono_weight, ratio,
-    theta,
+    _PART, _SHIFT, KeyWidthError, State, _charge, _check_parts,
+    _check_width, _conjugate, _odd, _parts, _split, _trim, _unpack,
+    basic_vector, mono_weight, ratio, theta,
 )
 from .linalg import Echelon
 
@@ -249,15 +252,16 @@ def _pair_modes(udegs, a8, vkey, n):
 
 # One memo holds the expansions of every operator: the same monomial
 # pair recurs across the terms of one state, across calls and across
-# checks.  The keys come from the caller's states, so the memo keeps at
-# most _MEMO_ENTRIES of them and drops the oldest first.  It stores only
-# an expansion with at most _MEMO_KEYS output keys.  In a full catalog
-# run, 1,793 of the 1,795 repeated derivative-field pairs have at most
-# 16 keys, and the 98 expansions above 256 keys (79,810 keys in all)
-# never recur; every pure exponential has at most 256 keys, and those
-# of 65..256 keys save 0.53 s over their 1,322 hits, all in sigma(u16).
-# Such a run leaves 3,190 entries.  The memo is a plain dict, because
-# functools.lru_cache cannot decline to store a result.
+# checks, and a negative-charge pair reads its conjugate.  The keys come
+# from the caller's states, so the memo keeps at most _MEMO_ENTRIES of
+# them and drops the oldest first.  It stores only an expansion with at
+# most _MEMO_KEYS output keys.  In a full catalog run, 1,773 of the
+# 1,778 hits on derivative-field pairs land on at most 16 keys, and the
+# 98 expansions above 256 keys (79,810 keys in all) never recur; every
+# pure exponential has at most 256 keys, and 1,654 of the 1,681 hits on
+# those of 65..256 keys are in sigma(u16).  Such a run computes 2,366
+# expansions and leaves 3,239 entries.  The memo is a plain dict,
+# because functools.lru_cache cannot decline to store a result.
 _MEMO_ENTRIES = 4096
 _MEMO_KEYS = 256
 _memo = {}
@@ -267,20 +271,40 @@ def _expansion(udegs, a8, n, vkey):
     """`_pair_modes(udegs, a8, vkey, n)`, memoized: the expansion of
     u's monomial (udegs, a8), udegs () for a pure exponential, at mode
     n on the packed monomial vkey.  A caller must not change the
-    returned amps."""
+    returned amps.
+
+    A negative charge a8 is read off the conjugate pair (udegs, -a8) on
+    the conjugate of vkey, through the memo too: the reflection theta is
+    an automorphism, so theta(u)(n) = theta u(n) theta (Frenkel, Huang
+    and Lepowsky 1993), and theta is +-1 in the parity basis, -1 on a
+    key with an odd number of parts.  So each output key k of the
+    conjugate expansion gives the key _conjugate(k), its amplitude
+    negated when len(udegs) + _odd(vkey) + _odd(k) is odd.  Where the
+    conjugate pair is beyond the key width, the pair is computed
+    directly, so that the error names its own charge.
+    """
     key = (udegs, a8, n, vkey)
     try:
         return _memo[key]
     except KeyError:
         pass
-    out = _pair_modes(udegs, a8, vkey, n)
+    if a8 >= 0:
+        out = _pair_modes(udegs, a8, vkey, n)
+    else:
+        try:
+            out = _expansion(udegs, -a8, n, _conjugate(vkey))
+        except KeyWidthError:
+            return _pair_modes(udegs, a8, vkey, n)
+        if out is not None:
+            den, amps = out
+            flip = (len(udegs) + _odd(vkey)) & 1
+            out = den, {_conjugate(k): -a if flip ^ _odd(k) else a
+                        for k, a in amps.items()}
     if out is None or len(out[1]) <= _MEMO_KEYS:
         if len(_memo) >= _MEMO_ENTRIES:
             del _memo[next(iter(_memo))]
         _memo[key] = out
     return out
-
-
 
 
 def _apply_planes(ops, den, planes):
@@ -406,11 +430,15 @@ def _exp_planes(ops, den, planes):
     """exp(X) on the state held by planes over den, as (den, planes), for
     X the sum of the `_apply_planes` ops, nilpotent on that state.
 
-    The series sum_k X^k v / k! is one `_apply_planes` call per term.
-    Raises ModeLegalityError, naming the charge, where an op is
-    undefined on a monomial of some term.
+    The series sum_k X^k v / k! is one `_apply_planes` call per term,
+    each trimmed term added into one running integer sum as it is made.
+    The sum is kept over the lcm of the term denominators so far, and
+    its entries are rescaled only when that lcm grows.  Raises
+    ModeLegalityError, naming the charge, where an op is undefined on a
+    monomial of some term.
     """
-    terms = [(Fraction(1, den), planes)]
+    acc = {p: dict(plane) for p, plane in planes.items()}
+    accden = den
     k = 0
     while planes:
         k += 1
@@ -422,8 +450,19 @@ def _exp_planes(ops, den, planes):
             raise ModeLegalityError("exponentiated mode is not defined on"
                                     " charge %s" % Fraction(q8, 8))
         den, planes = _trim(den * k, nxt)
-        terms.append((Fraction(1, den), planes))
-    return _trim(*_sum_planes(terms))
+        if accden % den:
+            g = den // math.gcd(accden, den)
+            accden *= g
+            for plane in acc.values():
+                for key in plane:
+                    plane[key] *= g
+        f = accden // den
+        for p, plane in planes.items():
+            into = acc.setdefault(p, {})
+            get = into.get
+            for key, c in plane.items():
+                into[key] = get(key, 0) + f * c
+    return _trim(accden, acc)
 
 
 # --------------------------------------------------------------------------

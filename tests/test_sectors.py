@@ -220,7 +220,7 @@ def _sigma_by_states(v):
 
 def test_sigma_chain_matches_state_route():
     states = [b for w in range(7) for b in graded_states("V_L2", w)]
-    for w in (Fraction(1, 4), Fraction(5, 4), Fraction(9, 4)):
+    for w in (Fraction(1, 4), Fraction(5, 4), Fraction(9, 4), Fraction(13, 4)):
         states += graded_states("V_L2+a/2", w)
     # sqrt2 and i coefficients, and negative charges
     rich = sigma(State.basis((3,), Fraction(1, 2)))
@@ -228,6 +228,17 @@ def test_sigma_chain_matches_state_route():
                          for k, x in enumerate(c.num) if x}
     assert min(q8 for _, q8 in rich.terms) < 0
     states.append(rich)
+    # sqrt3 and i coefficients in V_L2+a/2, where q8/2 is odd and t^H
+    # lands each coordinate on two planes: w1, w2 and frame images
+    half = [named_vector("w1"), named_vector("w2")]
+    half += [hprime_eigenvector(b)[1] for w in (Fraction(1, 4), Fraction(5, 4))
+             for b in graded_states("V_L2+a/2", w)]
+    assert all(q8 % 4 == 2 for v in half for _, q8 in v.terms)
+    assert {2, 4, 6} <= {k for v in half for c in v.terms.values()
+                         for k, x in enumerate(c.num) if x}
+    states += half
+    # and the same coefficients on V_L2
+    states += [named_vector("y1"), hprime_eigenvector(State.basis((1,), 1))[1]]
     for v in states:
         assert sigma(v) == _sigma_by_states(v), v
 
@@ -264,9 +275,34 @@ def test_sigma_gauss_factorization():
 
 def test_sigma_rejects_odd_eighth_charges():
     odd = State.basis((), Fraction(1, 8))
-    for v in (odd, State.basis((1, 1)) + odd, State.basis((2,), Fraction(-3, 8))):
-        with pytest.raises(ValueError, match="charge"):
+    for v, q in ((odd, "1/8"), (State.basis((1, 1)) + odd, "1/8"),
+                 (State.basis((2,), Fraction(-3, 8)), "-3/8")):
+        with pytest.raises(ModeLegalityError,
+                           match="^exponentiated mode is not defined on"
+                                 " charge %s$" % q):
             sigma(v)
+
+
+def test_sigma_sweep_expands_each_conjugate_pair_once(monkeypatch):
+    # sigma, sigma^2 and sigma^3 on the reflection-even states of V_Zb up
+    # to weight 8 expand 138 pairs cold, all of positive charge: each
+    # e^{-a}(0) expansion is read off its conjugate e^{a}(0) one (276
+    # cold expansions when both signs were computed)
+    calls = []
+    pair_modes = vertexengine._pair_modes
+
+    def counting(*args):
+        calls.append(args)
+        return pair_modes(*args)
+
+    vertexengine._memo.clear()
+    vertexengine._creation.cache_clear()
+    monkeypatch.setattr(vertexengine, "_pair_modes", counting)
+    for w in range(9):
+        for b in theta_even_states("V_Zb", w):
+            assert sigma(sigma(sigma(b))) == b
+    assert len(calls) == 138
+    assert all(a8 > 0 for _, a8, _, _ in calls)
 
 
 # Primary multiplets of square lowest weight.

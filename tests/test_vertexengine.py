@@ -1,5 +1,6 @@
 """Mode actions: untwisted, theta-even shortcut, zero modes, twisted shifts."""
 
+import functools
 import itertools
 import math
 import random
@@ -9,11 +10,12 @@ import pytest
 
 from voalab import vertexengine
 from voalab.exactfield import (
-    I, SQRT2, ZERO, exp_two_pi_i, sc, sixth_root, sqrt2_power,
+    I, SQRT2, ZERO, Scalar, exp_two_pi_i, sc, sixth_root, sqrt2_power,
 )
 from voalab.fockspace import (
-    MAX_DEGREE, KeyWidthError, State, _pack, _unpack, graded_states,
-    lattice_component, mono_weight, partitions, tau1, theta,
+    MAX_DEGREE, KeyWidthError, State, _conjugate, _pack, _sum_planes,
+    _trim, _unpack, graded_monomials, graded_states, lattice_component,
+    mono_weight, partitions, tau1, theta,
 )
 from voalab.structure import named_vector
 from voalab.vertexengine import (
@@ -519,6 +521,134 @@ def test_engine_leaves_stored_expansions_unchanged():
     assert len(memo) > 50
     for (udegs, a8, n, vkey), out in memo.items():
         assert out == _pair_modes(udegs, a8, vkey, n)
+
+
+def test_conjugate_route_is_the_direct_expansion():
+    # a negative charge is read off the theta-conjugate pair: over the
+    # seeded family with both signs of a8 and of q8, each at its legal n
+    # and at an illegal one, and every term pair of E(-9)E and J(-9)J,
+    # the memoized expansion equals a fresh `_pair_modes`, a None on
+    # either side included, and both signs are stored where they have at
+    # most _MEMO_KEYS keys
+    memo = vertexengine._memo
+    memo.clear()
+    pairs = []
+    for udegs, a8, vdegs, q8, n in _seeded_pairs():
+        for s, t in itertools.product((1, -1), repeat=2):
+            vkey = _pack(vdegs, t * q8)
+            pairs += [(udegs, s * a8, n, vkey),
+                      (udegs, s * a8, n + Fraction(1, 3), vkey)]
+    pairs += _term_pairs(E, -9, E) + _term_pairs(J, -9, J)
+    kinds = set()
+    for key in pairs:
+        udegs, a8, n, vkey = key
+        want = _pair_modes(udegs, a8, vkey, n)
+        assert _expansion(*key) == want, key
+        if want is not None and len(want[1]) > vertexengine._MEMO_KEYS:
+            continue
+        assert memo[key] == want
+        if a8 < 0:
+            conj = (udegs, -a8, n, _conjugate(vkey))
+            assert memo[conj] == _pair_modes(udegs, -a8, conj[3], n)
+            kinds.add((bool(udegs), type(n), want is None))
+    # with and without derivative fields: legal at an integer and at a
+    # fractional n, and illegal
+    assert kinds == {(d, t, z) for d in (False, True) for t, z in
+                     ((int, False), (Fraction, False), (Fraction, True))}
+
+
+def test_conjugate_route_skips_large_expansions():
+    # a negative-charge pair of u9(-3)u9 above 256 output keys is computed
+    # through its conjugate, and neither sign is stored
+    u9 = named_vector("u9")
+    large = [key for key in _term_pairs(u9, -3, u9) if key[1] < 0
+             and len(_pair_modes(key[0], key[1], key[3], key[2])[1])
+             > vertexengine._MEMO_KEYS]
+    assert large
+    udegs, a8, n, vkey = large[0]
+    conj = (udegs, -a8, n, _conjugate(vkey))
+    assert _expansion(*large[0]) == _pair_modes(udegs, a8, vkey, n)
+    assert large[0] not in vertexengine._memo
+    assert conj not in vertexengine._memo
+
+
+def test_conjugate_route_errors_name_the_requested_charge():
+    # the conjugate pair has the opposite output charge: a width error
+    # still names the requested one, and an illegal pair stays illegal
+    with pytest.raises(KeyWidthError, match=r"^charge -16 is outside the"):
+        mode_apply(State.basis((), Fraction(-120, 8)), -121, State.basis((), -1))
+    with pytest.raises(KeyWidthError, match=r"^charge 16 is outside the"):
+        mode_apply(State.basis((), 15), -121, State.basis((), 1))
+    with pytest.raises(KeyWidthError, match=r"^monomial degree 70 exceeds"):
+        mode_apply(State.basis((1,) * 40, -1), -1, State.basis((1,) * 30))
+    with pytest.raises(ModeLegalityError,
+                       match=r"^mode 0 is not defined on this pair$"):
+        mode_apply(State.basis((), Fraction(-1, 8)), 0,
+                   State.basis((), Fraction(1, 8)))
+
+
+def _rich_state(rng, name, w):
+    """A seeded state on up to four monomials of the weight-w space of
+    name, each coefficient with two or three nonzero coordinates over its
+    own denominator, so the state lies on several planes."""
+    terms = {}
+    basis = graded_monomials(name, w)
+    for m in rng.sample(basis, min(4, len(basis))):
+        num = [0] * 8
+        for j in rng.sample(range(8), rng.randint(2, 3)):
+            num[j] = rng.randint(-9, 9) or 1
+        terms[m] = Scalar(num, rng.randint(1, 12))
+    return State(terms)
+
+
+def _exp_by_term_list(ops, den, planes):
+    """exp(X) summed the way `_exp_planes` did before its running sum:
+    each trimmed series term kept as (1/den, planes), then one
+    `_sum_planes` and one `_trim`.  Also returns how many terms have a
+    denominator that does not divide the lcm of those before it, that
+    is how often the running sum rescales its entries."""
+    terms = [(Fraction(1, den), planes)]
+    lcm = den
+    grows = k = 0
+    while planes:
+        k += 1
+        den, nxt, _, _ = vertexengine._apply_planes(ops, den, planes)
+        den, planes = _trim(den * k, nxt)
+        terms.append((Fraction(1, den), planes))
+        if lcm % den:
+            grows += 1
+            lcm = math.lcm(lcm, den)
+    return _trim(*_sum_planes(terms)), grows
+
+
+def test_running_sum_exponential_matches_term_list():
+    # the factors of sigma (x = -1/2) and of the frame (_C, _U) on e and
+    # f, and the 1/k of Li's shift on h' and h, over seeded multi-plane
+    # states: the running sum equals the term list, rescales on the way,
+    # and leaves its input planes as they were
+    rng = random.Random(20261020)
+    weights = [("V_L2", w) for w in range(1, 7)]
+    weights += [("V_L2+a/2", Fraction(k, 4)) for k in (1, 5, 9, 13)]
+    states = [_rich_state(rng, name, w) for name, w in weights
+              for _ in range(3)]
+    opsets = [[(functools.partial(_expansion, (), a8, 0), x)]
+              for a8 in (4, -4)
+              for x in (vertexengine._C, vertexengine._U, sc(Fraction(-1, 2)))]
+    for hvec in (named_vector("hprime"), named_vector("h")):
+        opsets.append([(amps, x * sc(Fraction((-1) ** (k + 1), k)))
+                       for k in range(1, 8)
+                       for amps, x in vertexengine._mode_ops(hvec, k)])
+    grows = 0
+    for v in states:
+        den, planes = v.packed
+        assert len(planes) > 1
+        before = {p: dict(plane) for p, plane in planes.items()}
+        for ops in opsets:
+            want, g = _exp_by_term_list(ops, den, planes)
+            assert vertexengine._exp_planes(ops, den, planes) == want
+            grows += g
+        assert planes == before
+    assert grows > 100
 
 
 def test_twisted_mode_matches_per_contribution_route():
