@@ -11,20 +11,26 @@ integer coordinate planes in the parity basis (see `fockspace`), so
 merging monomials is an integer addition and every mode amplitude is
 rational.  `_pair_modes` returns one pair's expansion as (den, amps):
 one integer map keyed by the packed output monomial over one positive
-denominator.  Every operator takes its pair expansions from one bounded
-memo, `_expansion`, which does not store an expansion with more than
-256 output keys, and reads each expansion of negative lattice charge
-off its reflection conjugate of positive charge, so a pair and its
-conjugate are computed once.  Every operator reads its creation side
-from one table, `_creation`, memoized independently of the lattice
-charge and built by one recursion: it places the creation modes one at
-a time and, for a charged operator, the parts of the exponential cloud
-one cycle at a time; a charge-zero operator builds no cloud.
+denominator.  Every operator monomial at a mode index has one table of
+its pair expansions, an `_Expansions` dict keyed by v's packed
+monomial, so the kernel reads a stored expansion as one dict subscript;
+a miss computes it, and stores it unless it has more than 256 output
+keys.  The tables hold at most 4,096 expansions in all, and each
+expansion of negative lattice charge is read off its reflection
+conjugate of positive charge, so a pair and its conjugate are computed
+once.  Every operator reads its creation side from one table,
+`_creation`, memoized independently of the lattice charge and built by
+one recursion: it places the creation modes one at a time and, for a
+charged operator, the parts of the exponential cloud one cycle at a
+time; a charge-zero operator builds no cloud.  Before that, the branches
+of one pair that differ only by an even step of the sqrt2 exponent are
+merged, so each class reads its creation table once.
 
 One kernel, `_apply_planes`, applies a sum of operators x A to the
-planes, A given by its amplitudes in the format of `_pair_modes` and x
-a field element (`_mode_ops` takes u's coefficients into the parity
-basis); it is the only loop that routes amplitudes onto the planes.
+planes, A given by a table of its amplitudes in the format of
+`_pair_modes` and x a field element (`_mode_ops` takes u's coefficients
+into the parity basis); it is the only loop that routes amplitudes onto
+the planes.
 `mode_apply` (one operator per term of u), `twisted_mode_apply` (one
 call over all the shift terms), the Virasoro words of `apply_word` (one
 call per letter; `virasoro_mode` is the one-letter word) and the
@@ -44,7 +50,8 @@ eigenvectors of h'(0) (`hprime_eigenvector`), is another chain.  Li's
 shift `delta_apply` runs exp(sum_k ((-1)^{k+1}/k) hvec(k)) through it,
 one call per weight-homogeneous part of its input.
 Virasoro modes skip the general expansion: `_virasoro_amps` applies
-L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock monomial.  The
+L(n) = (1/2) sum_j :h(j) h(n-j): straight to each Fock monomial, and
+each letter of a word reads a table built for that letter alone.  The
 general route `mode_apply` is the test oracle of both.
 """
 
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from fractions import Fraction
 
 from .exactfield import (
@@ -225,8 +233,22 @@ def _pair_modes(udegs, a8, vkey, n):
     # with c >= 0 all the same.
     if any(amp and c >= 0 for (_, _, c, _), amp in states.items()):
         _check_width(sum(d * m for d, m in parts) + sum(udegs) + c0, q8 + a8)
-    live = [(rem, pend, c, e2, amp) for (rem, pend, c, e2), amp
-            in states.items() if amp and c >= sum(pend)]
+    # Two branches that differ only by 2j in e meet the same creation
+    # entries, and on each the one with the smaller e weighs 2^(3j) times
+    # as much: 4^(2j) from the denominator 4^e over 2^j from the parity
+    # basis.  So every class (rem, pend, c, e mod 2) is merged into its
+    # largest e before its creation table is read.
+    merged = {}
+    for (rem, pend, c, e2), amp in states.items():
+        if amp and c >= sum(pend):
+            cls = rem, pend, c, e2 & 1
+            top, acc = merged.get(cls, (e2, 0))
+            if e2 > top:
+                acc <<= 3 * (e2 - top >> 1)
+                top = e2
+            merged[cls] = top, acc + (amp << 3 * (top - e2 >> 1))
+    live = [(rem, pend, c, e2, amp) for (rem, pend, c, _), (e2, amp)
+            in merged.items() if amp]
     amps = {}
     if live:
         kuv = (len(udegs) & 1) + (sum(m for _, m in parts) & 1)
@@ -250,68 +272,98 @@ def _pair_modes(udegs, a8, vkey, n):
     return den // g, {key: amp // g for key, amp in amps.items() if amp}
 
 
-# One memo holds the expansions of every operator: the same monomial
-# pair recurs across the terms of one state, across calls and across
-# checks, and a negative-charge pair reads its conjugate.  The keys come
-# from the caller's states, so the memo keeps at most _MEMO_ENTRIES of
-# them and drops the oldest first.  It stores only an expansion with at
-# most _MEMO_KEYS output keys.  In a full catalog run, 1,773 of the
-# 1,778 hits on derivative-field pairs land on at most 16 keys, and the
-# 98 expansions above 256 keys (79,810 keys in all) never recur; every
-# pure exponential has at most 256 keys, and 1,654 of the 1,681 hits on
-# those of 65..256 keys are in sigma(u16).  Such a run computes 2,366
-# expansions and leaves 3,239 entries.  The memo is a plain dict,
-# because functools.lru_cache cannot decline to store a result.
+# Every operator monomial (udegs, a8) at mode n has one table of its
+# pair expansions, keyed by v's packed monomial: a dict whose
+# __missing__ computes and stores, so a hit is one dict subscript and no
+# Python frame.  The same monomial pair recurs across the terms of one
+# state, across calls and across checks, and a negative-charge pair
+# reads its conjugate.  The keys come from the caller's states, so the
+# tables hold at most _MEMO_ENTRIES entries in all, and the tables that
+# stored first are emptied first.  One operator has one table at a time
+# (`_live`), so a table emptied while the caller holds it, or an op
+# list's table not yet stored into, is the one its conjugate reads.  A
+# table stores only an expansion with at most _MEMO_KEYS output keys.  In
+# a full catalog run, 1,773 of the 1,778 hits on derivative-field pairs
+# land on at most 16 keys, and the 98 expansions above 256 keys (79,810
+# keys in all) never recur; every pure exponential has at most 256 keys,
+# and 1,654 of the 1,681 hits on those of 65..256 keys are in
+# sigma(u16).  Such a run computes 2,366 expansions and leaves 3,239
+# entries in 269 tables, 618 each in those of e^{+-a}(0).
 _MEMO_ENTRIES = 4096
 _MEMO_KEYS = 256
-_memo = {}
+_tables = {}  # (udegs, a8, n) -> its table while it holds entries
+_live = weakref.WeakValueDictionary()  # (udegs, a8, n) -> its table
+_stored = 0  # the entries of every table in _tables
 
 
-def _expansion(udegs, a8, n, vkey):
-    """`_pair_modes(udegs, a8, vkey, n)`, memoized: the expansion of
-    u's monomial (udegs, a8), udegs () for a pure exponential, at mode
-    n on the packed monomial vkey.  A caller must not change the
-    returned amps.
+class _Expansions(dict):
+    """The pair expansions of u's monomial (udegs, a8), udegs () for a
+    pure exponential, at mode n: table[vkey] is
+    `_pair_modes(udegs, a8, vkey, n)`, computed on its first read.  A
+    caller must not change the returned amps.
 
-    A negative charge a8 is read off the conjugate pair (udegs, -a8) on
-    the conjugate of vkey, through the memo too: the reflection theta is
-    an automorphism, so theta(u)(n) = theta u(n) theta (Frenkel, Huang
-    and Lepowsky 1993), and theta is +-1 in the parity basis, -1 on a
-    key with an odd number of parts.  So each output key k of the
-    conjugate expansion gives the key _conjugate(k), its amplitude
-    negated when len(udegs) + _odd(vkey) + _odd(k) is odd.  Where the
-    conjugate pair is beyond the key width, the pair is computed
-    directly, so that the error names its own charge.
+    A negative charge a8 is read off the conjugate table (udegs, -a8, n)
+    at the conjugate of vkey: the reflection theta is an automorphism,
+    so theta(u)(n) = theta u(n) theta (Frenkel, Huang and Lepowsky
+    1993), and theta is +-1 in the parity basis, -1 on a key with an odd
+    number of parts.  So each output key k of the conjugate expansion
+    gives the key _conjugate(k), its amplitude negated when
+    len(udegs) + _odd(vkey) + _odd(k) is odd.  Where the conjugate pair
+    is beyond the key width, the pair is computed directly, so that the
+    error names its own charge.
     """
-    key = (udegs, a8, n, vkey)
-    try:
-        return _memo[key]
-    except KeyError:
-        pass
-    if a8 >= 0:
-        out = _pair_modes(udegs, a8, vkey, n)
-    else:
-        try:
-            out = _expansion(udegs, -a8, n, _conjugate(vkey))
-        except KeyWidthError:
-            return _pair_modes(udegs, a8, vkey, n)
-        if out is not None:
-            den, amps = out
-            flip = (len(udegs) + _odd(vkey)) & 1
-            out = den, {_conjugate(k): -a if flip ^ _odd(k) else a
-                        for k, a in amps.items()}
-    if out is None or len(out[1]) <= _MEMO_KEYS:
-        if len(_memo) >= _MEMO_ENTRIES:
-            del _memo[next(iter(_memo))]
-        _memo[key] = out
-    return out
+
+    __slots__ = ("op", "__weakref__")
+
+    def __init__(self, op):
+        self.op = op
+
+    def __missing__(self, vkey):
+        udegs, a8, n = self.op
+        if a8 >= 0:
+            out = _pair_modes(udegs, a8, vkey, n)
+        else:
+            try:
+                out = _table(udegs, -a8, n)[_conjugate(vkey)]
+            except KeyWidthError:
+                return _pair_modes(udegs, a8, vkey, n)
+            if out is not None:
+                den, amps = out
+                flip = (len(udegs) + _odd(vkey)) & 1
+                out = den, {_conjugate(k): -a if flip ^ _odd(k) else a
+                            for k, a in amps.items()}
+        if out is None or len(out[1]) <= _MEMO_KEYS:
+            _store(self, vkey, out)
+        return out
+
+
+def _table(udegs, a8, n):
+    """The expansion table of u's monomial (udegs, a8) at mode n."""
+    op = (udegs, a8, n)
+    table = _live.get(op)
+    if table is None:
+        table = _live[op] = _Expansions(op)
+    return table
+
+
+def _store(table, vkey, out):
+    """table[vkey] = out, after emptying the oldest tables while all of
+    them hold _MEMO_ENTRIES entries."""
+    global _stored
+    while _stored >= _MEMO_ENTRIES:
+        old = _tables.pop(next(iter(_tables)))
+        _stored -= len(old)
+        old.clear()
+    _tables[table.op] = table
+    table[vkey] = out
+    _stored += 1
 
 
 def _apply_planes(ops, den, planes):
     """The sum of operators x A applied to the state held by planes over
     den, as (den, planes, legal, total); the planes may hold zeros.
 
-    ops is a list of (amps, x): amps(key) is A on the packed monomial
+    ops is a list of (table, x): table[key] is A on the packed monomial
     key in the format of `_pair_modes`, or None where A is undefined,
     and x is a field element; legal and total count the (op, monomial)
     pairs where A is defined and all of them.  A term c e_p goes to
@@ -319,49 +371,56 @@ def _apply_planes(ops, den, planes):
     element (`BASIS_MUL`): every x_j routes to one plane, and every
     contribution is an integer product added to it.
     """
-    keys = {}
-    for plane in planes.values():
-        keys |= plane
+    if len(planes) == 1:
+        [(p, keys)] = planes.items()
+    else:
+        # the hits of each op are distributed over the planes below
+        p = None
+        keys = {}
+        for plane in planes.values():
+            keys |= plane
     legal = total = 0
     dd = 1
     work = []
-    for amps, x in ops:
-        table = {}
+    for table, x in ops:
+        hits = []
         xden = x.den
-        for key in keys:
-            amp = amps(key)
+        for key, c in keys.items():
+            amp = table[key]
             if amp is not None:
                 legal += 1
                 if amp[1]:
-                    table[key] = amp
+                    hits.append((key, c, amp))
                     d = amp[0] * xden
                     if dd % d:
                         dd = dd // math.gcd(dd, d) * d
         total += len(keys)
-        if table:
-            work.append((table, xden, x.num))
+        if not hits:
+            continue
+        if p is not None:
+            work.append((p, hits, xden, x.num))
+            continue
+        found = {key: amp for key, _, amp in hits}
+        for q, plane in planes.items():
+            on = [(key, c, found[key]) for key, c in plane.items()
+                  if key in found]
+            if on:
+                work.append((q, on, xden, x.num))
     nxt = {}
-    for table, xden, xnum in work:
-        for p, plane in planes.items():
-            # per coordinate x_j of x: the plane that e_p x_j lands on,
-            # and the integer factor there
-            row = BASIS_MUL[p]
-            outs = []
-            for j, xj in enumerate(xnum):
-                if xj:
-                    m, f = row[j]
-                    outs.append((nxt.setdefault(m, {}), f * xj))
-            for key, c in plane.items():
-                amp = table.get(key)
-                if amp is None:
-                    continue
-                d, amps = amp
-                c *= dd // (d * xden)
-                for into, f in outs:
-                    f *= c
-                    get = into.get
-                    for out, a in amps.items():
-                        into[out] = get(out, 0) + f * a
+    for p, hits, xden, xnum in work:
+        row = BASIS_MUL[p]
+        for j, xj in enumerate(xnum):
+            if not xj:
+                continue
+            # e_p x_j lands on the plane m, with the integer factor f
+            m, f = row[j]
+            f *= xj
+            into = nxt.setdefault(m, {})
+            get = into.get
+            for _, c, (d, amps) in hits:
+                fc = f * c * (dd // (d * xden))
+                for out, a in amps.items():
+                    into[out] = get(out, 0) + fc * a
     return den * dd, nxt, legal, total
 
 
@@ -377,7 +436,7 @@ def _mode_ops(u, n):
         _check_width(0, a8)
         if len(udegs) & 1:
             cu = cu.mul_rat_sqrt2(1, -1)
-        ops.append((functools.partial(_expansion, udegs, a8, n), cu))
+        ops.append((_table(udegs, a8, n), cu))
     return ops
 
 
@@ -421,7 +480,7 @@ def charge_chain(factors, v):
     """
     den, planes = v.packed
     for a8, x in reversed(factors):
-        ops = [(functools.partial(_expansion, (), a8, 0), x)]
+        ops = [(_table((), a8, 0), x)]
         den, planes = _exp_planes(ops, den, planes)
     return State(packed=(den, planes))
 
@@ -444,9 +503,9 @@ def _exp_planes(ops, den, planes):
         k += 1
         den, nxt, legal, total = _apply_planes(ops, den, planes)
         if legal < total:
-            q8 = next(_charge(key) for amps, _ in ops
+            q8 = next(_charge(key) for table, _ in ops
                       for plane in planes.values() for key in plane
-                      if amps(key) is None)
+                      if table[key] is None)
             raise ModeLegalityError("exponentiated mode is not defined on"
                                     " charge %s" % Fraction(q8, 8))
         den, planes = _trim(den * k, nxt)
@@ -549,7 +608,10 @@ def apply_word(word, v):
         if type(m) is not int:
             raise ModeLegalityError("mode %s is not defined on this pair"
                                     % (m + 1))
-        ops = [(functools.partial(_virasoro_amps, m), ONE)]
+        keys = {}
+        for plane in planes.values():
+            keys |= plane
+        ops = [({key: _virasoro_amps(m, key) for key in keys}, ONE)]
         den, planes = _trim(*_apply_planes(ops, den, planes)[:2])
     return State(packed=(den, planes))
 

@@ -2,6 +2,7 @@
 catalog."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -295,7 +296,9 @@ def test_sigma_sweep_expands_each_conjugate_pair_once(monkeypatch):
         calls.append(args)
         return pair_modes(*args)
 
-    vertexengine._memo.clear()
+    monkeypatch.setattr(vertexengine, "_tables", {})
+    monkeypatch.setattr(vertexengine, "_live", weakref.WeakValueDictionary())
+    monkeypatch.setattr(vertexengine, "_stored", 0)
     vertexengine._creation.cache_clear()
     monkeypatch.setattr(vertexengine, "_pair_modes", counting)
     for w in range(9):

@@ -1,9 +1,9 @@
 """Mode actions: untwisted, theta-even shortcut, zero modes, twisted shifts."""
 
-import functools
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,8 +19,8 @@ from voalab.fockspace import (
 )
 from voalab.structure import named_vector
 from voalab.vertexengine import (
-    ModeIndex, ModeLegalityError, RationalPowerSeries, _expansion,
-    _pair_modes, _rational_roots, _root_bound, apply_word, charge_chain,
+    ModeIndex, ModeLegalityError, RationalPowerSeries, _pair_modes,
+    _rational_roots, _root_bound, apply_word, charge_chain,
     delta_apply, mode_apply, mode_apply_theta_even, twisted_mode_apply,
     twisted_weight, virasoro_mode, zero_mode_decompose, zero_mode_exp,
 )
@@ -443,10 +443,40 @@ def test_delta_cache_is_bounded():
     assert delta_apply.cache_info().currsize <= cap
 
 
+def _expansion(udegs, a8, n, vkey):
+    """The engine's read of one pair: the table of its operator at vkey."""
+    return vertexengine._table(udegs, a8, n)[vkey]
+
+
+def _is_stored(key):
+    """Whether the table of key = (udegs, a8, n, vkey) holds vkey."""
+    return key[3] in vertexengine._tables.get(key[:3], {})
+
+
+def _stored(key):
+    """The expansion stored for key = (udegs, a8, n, vkey), read without
+    computing it; KeyError if none is stored."""
+    if not _is_stored(key):
+        raise KeyError(key)
+    return vertexengine._tables[key[:3]][key[3]]
+
+
+def _held(tables):
+    """The entries held by the given tables, in all."""
+    return sum(map(len, tables))
+
+
+def _cold_tables(monkeypatch):
+    """Give the engine empty tables for the rest of the test."""
+    monkeypatch.setattr(vertexengine, "_tables", {})
+    monkeypatch.setattr(vertexengine, "_live", weakref.WeakValueDictionary())
+    monkeypatch.setattr(vertexengine, "_stored", 0)
+
+
 def test_pure_exp_cache_is_bounded():
     # e^{(a8/8)b}(n)|e^{(q8/8)b}> with creation degree
     # c = -n - 1 - a8 q8 / 8 in 0..2: every pair is legal, and there are
-    # more keys than the bound of the pair memo holds
+    # more keys than the bound of the pair tables holds
     cap = vertexengine._MEMO_ENTRIES
     assert cap
     keys = [(a8, -1 - a8 * q8 // 8 - c, _pack((), q8))
@@ -456,10 +486,77 @@ def test_pure_exp_cache_is_bounded():
     assert len(keys) > cap
     for a8, n, vkey in keys:
         assert _expansion((), a8, n, vkey) == _pair_modes((), a8, vkey, n)
-    assert len(vertexengine._memo) <= cap
+    assert _held(vertexengine._tables.values()) == vertexengine._stored <= cap
     # the evicted first keys are computed again, to the same values
     for a8, n, vkey in keys[:10]:
         assert _expansion((), a8, n, vkey) == _pair_modes((), a8, vkey, n)
+
+
+def test_tables_hold_at_most_the_bound(monkeypatch):
+    # seeded states on one plane and on several, under operators with
+    # both signs of charge, with the bound lowered so that the tables
+    # fill past it many times: at every expansion the engine computes,
+    # the entries of every table it has handed out, the emptied ones
+    # included, are those of the registered tables, the counted ones, and
+    # stay within the bound; and every result is the one computed with
+    # the full bound, where no pair is computed twice
+    rng = random.Random(20261021)
+    states = [b for w in range(1, 5) for b in graded_states("V_Zb", w)]
+    states += [_rich_state(rng, "V_L2", w) for w in range(1, 6)]
+    ops = [(named_vector("hprime"), n) for n in (-1, 0, 1)]
+    ops += [(E, -1), (J, -2), (E + J, 1), (named_vector("W"), 0)]
+    # f + e with f's term first: f reads e's table before e's op does
+    fe = State.basis((), Fraction(-1, 2)) + State.basis((), Fraction(1, 2))
+    assert next(iter(fe.terms))[1] < 0
+    ops.append((fe, 0))
+
+    def run():
+        out = [mode_apply(u, n, v) for u, n in ops for v in states]
+        out += [charge_chain([(-4, sc(Fraction(-1, 2))), (4, sc(1))], v)
+                for v in states]
+        return out + [charge_chain([(-4, vertexengine._C),
+                                    (4, vertexengine._U)], v)
+                      for v in states]
+
+    table, pair_modes = vertexengine._table, vertexengine._pair_modes
+    computed = []
+
+    def counted_pair_modes(*args):
+        computed.append(args)
+        return pair_modes(*args)
+
+    _cold_tables(monkeypatch)
+    monkeypatch.setattr(vertexengine, "_pair_modes", counted_pair_modes)
+    want = run()
+    cap = 40
+    assert vertexengine._stored > 3 * cap
+    assert len(set(computed)) == len(computed)
+    _cold_tables(monkeypatch)
+    monkeypatch.setattr(vertexengine, "_MEMO_ENTRIES", cap)
+    seen = {}
+
+    def seen_table(*op):
+        out = table(*op)
+        seen[id(out)] = out
+        return out
+
+    held = []
+
+    def within_bound():
+        held.append(_held(seen.values()))
+        assert held[-1] == _held(vertexengine._tables.values())
+        assert held[-1] == vertexengine._stored <= cap
+        return True
+
+    def checked_pair_modes(*args):
+        assert within_bound()
+        return pair_modes(*args)
+
+    monkeypatch.setattr(vertexengine, "_table", seen_table)
+    monkeypatch.setattr(vertexengine, "_pair_modes", checked_pair_modes)
+    assert run() == want
+    assert within_bound()
+    assert max(held) == cap and len(held) > 3 * cap
 
 
 def _term_pairs(u, n, v):
@@ -472,7 +569,6 @@ def test_memo_hit_is_the_uncached_expansion():
     # the seeded family of `_seeded_pairs` and the inputs of u16, every
     # term pair of J(-9)J and E(-9)E: a stored expansion is returned as
     # stored, equal to a fresh `_pair_modes`
-    memo = vertexengine._memo
     pairs = [(udegs, a8, n, _pack(vdegs, q8))
              for udegs, a8, vdegs, q8, n in _seeded_pairs()]
     pairs += _term_pairs(J, -9, J) + _term_pairs(E, -9, E)
@@ -484,7 +580,7 @@ def test_memo_hit_is_the_uncached_expansion():
         assert got == want
         if want is not None and len(want[1]) > vertexengine._MEMO_KEYS:
             continue
-        assert memo[key] is got
+        assert _stored(key) is got
         assert _expansion(*key) is got
         stored += 1
     assert stored > len(pairs) // 2
@@ -501,15 +597,14 @@ def test_memo_skips_large_expansions():
     for key in large[:3]:
         got = _expansion(*key)
         assert got == _pair_modes(key[0], key[1], key[3], key[2])
-        assert key not in vertexengine._memo
+        assert not _is_stored(key)
 
 
-def test_engine_leaves_stored_expansions_unchanged():
+def test_engine_leaves_stored_expansions_unchanged(monkeypatch):
     # the engine only reads the amps it is handed: after mode_apply,
-    # twisted_mode_apply and an exponential chain have used the memo
+    # twisted_mode_apply and an exponential chain have used the tables
     # twice, every stored expansion still equals a fresh one
-    memo = vertexengine._memo
-    memo.clear()
+    _cold_tables(monkeypatch)
     u9 = named_vector("u9")
     for _ in range(2):
         mode_apply(J, -9, J)
@@ -518,20 +613,20 @@ def test_engine_leaves_stored_expansions_unchanged():
         charge_chain([(-4, sc(Fraction(-1, 2))), (4, sc(1))], J + E)
         twisted_mode_apply(E, Fraction(1, 3), named_vector("y1"),
                            named_vector("hprime"))
-    assert len(memo) > 50
-    for (udegs, a8, n, vkey), out in memo.items():
-        assert out == _pair_modes(udegs, a8, vkey, n)
+    assert vertexengine._stored > 50
+    for (udegs, a8, n), table in vertexengine._tables.items():
+        for vkey, out in table.items():
+            assert out == _pair_modes(udegs, a8, vkey, n)
 
 
-def test_conjugate_route_is_the_direct_expansion():
+def test_conjugate_route_is_the_direct_expansion(monkeypatch):
     # a negative charge is read off the theta-conjugate pair: over the
     # seeded family with both signs of a8 and of q8, each at its legal n
     # and at an illegal one, and every term pair of E(-9)E and J(-9)J,
     # the memoized expansion equals a fresh `_pair_modes`, a None on
     # either side included, and both signs are stored where they have at
     # most _MEMO_KEYS keys
-    memo = vertexengine._memo
-    memo.clear()
+    _cold_tables(monkeypatch)
     pairs = []
     for udegs, a8, vdegs, q8, n in _seeded_pairs():
         for s, t in itertools.product((1, -1), repeat=2):
@@ -546,10 +641,10 @@ def test_conjugate_route_is_the_direct_expansion():
         assert _expansion(*key) == want, key
         if want is not None and len(want[1]) > vertexengine._MEMO_KEYS:
             continue
-        assert memo[key] == want
+        assert _stored(key) == want
         if a8 < 0:
             conj = (udegs, -a8, n, _conjugate(vkey))
-            assert memo[conj] == _pair_modes(udegs, -a8, conj[3], n)
+            assert _stored(conj) == _pair_modes(udegs, -a8, conj[3], n)
             kinds.add((bool(udegs), type(n), want is None))
     # with and without derivative fields: legal at an integer and at a
     # fractional n, and illegal
@@ -568,8 +663,8 @@ def test_conjugate_route_skips_large_expansions():
     udegs, a8, n, vkey = large[0]
     conj = (udegs, -a8, n, _conjugate(vkey))
     assert _expansion(*large[0]) == _pair_modes(udegs, a8, vkey, n)
-    assert large[0] not in vertexengine._memo
-    assert conj not in vertexengine._memo
+    assert not _is_stored(large[0])
+    assert not _is_stored(conj)
 
 
 def test_conjugate_route_errors_name_the_requested_charge():
@@ -631,7 +726,7 @@ def test_running_sum_exponential_matches_term_list():
     weights += [("V_L2+a/2", Fraction(k, 4)) for k in (1, 5, 9, 13)]
     states = [_rich_state(rng, name, w) for name, w in weights
               for _ in range(3)]
-    opsets = [[(functools.partial(_expansion, (), a8, 0), x)]
+    opsets = [[(vertexengine._table((), a8, 0), x)]
               for a8 in (4, -4)
               for x in (vertexengine._C, vertexengine._U, sc(Fraction(-1, 2)))]
     for hvec in (named_vector("hprime"), named_vector("h")):
@@ -718,7 +813,9 @@ def _tuple_creation(pending, c_target):
     return out
 
 
-def _tuple_pair_modes(udegs, a8, vdegs, q8, n):
+def _tuple_live(udegs, a8, vdegs, q8, n):
+    """The live branches (rem, pend, c, e2, amp) of the tuple oracle's
+    phase three, unmerged, or None for an illegal pair."""
     if type(n) is int:
         c0, frac = divmod(-8 * (n + 1) - a8 * q8, 8)
         if frac:
@@ -765,9 +862,15 @@ def _tuple_pair_modes(udegs, a8, vdegs, q8, n):
                 key = (rem[:pos] + rem[pos + 1:], pend, csh + d + ni, e2)
                 nxt[key] = nxt.get(key, 0) + amp * f
         states = nxt
-    live = [(rem, pend, csh + sum(pend), e2, amp)
+    return [(rem, pend, csh + sum(pend), e2, amp)
             for (rem, pend, csh, e2), amp in states.items()
             if amp and csh + sum(pend) >= 0]
+
+
+def _tuple_pair_modes(udegs, a8, vdegs, q8, n):
+    live = _tuple_live(udegs, a8, vdegs, q8, n)
+    if live is None:
+        return None
     q8out = q8 + a8
     even, odd = {}, {}
     if live:
@@ -831,9 +934,12 @@ def _seeded_pairs():
     """400 seeded monomial pairs over every charge class, as
     (udegs, a8, vdegs, q8, n): q8 in each residue mod 8, a8 in
     {0, +-1, +-2, +-3, +-4, +-8}, u with 0..3 derivative fields, v up to
-    weight 8 (deg + q8^2/16), each at a legal integer or fractional n."""
+    weight 8 (deg + q8^2/16), each at a legal integer or fractional n.
+    Then three fixed pairs whose live branches differ only by 2 or 4 in
+    e2, so that phase three merges them: two u fields through the charge
+    channel against one contraction of phase one and one annihilation."""
     rng = random.Random(20261019)
-    out = []
+    pairs = []
     for _ in range(400):
         a8 = rng.choice((0, 1, -1, 2, -2, 3, -3, 4, -4, 8, -8))
         q8 = rng.randint(-11, 11)
@@ -842,9 +948,11 @@ def _seeded_pairs():
         vdegs = rng.choice(list(partitions(
             rng.randint(0, (128 - q8 * q8) // 16))))
         c0 = rng.randint(-sum(udegs) - sum(vdegs) - 1, 3)
-        out.append((udegs, a8, vdegs, q8,
-                    ModeIndex(-1 - c0 - Fraction(a8 * q8, 8))))
-    return out
+        pairs.append((udegs, a8, vdegs, q8, c0))
+    pairs += [((1, 1), 4, (1,), 2, -3), ((1, 1), -4, (1, 1), -2, -2),
+              ((2, 1, 1), 2, (2, 1), 3, -3)]
+    return [(udegs, a8, vdegs, q8, ModeIndex(-1 - c0 - Fraction(a8 * q8, 8)))
+            for udegs, a8, vdegs, q8, c0 in pairs]
 
 
 def test_packed_pair_modes_match_tuple_oracle():
@@ -877,6 +985,44 @@ def test_packed_pair_modes_match_tuple_oracle():
         residues.add(q8 % 8)
         kinds.add(type(n))
     assert residues == set(range(8)) and kinds == {int, Fraction}
+
+
+def test_phase_three_merges_branches_apart_by_two_in_e(monkeypatch):
+    # the pairs of `_seeded_pairs` with live branches that differ only by
+    # 2 or 4 in e2 (the three fixed ones and many seeded ones):
+    # `_pair_modes` reads one creation table per class
+    # (rem, pend, c, e2 mod 2), fewer than the branches, and its
+    # expansion is still the tuple oracle's
+    reads = []
+    creation = vertexengine._creation
+
+    def counted(*args):
+        reads.append(args)
+        return creation(*args)
+
+    gaps = set()
+    merging = 0
+    for udegs, a8, vdegs, q8, n in _seeded_pairs():
+        branches = [b for b in _tuple_live(udegs, a8, vdegs, q8, n)
+                    if b[2] >= sum(b[1])]
+        classes = {}
+        for rem, pend, c, e2, _ in branches:
+            classes.setdefault((rem, pend, c, e2 & 1), set()).add(e2)
+        if len(classes) == len(branches):
+            continue
+        merging += 1
+        gaps |= {max(e2s) - min(e2s) for e2s in classes.values()}
+        u = State.basis(udegs, Fraction(a8, 8))
+        v = State.basis(vdegs, Fraction(q8, 8))
+        # the creation tables are cached by the first call, so the
+        # counted second call reads each table once, with no recursion
+        assert assert_packed_matches_tuple_oracle(u, n, v) == 1
+        monkeypatch.setattr(vertexengine, "_creation", counted)
+        reads.clear()
+        assert assert_packed_matches_tuple_oracle(u, n, v) == 1
+        monkeypatch.setattr(vertexengine, "_creation", creation)
+        assert len(reads) <= len(classes) < len(branches)
+    assert merging > 100 and gaps >= {2, 4}
 
 
 def _flat(table):
@@ -927,7 +1073,7 @@ def test_charge_zero_mode_reads_no_creation(monkeypatch):
             raise Cloud(pending, c_target)
         return creation(pending, c_target, cloud)
 
-    vertexengine._memo.clear()
+    _cold_tables(monkeypatch)
     creation.cache_clear()
     monkeypatch.setattr(vertexengine, "_creation", no_cloud)
     v = State.basis((2,), Fraction(1, 2))
