@@ -7,6 +7,7 @@ irreducible modules of the fixed-point algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -15,14 +16,14 @@ from .exactfield import (
     sqrt2_power,
 )
 from .fockspace import (
-    State, _charge, _trim, graded_monomials, graded_states, ratio,
-    sector_charges, theta, theta_even_states,
+    KeyWidthError, State, _charge, _pack, _trim, graded_monomials,
+    graded_states, ratio, sector_charges, theta, theta_even_states,
 )
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary, named_vector
 from .vertexengine import (
-    charge_chain, hprime_eigenvector, mode_apply, twisted_weight,
-    virasoro_mode,
+    ModeLegalityError, charge_chain, hprime_eigenvector, mode_apply,
+    twisted_weight, virasoro_mode,
 )
 
 # --------------------------------------------------------------------------
@@ -194,6 +195,23 @@ def klein_fixed_dim(w):
 # -4 for f); the two run as one `charge_chain` on integer coordinate
 # planes.  H is the integer q8/2 on charge (q8/8) b, so t^H then scales
 # each coordinate of charge q8 by t^(q8/2), and 1/t = 1-i (`_t_power`).
+# That route, `_sigma_chain`, is the chain.
+#
+# sigma is linear, and its callers (the order-3 checks, the brute
+# eigendimensions, the sweep) apply it again and again inside a few small
+# weight spaces.  There sigma sums the cached image of each monomial of
+# its input (`_image`, made once by the chain).  Building an image runs
+# the chain on one monomial, whose output fills its weight space, so
+# images pay only when reused and lose on large spaces.  Measured cold
+# (Python 3.11, 2 cores), images took 20 times as long as the chain on
+# u16 (6 s against 0.3 s, weight 16) and 3 to 10 times as long on one
+# dense 40-term state of weight 8, 10 or 12; with images on spaces of up
+# to 256 monomials the automorphism test, whose products reach weights 9
+# to 14, took twice as long, and with the bound of 64 no longer.  That
+# bound admits weight <= 8 of V_L2 (62 monomials, the next weight 90) and
+# <= 29/4 of V_L2+a/2 (46, the next 70), where every caller that repeats
+# sigma stays.
+_IMAGE_SPACE = 64
 
 
 def _t_power(q8):
@@ -207,23 +225,13 @@ def _t_power(q8):
     return Scalar((a, 0, 0, 0, b, 0, 0, 0), 1 << max(k, 0))
 
 
-def sigma(v):
-    """The order-3 symmetry exp(2 pi i h'(0)) of the lattice algebra.
-
-    Defined on charges in (1/4)Z b, that is on V_L2 + V_L2+a/2: on a
-    term of charge k/8 b with k odd the zero mode e is undefined, and the
-    engine raises ModeLegalityError (a ValueError) naming the charge.  It
-    is computed as t^H exp(-f/2) exp(e) (the sl2 derivation is above), all
-    on the planes: the exponentials of the zero modes e, f of e^{+-a} run
-    as one `charge_chain`, then t^H, t = (1+i)/2, is one pass over the
-    planes of its output.  Each coordinate is routed through `BASIS_MUL`
-    times the t^(q8/2) of its key's charge (`_t_power`, read once per
-    charge), over the largest denominator of those powers, all powers of
-    two; one `_trim` ends the pass.  The tests check it against the
-    Krylov route zero_mode_exp(named_vector("hprime"), v) and against a
-    route that scales each charge part as a State, in the Gauss order
-    exp(i f) t^H exp(e).
-    """
+def _sigma_chain(v):
+    """sigma(v) by the chain: exp(-f/2) exp(e) as one `charge_chain`,
+    then t^H, t = (1+i)/2, as one pass over the planes of its output.
+    Each coordinate is routed through `BASIS_MUL` times the t^(q8/2) of
+    its key's charge (`_t_power`, read once per charge), over the
+    largest denominator of those powers, all powers of two; one `_trim`
+    ends the pass."""
     den, planes = charge_chain([(-4, -HALF), (4, ONE)], v).packed
     powers = {q8: _t_power(q8) for q8 in
               {_charge(key) for plane in planes.values() for key in plane}}
@@ -239,6 +247,77 @@ def sigma(v):
         for key, c in plane.items():
             for into, f in routes[_charge(key)]:
                 into[key] = into.get(key, 0) + f * c
+    return State(packed=_trim(den * top, out))
+
+
+@functools.cache
+def _image_keys():
+    """The packed keys of the monomials of V_L2 and V_L2+a/2 in weight
+    spaces of at most _IMAGE_SPACE monomials: the weights up to the
+    first larger space, since each space is larger than the one below."""
+    keys = []
+    for module, w in (("V_L2", Fraction(0)), ("V_L2+a/2", Fraction(1, 4))):
+        monos = graded_monomials(module, w)
+        while len(monos) <= _IMAGE_SPACE:
+            keys += [_pack(*m) for m in monos]
+            w += 1
+            monos = graded_monomials(module, w)
+    return frozenset(keys)
+
+
+# The spaces `_image_keys` admits hold 313 monomials; a full catalog run
+# builds the images of 119 of them.  The bound holds every image sigma
+# can ask for and caps what direct callers can add.
+@functools.lru_cache(maxsize=512)
+def _image(key):
+    """sigma of the parity-basis element of the packed key, as the
+    trimmed (den, planes) of the chain.  Callers only read it."""
+    return _sigma_chain(State(packed=(1, {0: {key: 1}}))).packed
+
+
+def sigma(v):
+    """The order-3 symmetry exp(2 pi i h'(0)) of the lattice algebra.
+
+    Defined on charges in (1/4)Z b, that is on V_L2 + V_L2+a/2: on a
+    term of charge k/8 b with k odd the zero mode e is undefined, and the
+    engine raises ModeLegalityError (a ValueError) naming the charge.  It
+    is t^H exp(-f/2) exp(e) (the sl2 derivation is above).  A state all
+    of whose monomials lie in weight spaces of at most _IMAGE_SPACE
+    monomials is the sum of the cached images of its monomials
+    (`_image`): each coordinate c on the plane e_p of a key routes that
+    key's image through `BASIS_MUL` times c, over the lcm of the image
+    denominators, and one `_trim` ends the sum.  Any other state, an
+    odd-eighth charge included, runs the chain (`_sigma_chain`) whole;
+    so does a state where an image raises, so that the error names what
+    the chain names.  The tests check the two routes against each other,
+    and sigma against the Krylov route
+    zero_mode_exp(named_vector("hprime"), v) and against a route that
+    scales each charge part as a State, in the Gauss order
+    exp(i f) t^H exp(e).
+    """
+    den, planes = v.packed
+    keys = {key for plane in planes.values() for key in plane}
+    if not keys <= _image_keys():
+        return _sigma_chain(v)
+    try:
+        images = {key: _image(key) for key in keys}
+    except (KeyWidthError, ModeLegalityError):
+        return _sigma_chain(v)
+    top = math.lcm(*[d for d, _ in images.values()])
+    out = {}
+    for p, plane in planes.items():
+        row = BASIS_MUL[p]
+        for key, c in plane.items():
+            d, image = images[key]
+            c *= top // d
+            for q, iplane in image.items():
+                # e_p e_q = f e_m
+                m, f = row[q]
+                f *= c
+                into = out.setdefault(m, {})
+                get = into.get
+                for k, x in iplane.items():
+                    into[k] = get(k, 0) + f * x
     return State(packed=_trim(den * top, out))
 
 

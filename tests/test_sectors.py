@@ -2,6 +2,7 @@
 catalog."""
 
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import pytest
 from voalab import paperlab, sectors, vertexengine
 from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sixth_root
 from voalab.fockspace import (
-    State, basis_monomials, graded_states, partitions, ratio, sector_charges,
-    theta, theta_even_states,
+    KeyWidthError, State, _pack, basis_monomials, graded_monomials,
+    graded_states, partitions, ratio, sector_charges, theta, theta_even_states,
 )
 from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.structure import is_primary, named_vector
@@ -288,7 +289,8 @@ def test_sigma_sweep_expands_each_conjugate_pair_once(monkeypatch):
     # sigma, sigma^2 and sigma^3 on the reflection-even states of V_Zb up
     # to weight 8 expand 138 pairs cold, all of positive charge: each
     # e^{-a}(0) expansion is read off its conjugate e^{a}(0) one (276
-    # cold expansions when both signs were computed)
+    # cold expansions when both signs were computed).  Cold means no
+    # stored expansion and no monomial image of sigma either.
     calls = []
     pair_modes = vertexengine._pair_modes
 
@@ -300,12 +302,167 @@ def test_sigma_sweep_expands_each_conjugate_pair_once(monkeypatch):
     monkeypatch.setattr(vertexengine, "_live", weakref.WeakValueDictionary())
     monkeypatch.setattr(vertexengine, "_stored", 0)
     vertexengine._creation.cache_clear()
+    sectors._image.cache_clear()
     monkeypatch.setattr(vertexengine, "_pair_modes", counting)
     for w in range(9):
         for b in theta_even_states("V_Zb", w):
             assert sigma(sigma(sigma(b))) == b
     assert len(calls) == 138
     assert all(a8 > 0 for _, a8, _, _ in calls)
+
+
+def _image_reads():
+    """How often sigma has read a monomial image, cached or built."""
+    info = sectors._image.cache_info()
+    return info.hits + info.misses
+
+
+def _basis_element(key):
+    """The state of the parity-basis element of a packed key."""
+    return State(packed=(1, {0: {key: 1}}))
+
+
+def _keys(v):
+    """The packed keys of a state."""
+    return {key for plane in v.packed[1].values() for key in plane}
+
+
+# the weight spaces sigma maps through images, and the next one of each
+# module, where it runs the chain
+_SMALL = [("V_L2", w) for w in range(9)] + [
+    ("V_L2+a/2", Fraction(1, 4) + w) for w in range(8)]
+_ABOVE = [("V_L2", 9), ("V_L2+a/2", Fraction(33, 4))]
+
+
+def test_image_route_admits_the_small_weight_spaces():
+    # the largest admitted spaces and the next ones
+    assert len(graded_monomials("V_L2", 8)) == 62
+    assert len(graded_monomials("V_L2+a/2", Fraction(29, 4))) == 46
+    assert [len(graded_monomials(*s)) for s in _ABOVE] == [90, 70]
+    assert sectors._image_keys() == {_pack(*m) for s in _SMALL
+                                     for m in graded_monomials(*s)}
+    assert len(sectors._image_keys()) == 313
+
+
+def test_sigma_images_match_the_chain():
+    # the route through cached monomial images against the chain on the
+    # whole state, on inputs that take the images; each case counts its
+    # image reads, so an input that fell back to the chain is caught
+    chain = sectors._sigma_chain
+
+    def by_images(v):
+        before = _image_reads()
+        got = sigma(v)
+        assert _image_reads() - before == len(_keys(v)), v
+        return got
+
+    # every monomial of both modules up to the bound (an odd number of
+    # parts puts its coordinate on the sqrt2 plane), and the image itself
+    # one weight above it
+    for s in _SMALL:
+        for m in graded_monomials(*s):
+            b = State({m: ONE})
+            assert by_images(b) == chain(b), m
+    for s in _ABOVE:
+        for m in graded_monomials(*s):
+            key = _pack(*m)
+            assert sectors._image(key) == chain(_basis_element(key)).packed, m
+    # the reflection-even states of the sigma sweep, and their sigma
+    # and sigma^2
+    for w in range(9):
+        for b in theta_even_states("V_Zb", w):
+            s1 = chain(b)
+            s2 = chain(s1)
+            for v in (b, s1, s2):
+                assert by_images(v) == chain(v), v
+    # seeded multi-term states on several planes, within one weight
+    # space and across both modules
+    rng = random.Random(41)
+    coeffs = [ONE, SQRT3, I, SQRT3 * I, sc(Fraction(-2, 7)),
+              sixth_root(1), sixth_root(2) * SQRT3]
+    for _ in range(40):
+        spaces = rng.sample(_SMALL, rng.randint(1, 2))
+        monos = {m for s in spaces for m in graded_monomials(*s)}
+        picked = rng.sample(sorted(monos), min(len(monos), rng.randint(1, 8)))
+        v = State({m: rng.choice(coeffs) * sc(rng.randint(1, 9))
+                   for m in picked})
+        assert by_images(v) == chain(v), v
+    # the named vectors of weight one and one quarter
+    for name in ("y1", "y2", "w1", "w2"):
+        v = named_vector(name)
+        assert by_images(v) == chain(v), name
+    # keys on both sides of the bound: the whole state runs the chain
+    v = State.basis((8,)) * SQRT3 + State.basis((9,), 0) * I \
+        + State.basis((), Fraction(1, 4))
+    before = _image_reads()
+    assert sigma(v) == chain(v)
+    assert _image_reads() == before
+
+
+def test_sigma_images_are_left_unchanged_by_use():
+    # sigma only reads the images it sums: after two sweeps over states
+    # on several planes, every image they used still equals a fresh chain
+    sectors._image.cache_clear()
+    states = [v * x for w in range(9) for v in theta_even_states("V_Zb", w)
+              for x in (SQRT3 * I, sc(Fraction(3, 5)))]
+    states += [named_vector(n) * I for n in ("y1", "w1")]
+    for _ in range(2):
+        for v in states:
+            sigma(sigma(v))
+    used = {key for v in states for key in _keys(v) | _keys(sigma(v))}
+    misses = sectors._image.cache_info().misses
+    for key in used:
+        assert sectors._image(key) == \
+            sectors._sigma_chain(_basis_element(key)).packed, key
+    assert sectors._image.cache_info().misses == misses
+
+
+def test_sigma_image_cache_is_bounded():
+    # more distinct seeded monomials than the bound holds, each image
+    # equal to the chain
+    cache = sectors._image
+    cap = cache.cache_info().maxsize
+    assert cap
+    keys = [_pack(*m) for s in _SMALL + _ABOVE + [("V_L2", 10)]
+            for m in graded_monomials(*s)]
+    random.Random(12).shuffle(keys)
+    assert len(keys) > cap
+    for key in keys:
+        assert cache(key) == sectors._sigma_chain(_basis_element(key)).packed
+    assert cache.cache_info().currsize <= cap
+
+
+def test_sigma_builds_no_image_above_the_bound():
+    # u16 (weight 16) and a weight-10 product run the chain: there, cold,
+    # images take 20 times as long on u16 and 3 to 7 times as long on a
+    # dense weight-10 state
+    J, E = named_vector("J"), named_vector("E")
+    product = mode_apply(J, -3, E)
+    assert product.weight() == 10 and product
+    before = _image_reads()
+    for v in (named_vector("u16"), product):
+        assert sigma(v)
+    assert _image_reads() == before
+
+
+def test_sigma_errors_match_the_chain(monkeypatch):
+    # e^{a}(0) takes the first state beyond the charge width and the
+    # second beyond the degree width, each before any expansion is made
+    edge = State.basis((63,), Fraction(31, 2))
+    deep = State.basis((61,), -1)
+    for v in (edge, deep, edge + deep, deep + edge):
+        with pytest.raises(KeyWidthError) as want:
+            sectors._sigma_chain(v)
+        message = "^%s$" % re.escape(str(want.value))
+        with pytest.raises(KeyWidthError, match=message):
+            sigma(v)
+        # where building an image raises, the chain runs on the whole
+        # state and names the charge or degree it names
+        keys = frozenset(_keys(v))
+        monkeypatch.setattr(sectors, "_image_keys", lambda: keys)
+        with pytest.raises(KeyWidthError, match=message):
+            sigma(v)
+        monkeypatch.undo()
 
 
 # Primary multiplets of square lowest weight.
