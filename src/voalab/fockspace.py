@@ -490,7 +490,7 @@ def sector_charges(name, w):
             if (q8 - off) % step == 0 and Fraction(q8 * q8, 16) <= w]
 
 
-# A full catalog run reads 242 bases, 32 of them distinct; the bound
+# A full catalog run reads 223 bases, 26 of them distinct; the bound
 # caps what library callers can add.
 @functools.lru_cache(maxsize=128)
 def graded_monomials(name, w):

@@ -32,8 +32,8 @@ from .fockspace import (
 )
 from .linalg import express_in_span, fixed_vectors, rank_of
 from .structure import (
-    c_functional, decompose_over, gram_rational, is_primary, named_vector,
-    pair, vacuum_words, word_states,
+    _u16_seed, c_functional, decompose_over, gram_rational, is_primary,
+    named_vector, pair, vacuum_words, word_states,
 )
 from .vertexengine import (
     RationalPowerSeries, apply_word, delta_apply, mode_apply,
@@ -599,8 +599,20 @@ def _chk_u16_primary(cfg):
         "the weight 16 generator is fixed by the order-3 symmetry",
         "eq-4.2", cost="heavy", tags=("criterion-4",))
 def _chk_u16_sigma(cfg):
+    """sigma(u16) = u16 + sigma(P) - P, with no sigma at weight 16.
+    u16 is P = J(-9)J + 27 E(-9)E (`_u16_seed`) minus Virasoro words on
+    the vacuum, which sigma fixes once it fixes omega and |0>.  sigma is
+    an automorphism, sigma(x(n)y) = sigma(x)(n)sigma(y) (FHL 1993), so
+    sigma(P) = sigma(J)(-9)sigma(J) + 27 sigma(E)(-9)sigma(E), from two
+    weight-4 images.  `tests/test_paperlab.py` checks this against the
+    direct sigma(u16)."""
+    for name in ("omega", "one"):
+        if sigma(named_vector(name)) != named_vector(name):
+            raise ArithmeticError("sigma does not fix %s" % name)
     u16 = named_vector("u16")
-    return sigma(u16), u16
+    J, E = named_vector("J"), named_vector("E")
+    image = _u16_seed(sigma(J), sigma(E), mode_apply)
+    return u16 + image - _u16_seed(J, E), u16
 
 
 @_check("lemma-4.1-membership",

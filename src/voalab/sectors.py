@@ -16,8 +16,9 @@ from .exactfield import (
     sqrt2_power,
 )
 from .fockspace import (
-    KeyWidthError, State, _charge, _pack, _trim, graded_monomials,
-    graded_states, ratio, sector_charges, theta, theta_even_states,
+    KeyWidthError, State, _charge, _conjugate, _odd, _pack, _parts, _trim,
+    graded_monomials, graded_states, partitions, ratio, sector_charges,
+    theta, theta_even_states,
 )
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary, named_vector
@@ -200,18 +201,31 @@ def klein_fixed_dim(w):
 # sigma is linear, and its callers (the order-3 checks, the brute
 # eigendimensions, the sweep) apply it again and again inside a few small
 # weight spaces.  There sigma sums the cached image of each monomial of
-# its input (`_image`, made once by the chain).  Building an image runs
-# the chain on one monomial, whose output fills its weight space, so
-# images pay only when reused and lose on large spaces.  Measured cold
-# (Python 3.11, 2 cores), images took 20 times as long as the chain on
-# u16 (6 s against 0.3 s, weight 16) and 3 to 10 times as long on one
-# dense 40-term state of weight 8, 10 or 12; with images on spaces of up
-# to 256 monomials the automorphism test, whose products reach weights 9
-# to 14, took twice as long, and with the bound of 64 no longer.  That
-# bound admits weight <= 8 of V_L2 (62 monomials, the next weight 90) and
-# <= 29/4 of V_L2+a/2 (46, the next 70), where every caller that repeats
+# its input (`_image`).  Building an image runs the chain on one
+# monomial, whose output fills its weight space, so images pay only when
+# reused and lose on large spaces.  Measured cold (Python 3.11, 2 cores),
+# images took 20 times as long as the chain on u16 (6 s against 0.3 s,
+# weight 16) and 3 to 10 times as long on one dense 40-term state of
+# weight 8, 10 or 12; with images on spaces of up to 256 monomials the
+# automorphism test, whose products reach weights 9 to 14, took twice as
+# long, and with spaces of up to 64 no longer.  Those are the weights
+# <= 8 of V_L2 (62 monomials at weight 8, the next weight 90) and, since
+# the weights of V_L2+a/2 lie in 1/4 + Z, its weights <= 29/4 (46, the
+# next 70): one bound on the weight, where every caller that repeats
 # sigma stays.
-_IMAGE_SPACE = 64
+#
+# The images of negative charge need no chain.  The Klein group {1,
+# theta, tau1, theta tau1} is normal in the alternating group that sigma
+# and it generate, and conjugating sigma by theta gives sigma(theta v) =
+# theta sigma(tau v), where tau scales charge (q8/8) b by (-i)^(q8/2)
+# (tau1 on V_L2).  theta sends the parity-basis element of a key k' to
+# (-1)^odd(k') times that of its conjugate, so a key k of charge q8 < 0
+# has the image (-1)^odd(k') (-i)^(-q8/2) theta(image(k')), k' the
+# conjugate key: one signed permutation of the coordinates of image(k').
+_IMAGE_WEIGHT = 8
+
+# (-i)^n for n mod 4, as (basis index, sign): 1, -i, -1, i.
+_MINUS_I_POWERS = ((0, 1), (4, -1), (0, -1), (4, 1))
 
 
 def _t_power(q8):
@@ -250,19 +264,25 @@ def _sigma_chain(v):
     return State(packed=_trim(den * top, out))
 
 
+def _admitted(key):
+    """True when the packed key has an even charge q8 and a weight
+    sum(parts) + q8^2/16 of at most _IMAGE_WEIGHT: a key of V_L2 or
+    V_L2+a/2 whose image sigma caches."""
+    q8 = _charge(key)
+    return not q8 % 2 and (16 * sum(d * m for d, m in _parts(key)) + q8 * q8
+                           <= 16 * _IMAGE_WEIGHT)
+
+
 @functools.cache
 def _image_keys():
-    """The packed keys of the monomials of V_L2 and V_L2+a/2 in weight
-    spaces of at most _IMAGE_SPACE monomials: the weights up to the
-    first larger space, since each space is larger than the one below."""
-    keys = []
-    for module, w in (("V_L2", Fraction(0)), ("V_L2+a/2", Fraction(1, 4))):
-        monos = graded_monomials(module, w)
-        while len(monos) <= _IMAGE_SPACE:
-            keys += [_pack(*m) for m in monos]
-            w += 1
-            monos = graded_monomials(module, w)
-    return frozenset(keys)
+    """The packed keys of the monomials of V_L2 and V_L2+a/2 of weight
+    at most _IMAGE_WEIGHT: the even charges q8 with q8^2/16 within the
+    bound, each with the partitions of the weight left over."""
+    top = 16 * _IMAGE_WEIGHT
+    r = math.isqrt(top)
+    return frozenset(_pack(lam, q8) for q8 in range(-r + r % 2, r + 1, 2)
+                     for n in range((top - q8 * q8) // 16 + 1)
+                     for lam in partitions(n))
 
 
 # The spaces `_image_keys` admits hold 313 monomials; a full catalog run
@@ -270,9 +290,31 @@ def _image_keys():
 # can ask for and caps what direct callers can add.
 @functools.lru_cache(maxsize=512)
 def _image(key):
-    """sigma of the parity-basis element of the packed key, as the
-    trimmed (den, planes) of the chain.  Callers only read it."""
-    return _sigma_chain(State(packed=(1, {0: {key: 1}}))).packed
+    """sigma of the parity-basis element of the packed key, as trimmed
+    (den, planes).  Callers only read it.
+
+    A key of charge q8 < 0 that `_admitted` admits is read off the image
+    of its conjugate key k' (the relation above): each coordinate c on
+    e_p of a key j goes to the conjugate of j, on the plane e_m with
+    e_p u = f e_m for the unit u = (-i)^n, n = -q8/2 + 2 odd(k'), as
+    f c, negated when j has an odd number of parts.  A signed
+    permutation of the coordinates keeps them trimmed.  Every other key
+    runs the chain (`_sigma_chain`), so where the chain raises, so does
+    its image.
+    """
+    q8 = _charge(key)
+    if q8 >= 0 or not _admitted(key):
+        return _sigma_chain(State(packed=(1, {0: {key: 1}}))).packed
+    dual = _conjugate(key)
+    den, planes = _image(dual)
+    u, s = _MINUS_I_POWERS[(2 * _odd(dual) - q8 // 2) % 4]
+    out = {}
+    for p, plane in planes.items():
+        m, f = BASIS_MUL[p][u]
+        f *= s
+        out[m] = {_conjugate(j): -f * c if _odd(j) else f * c
+                  for j, c in plane.items()}
+    return den, out
 
 
 def sigma(v):
@@ -282,14 +324,17 @@ def sigma(v):
     term of charge k/8 b with k odd the zero mode e is undefined, and the
     engine raises ModeLegalityError (a ValueError) naming the charge.  It
     is t^H exp(-f/2) exp(e) (the sl2 derivation is above).  A state all
-    of whose monomials lie in weight spaces of at most _IMAGE_SPACE
-    monomials is the sum of the cached images of its monomials
-    (`_image`): each coordinate c on the plane e_p of a key routes that
-    key's image through `BASIS_MUL` times c, over the lcm of the image
-    denominators, and one `_trim` ends the sum.  Any other state, an
-    odd-eighth charge included, runs the chain (`_sigma_chain`) whole;
-    so does a state where an image raises, so that the error names what
-    the chain names.  The tests check the two routes against each other,
+    of whose monomials lie in V_L2 + V_L2+a/2 at weight at most
+    _IMAGE_WEIGHT (`_image_keys`) is the sum of the cached images of its
+    monomials (`_image`; the chain builds those of charge q8 >= 0, and
+    each of charge q8 < 0 is read off its conjugate's by the relation
+    sigma(theta v) = theta sigma(tau v) above): each coordinate c on the
+    plane e_p of a key routes that key's image through `BASIS_MUL` times
+    c, over the lcm of the image denominators, and one `_trim` ends the
+    sum.  Any other state, an odd-eighth charge included, runs the chain
+    (`_sigma_chain`) whole; so does a state where an image raises, so
+    that the error names what the chain names.  The tests check the
+    image routes against the chain, the relation on the chain alone,
     and sigma against the Krylov route
     zero_mode_exp(named_vector("hprime"), v) and against a route that
     scales each charge part as a State, in the Gauss order

@@ -237,13 +237,19 @@ def decompose_over(target, vectors, blocks=None):
 # The weight-16 primary generator beyond the vacuum module.
 
 
+def _u16_seed(J, E, apply_e=mode_apply_theta_even):
+    """P = J(-9)J + 27 E(-9)E for the states J and E, the vector whose
+    vacuum-module component `build_u16` strips.  E(-9)E runs through
+    apply_e: by default the theta-even fast path, which needs E
+    theta-fixed with no charge-zero part, as the named E is."""
+    return mode_apply(J, -9, J) + apply_e(E, -9, E) * 27
+
+
 def build_u16():
     """The weight-16 primary obtained by stripping the vacuum-module
-    component from J_{-9} J + 27 E_{-9} E."""
-    J = basic_vector("J")
-    E = basic_vector("E")
+    component from J_{-9} J + 27 E_{-9} E (`_u16_seed`)."""
     E2 = basic_vector("E2")
-    P = mode_apply(J, -9, J) + mode_apply_theta_even(E, -9, E) * 27
+    P = _u16_seed(basic_vector("J"), basic_vector("E"))
     words = vacuum_words(16)
     states = word_states(words, State.basis(()))
     _, u16 = decompose_over(P, states)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from voalab import paperlab, sectors
+from voalab import paperlab, sectors, structure
 from voalab.exactfield import sc, sixth_root, sqrt2_power
 from voalab.exprparse import parse_scalar_expr
 from voalab.fockspace import State, graded_states
@@ -20,7 +20,7 @@ from voalab.paperlab import (
 )
 from voalab.structure import named_vector
 from voalab.vertexengine import (
-    ModeLegalityError, RationalPowerSeries, hprime_eigenvector,
+    ModeLegalityError, RationalPowerSeries, hprime_eigenvector, mode_apply,
     twisted_mode_apply,
 )
 
@@ -137,6 +137,46 @@ def test_fail_path_and_error_capture():
     assert res2.status == "fail"
     assert "RuntimeError" in res2.computed
     assert "exploded" in res2.computed
+
+
+def test_u16_sigma_check_is_the_direct_sigma():
+    # eq-4.2-u16-sigma reads sigma(u16) as u16 + sigma(P) - P, sigma(P)
+    # by the automorphism property from sigma(J) and sigma(E); the direct
+    # sigma of u16 and of P, each by the chain at weight 16, are the
+    # oracle
+    u16 = named_vector("u16")
+    J, E = named_vector("J"), named_vector("E")
+    computed, expected = get_check("eq-4.2-u16-sigma").thunk(dict(DEFAULT_CONFIG))
+    assert expected == u16
+    assert computed == sectors.sigma(u16) == u16
+    image = structure._u16_seed(sectors.sigma(J), sectors.sigma(E), mode_apply)
+    assert image == sectors.sigma(structure._u16_seed(J, E))
+
+
+def test_u16_sigma_check_fails_on_a_wrong_sigma(monkeypatch):
+    # a sigma that fixes J makes sigma(P) - P = 27 (sigma(E)(-9)sigma(E)
+    # - E(-9)E), and the check reports that sum; a sigma that moves
+    # omega or |0> breaks the reduction to P, and the check says so
+    J, E = named_vector("J"), named_vector("E")
+    u16 = named_vector("u16")
+    sigma = sectors.sigma
+    monkeypatch.setattr(paperlab, "sigma", lambda v: J if v == J else sigma(v))
+    res = run_checks(["eq-4.2-u16-sigma"]).checks[0]
+    wrong = u16 + (mode_apply(sigma(E), -9, sigma(E))
+                   - mode_apply(E, -9, E)) * sc(27)
+    assert (res.status, res.computed, res.expected) == (
+        "fail", paperlab._clip(paperlab._render(wrong), 360),
+        paperlab._clip(paperlab._render(u16), 360))
+    assert res.computed == (
+        "(27/4) |2b> + (376/17325) h(-1)h(-1)h(-1)h(-1)h(-1)h(-1)h(-1)h(-1)"
+        "h(-1)h(-1)h(-1)h(-1)|1b> + ((136/525)√2) h(-2)h(-1 ...")
+    for name in ("omega", "one"):
+        v = named_vector(name)
+        monkeypatch.setattr(paperlab, "sigma",
+                            lambda x, v=v: x * sc(2) if x == v else sigma(x))
+        res = run_checks(["eq-4.2-u16-sigma"]).checks[0]
+        assert (res.status, res.computed, res.expected) == (
+            "fail", "error: ArithmeticError: sigma does not fix %s" % name, "")
 
 
 def test_artifact_builds_once():

@@ -11,8 +11,9 @@ import pytest
 from voalab import paperlab, sectors, vertexengine
 from voalab.exactfield import I, ONE, SQRT3, ZERO, sc, sixth_root
 from voalab.fockspace import (
-    KeyWidthError, State, _pack, basis_monomials, graded_monomials,
-    graded_states, partitions, ratio, sector_charges, theta, theta_even_states,
+    KeyWidthError, State, _charge, _conjugate, _pack, _split,
+    basis_monomials, graded_monomials, graded_states, partitions, ratio,
+    sector_charges, theta, theta_even_states,
 )
 from voalab.linalg import Echelon, express_in_span, rank_of
 from voalab.structure import is_primary, named_vector
@@ -298,17 +299,30 @@ def test_sigma_sweep_expands_each_conjugate_pair_once(monkeypatch):
         calls.append(args)
         return pair_modes(*args)
 
+    # The sweep builds 58 images, 12 of them of negative charge and read
+    # off their conjugates, so it runs the chain 46 times.
+    chains = []
+    chain = sectors._sigma_chain
+
+    def counting_chain(v):
+        chains.append(v)
+        return chain(v)
+
     monkeypatch.setattr(vertexengine, "_tables", {})
     monkeypatch.setattr(vertexengine, "_live", weakref.WeakValueDictionary())
     monkeypatch.setattr(vertexengine, "_stored", 0)
     vertexengine._creation.cache_clear()
     sectors._image.cache_clear()
     monkeypatch.setattr(vertexengine, "_pair_modes", counting)
+    monkeypatch.setattr(sectors, "_sigma_chain", counting_chain)
     for w in range(9):
         for b in theta_even_states("V_Zb", w):
             assert sigma(sigma(sigma(b))) == b
     assert len(calls) == 138
     assert all(a8 > 0 for _, a8, _, _ in calls)
+    assert sectors._image.cache_info().misses == 58
+    assert len(chains) == 46
+    assert all(_charge(key) >= 0 for v in chains for key in _keys(v))
 
 
 def _image_reads():
@@ -334,26 +348,55 @@ _SMALL = [("V_L2", w) for w in range(9)] + [
 _ABOVE = [("V_L2", 9), ("V_L2+a/2", Fraction(33, 4))]
 
 
+def _spaces_up_to(bound):
+    """The packed keys of the weight spaces of V_L2 and V_L2+a/2 of at
+    most bound monomials, read off `graded_monomials` from the bottom
+    up: the definition the weight bound of `sectors._image_keys`
+    replaced."""
+    keys = []
+    for module, w in (("V_L2", Fraction(0)), ("V_L2+a/2", Fraction(1, 4))):
+        monos = graded_monomials(module, w)
+        while len(monos) <= bound:
+            keys += [_pack(*m) for m in monos]
+            w += 1
+            monos = graded_monomials(module, w)
+    return frozenset(keys)
+
+
 def test_image_route_admits_the_small_weight_spaces():
     # the largest admitted spaces and the next ones
     assert len(graded_monomials("V_L2", 8)) == 62
     assert len(graded_monomials("V_L2+a/2", Fraction(29, 4))) == 46
     assert [len(graded_monomials(*s)) for s in _ABOVE] == [90, 70]
+    # the weight bound admits the spaces of at most 64 monomials
+    assert sectors._image_keys() == _spaces_up_to(64)
     assert sectors._image_keys() == {_pack(*m) for s in _SMALL
                                      for m in graded_monomials(*s)}
     assert len(sectors._image_keys()) == 313
+    assert all(map(sectors._admitted, sectors._image_keys()))
+    for s in _ABOVE + [("V_Zb+1/8", Fraction(1, 64))]:
+        assert not any(sectors._admitted(_pack(*m))
+                       for m in graded_monomials(*s)), s
 
 
 def test_sigma_images_match_the_chain():
     # the route through cached monomial images against the chain on the
     # whole state, on inputs that take the images; each case counts its
-    # image reads, so an input that fell back to the chain is caught
+    # image reads, so an input that fell back to the chain is caught.
+    # sigma reads one image per key, and building the image of a key of
+    # negative charge reads the image of its conjugate once more.  The
+    # cache holds every image this test builds, so `built` tracks it.
     chain = sectors._sigma_chain
+    sectors._image.cache_clear()
+    built = set()
 
     def by_images(v):
+        keys = _keys(v)
+        fresh = {key for key in keys if _charge(key) < 0} - built
         before = _image_reads()
         got = sigma(v)
-        assert _image_reads() - before == len(_keys(v)), v
+        assert _image_reads() - before == len(keys) + len(fresh), v
+        built.update(keys, map(_conjugate, fresh))
         return got
 
     # every monomial of both modules up to the bound (an odd number of
@@ -397,6 +440,57 @@ def test_sigma_images_match_the_chain():
     before = _image_reads()
     assert sigma(v) == chain(v)
     assert _image_reads() == before
+
+
+def _tau(v):
+    """v with its charge (q8/8) b part scaled by (-i)^(q8/2), on the
+    terms of a State (q8 even)."""
+    out = State()
+    for q8, part in _split(v, _charge).items():
+        x = ONE
+        for _ in range(q8 // 2 % 4):
+            x = x * -I
+        out = out + part * x
+    return out
+
+
+def test_sigma_conjugates_by_theta_to_a_charge_scaling():
+    # the relation the images of negative charge are read by,
+    # sigma(theta v) = theta sigma(tau v), on the chain alone: on every
+    # key of the image spaces and on seeded states on several planes of
+    # both modules, across charges and weights
+    chain = sectors._sigma_chain
+    for key in sectors._image_keys():
+        v = _basis_element(key)
+        assert chain(theta(v)) == theta(chain(_tau(v))), key
+    rng = random.Random(4242)
+    coeffs = [ONE, SQRT3, I, SQRT3 * I, sc(Fraction(-5, 3)),
+              sixth_root(1), sixth_root(5) * SQRT3]
+    for module in ("V_L2", "V_L2+a/2"):
+        for _ in range(12):
+            w = rng.randint(1, 6) + (0 if module == "V_L2" else Fraction(1, 4))
+            monos = graded_monomials(module, w)
+            picked = rng.sample(monos, min(len(monos), rng.randint(2, 6)))
+            v = State({m: rng.choice(coeffs) * sc(rng.randint(1, 9))
+                       for m in picked}) + State({picked[0]: SQRT3 * I})
+            assert len(v.packed[1]) > 1, v
+            assert chain(theta(v)) == theta(chain(_tau(v))), v
+
+
+def test_images_of_negative_charge_read_first_match_the_chain():
+    # cold, the keys of negative charge first: each builds the image of
+    # its conjugate on demand and is read off it; then the rest
+    sectors._image.cache_clear()
+    keys = sorted(sectors._image_keys(), key=_charge)
+    assert _charge(keys[0]) < 0
+    for key in keys:
+        assert sectors._image(key) == \
+            sectors._sigma_chain(_basis_element(key)).packed, key
+    # each key of negative charge built its conjugate's image too, which
+    # the later read of that conjugate hits
+    info = sectors._image.cache_info()
+    assert (info.misses, info.currsize) == (313, 313)
+    assert info.hits == sum(_charge(key) < 0 for key in keys) == 123
 
 
 def test_sigma_images_are_left_unchanged_by_use():

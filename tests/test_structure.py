@@ -361,6 +361,41 @@ def test_build_u16():
         assert pair(u16, st) == ZERO
 
 
+def test_build_u16_certificates_fire(monkeypatch):
+    # each certificate of `build_u16` on a stripped vector built to break
+    # it alone: an empty one, the unstripped P (weight 16, its charge-2
+    # tail right, not primary), a tail against a wrong E2, and P again
+    # with the primary test forced, which meets the vacuum words
+    P = structure._u16_seed(J, E)
+    assert P.weight() == 16 and not is_primary(P)
+    basic = structure.basic_vector
+    cases = [
+        ("unexpected weight for the stripped vector",
+         {"decompose_over": lambda t, vs: (None, State())}),
+        ("stripped vector is not primary",
+         {"decompose_over": lambda t, vs: (None, P)}),
+        ("unexpected charge-2 tail",
+         {"basic_vector": lambda n: basic(n) * sc(2) if n == "E2" else basic(n)}),
+        ("stripped vector is not orthogonal to the vacuum module",
+         {"decompose_over": lambda t, vs: (None, P),
+          "is_primary": lambda v: True}),
+    ]
+    for message, patches in cases:
+        with monkeypatch.context() as m:
+            for name, fake in patches.items():
+                m.setattr(structure, name, fake)
+            with pytest.raises(ArithmeticError, match="^%s$" % message):
+                build_u16()
+
+
+def test_decompose_over_raises_outside_the_span():
+    # a singular Gram (two copies of E) sends the block to
+    # `express_in_span`, and J is not in the span of E
+    with pytest.raises(ValueError,
+                       match="^target is not resolvable over this block$"):
+        decompose_over(J, [E, E])
+
+
 def test_c_functional():
     assert c_functional(State.basis((1, 1, 1, 1))) == ONE
     v = ONE_V
