@@ -140,9 +140,6 @@ def _cmd_char(args):
 
 
 def _cmd_table(args):
-    if args.name != "irreducibles":
-        print("error: unknown table %r" % args.name, file=sys.stderr)
-        return 2
     rows = module_catalog()
     if args.format == "json":
         import json
@@ -215,7 +212,8 @@ def build_parser():
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("table", help="print a catalog table")
-    p.add_argument("--name", required=True, help="table name: irreducibles")
+    p.add_argument("--name", required=True, choices=("irreducibles",),
+                   help="table name")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_table)
 

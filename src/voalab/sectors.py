@@ -16,9 +16,9 @@ from .exactfield import (
     sqrt2_power,
 )
 from .fockspace import (
-    KeyWidthError, State, _charge, _conjugate, _odd, _pack, _parts, _trim,
-    graded_monomials, graded_states, partitions, ratio, sector_charges,
-    theta, theta_even_states,
+    KeyWidthError, State, _charge, _conjugate, _odd, _pack, _parts,
+    _scale_planes, _trim, graded_monomials, graded_states, partitions,
+    ratio, sector_charges, theta, theta_even_states,
 )
 from .linalg import Echelon, express_in_span, rank_of
 from .structure import is_primary, named_vector
@@ -221,11 +221,8 @@ def klein_fixed_dim(w):
 # (tau1 on V_L2).  theta sends the parity-basis element of a key k' to
 # (-1)^odd(k') times that of its conjugate, so a key k of charge q8 < 0
 # has the image (-1)^odd(k') (-i)^(-q8/2) theta(image(k')), k' the
-# conjugate key: one signed permutation of the coordinates of image(k').
+# conjugate key.
 _IMAGE_WEIGHT = 8
-
-# (-i)^n for n mod 4, as (basis index, sign): 1, -i, -1, i.
-_MINUS_I_POWERS = ((0, 1), (4, -1), (0, -1), (4, 1))
 
 
 def _t_power(q8):
@@ -294,11 +291,8 @@ def _image(key):
     (den, planes).  Callers only read it.
 
     A key of charge q8 < 0 that `_admitted` admits is read off the image
-    of its conjugate key k' (the relation above): each coordinate c on
-    e_p of a key j goes to the conjugate of j, on the plane e_m with
-    e_p u = f e_m for the unit u = (-i)^n, n = -q8/2 + 2 odd(k'), as
-    f c, negated when j has an odd number of parts.  A signed
-    permutation of the coordinates keeps them trimmed.  Every other key
+    of its conjugate key k' (the relation above): theta of image(k'),
+    scaled by the unit (-i)^n, n = -q8/2 + 2 odd(k').  Every other key
     runs the chain (`_sigma_chain`), so where the chain raises, so does
     its image.
     """
@@ -306,15 +300,8 @@ def _image(key):
     if q8 >= 0 or not _admitted(key):
         return _sigma_chain(State(packed=(1, {0: {key: 1}}))).packed
     dual = _conjugate(key)
-    den, planes = _image(dual)
-    u, s = _MINUS_I_POWERS[(2 * _odd(dual) - q8 // 2) % 4]
-    out = {}
-    for p, plane in planes.items():
-        m, f = BASIS_MUL[p][u]
-        f *= s
-        out[m] = {_conjugate(j): -f * c if _odd(j) else f * c
-                  for j, c in plane.items()}
-    return den, out
+    unit = (ONE, -I, -ONE, I)[(2 * _odd(dual) - q8 // 2) % 4]
+    return _scale_planes(unit, *theta(State(packed=_image(dual))).packed)
 
 
 def sigma(v):

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from fractions import Fraction
 
 from .exactfield import (
@@ -278,21 +277,21 @@ def _pair_modes(udegs, a8, vkey, n):
 # Python frame.  The same monomial pair recurs across the terms of one
 # state, across calls and across checks, and a negative-charge pair
 # reads its conjugate.  The keys come from the caller's states, so the
-# tables hold at most _MEMO_ENTRIES entries in all, and the tables that
-# stored first are emptied first.  One operator has one table at a time
-# (`_live`), so a table emptied while the caller holds it, or an op
-# list's table not yet stored into, is the one its conjugate reads.  A
-# table stores only an expansion with at most _MEMO_KEYS output keys.  In
-# a full catalog run, 1,773 of the 1,778 hits on derivative-field pairs
-# land on at most 16 keys, and the 98 expansions above 256 keys (79,810
-# keys in all) never recur; every pure exponential has at most 256 keys,
-# and 1,654 of the 1,681 hits on those of 65..256 keys are in
-# sigma(u16).  Such a run computes 2,366 expansions and leaves 3,239
-# entries in 269 tables, 618 each in those of e^{+-a}(0).
+# tables hold at most _MEMO_ENTRIES entries in all: the store that would
+# pass the bound first empties every table.  `_tables` registers one
+# table per operator; a table its caller held across that clear stores
+# again only while no other table has been registered for its operator,
+# so no operator has two.  A table stores only an expansion with at most
+# _MEMO_KEYS output keys.  In a full catalog run, 1,685 of the 1,698
+# hits on derivative-field pairs land on at most 16 keys, and the 98
+# expansions above 256 keys (79,810 keys in all) never recur; every pure
+# exponential has at most 231 keys, and 10 of the 5,248 hits on those
+# land on more than 64.  Such a run computes 1,938 expansions and leaves
+# 2,379 entries in 270 tables, 181 each in those of e^{+-a}(0), so it
+# never reaches the bound.
 _MEMO_ENTRIES = 4096
 _MEMO_KEYS = 256
-_tables = {}  # (udegs, a8, n) -> its table while it holds entries
-_live = weakref.WeakValueDictionary()  # (udegs, a8, n) -> its table
+_tables = {}  # (udegs, a8, n) -> its registered table
 _stored = 0  # the entries of every table in _tables
 
 
@@ -313,12 +312,13 @@ class _Expansions(dict):
     error names its own charge.
     """
 
-    __slots__ = ("op", "__weakref__")
+    __slots__ = ("op",)
 
     def __init__(self, op):
         self.op = op
 
     def __missing__(self, vkey):
+        global _stored
         udegs, a8, n = self.op
         if a8 >= 0:
             out = _pair_modes(udegs, a8, vkey, n)
@@ -333,30 +333,24 @@ class _Expansions(dict):
                 out = den, {_conjugate(k): -a if flip ^ _odd(k) else a
                             for k, a in amps.items()}
         if out is None or len(out[1]) <= _MEMO_KEYS:
-            _store(self, vkey, out)
+            if _stored >= _MEMO_ENTRIES:
+                for table in _tables.values():
+                    table.clear()
+                _tables.clear()
+                _stored = 0
+            if _tables.setdefault(self.op, self) is self:
+                self[vkey] = out
+                _stored += 1
         return out
 
 
 def _table(udegs, a8, n):
     """The expansion table of u's monomial (udegs, a8) at mode n."""
     op = (udegs, a8, n)
-    table = _live.get(op)
+    table = _tables.get(op)
     if table is None:
-        table = _live[op] = _Expansions(op)
+        table = _tables[op] = _Expansions(op)
     return table
-
-
-def _store(table, vkey, out):
-    """table[vkey] = out, after emptying the oldest tables while all of
-    them hold _MEMO_ENTRIES entries."""
-    global _stored
-    while _stored >= _MEMO_ENTRIES:
-        old = _tables.pop(next(iter(_tables)))
-        _stored -= len(old)
-        old.clear()
-    _tables[table.op] = table
-    table[vkey] = out
-    _stored += 1
 
 
 def _apply_planes(ops, den, planes):

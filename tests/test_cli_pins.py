@@ -28,6 +28,7 @@ PINS = [
     (["mode", "--u", "E", "--n", "8", "--v", "E"], "0"),
     (["mode", "--u", "E", "--n", "7", "--v", "E"], "(2) |0>"),
     (["table", "--name", "irreducibles"], 0),
+    (["table", "--name", "nope"], 2),
     (["char", "--object", "V_Zb+", "--max-weight", "8"], 0),
     # the even- and odd-length partition counts at weight 40
     (["char", "--object", "M(1)+", "--max-weight", "40"], ("last", "q^40  18692")),

@@ -3,7 +3,6 @@ catalog."""
 
 import random
 import re
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -309,7 +308,6 @@ def test_sigma_sweep_expands_each_conjugate_pair_once(monkeypatch):
         return chain(v)
 
     monkeypatch.setattr(vertexengine, "_tables", {})
-    monkeypatch.setattr(vertexengine, "_live", weakref.WeakValueDictionary())
     monkeypatch.setattr(vertexengine, "_stored", 0)
     vertexengine._creation.cache_clear()
     sectors._image.cache_clear()

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -469,7 +468,6 @@ def _held(tables):
 def _cold_tables(monkeypatch):
     """Give the engine empty tables for the rest of the test."""
     monkeypatch.setattr(vertexengine, "_tables", {})
-    monkeypatch.setattr(vertexengine, "_live", weakref.WeakValueDictionary())
     monkeypatch.setattr(vertexengine, "_stored", 0)
 
 
@@ -557,6 +555,36 @@ def test_tables_hold_at_most_the_bound(monkeypatch):
     assert run() == want
     assert within_bound()
     assert max(held) == cap and len(held) > 3 * cap
+
+
+def test_tables_held_across_a_clear(monkeypatch):
+    # with the bound lowered to 3, the store that would pass it empties
+    # every table and the registry, which then holds only the tables
+    # registered since.  A table its caller held across the clear
+    # registers itself again on its next store while its operator has no
+    # new table; once it has one, the held table computes each read
+    # afresh and stores nothing
+    _cold_tables(monkeypatch)
+    monkeypatch.setattr(vertexengine, "_MEMO_ENTRIES", 3)
+    op, other, lone = ((), 8, -4), ((), 16, -4), ((), 24, -4)
+    held, kept = vertexengine._table(*op), vertexengine._table(*lone)
+    keys = [_pack((), q8) for q8 in range(3)]
+    for vkey in keys:
+        held[vkey]
+    assert len(held) == vertexengine._stored == 3
+    _expansion(*other, keys[0])
+    assert not held and not kept
+    assert list(vertexengine._tables) == [other]
+    assert vertexengine._stored == 1
+    new = vertexengine._table(*op)
+    assert new is not held and vertexengine._tables[op] is new
+    for vkey in keys:
+        assert held[vkey] == _pair_modes(*op[:2], vkey, op[2])
+    assert not held and not new and vertexengine._stored == 1
+    assert kept[keys[1]] == _pair_modes(*lone[:2], keys[1], lone[2])
+    assert vertexengine._tables[lone] is kept and _is_stored((*lone, keys[1]))
+    assert set(vertexengine._tables) == {other, op, lone}
+    assert vertexengine._stored == 2
 
 
 def _term_pairs(u, n, v):
